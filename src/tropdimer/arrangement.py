@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimer import BLACK, WHITE, DualDimer, Polytope
+from .dimer import BLACK, WHITE, DualDimer, Polytope, face_orbits
 from .lattice import RatPolygon, Vec2, reduce_mod_lattice
 
 
@@ -120,58 +120,15 @@ def _darts(lines, passages):
 def _trace_regions(darts):
     """Orbits of the arrangement's face permutation; each orbit is a closed
     boundary walk, lifted consistently to the plane."""
-    # group dart ends by torus point for the rotation system
-    by_vertex = {}
-    for d in darts:
-        by_vertex.setdefault(reduce_mod_lattice(d.start), []).append(d)
-
-    def angle_less(u: Vec2, w: Vec2):
-        hu = 0 if (u.y > 0 or (u.y == 0 and u.x > 0)) else 1
-        hw = 0 if (w.y > 0 or (w.y == 0 and w.x > 0)) else 1
-        if hu != hw:
-            return hu < hw
-        return u.cross(w) > 0
-
-    for v in by_vertex:
-        ring = by_vertex[v]
-        # insertion sort with the exact angular comparator
-        for i in range(1, len(ring)):
-            j = i
-            while j > 0 and angle_less(
-                ring[j].end - ring[j].start, ring[j - 1].end - ring[j - 1].start
-            ):
-                ring[j - 1], ring[j] = ring[j], ring[j - 1]
-                j -= 1
-
-    def next_dart(d: _Dart) -> _Dart:
-        v = reduce_mod_lattice(d.end)
-        ring = by_vertex[v]
-        # the reverse dart is the unique one on the same line leaving v in
-        # the opposite traversal sense
-        pos = next(
-            k
-            for k, cand in enumerate(ring)
-            if cand.line == d.line and cand.forward == (not d.forward)
-        )
-        return ring[(pos + 1) % len(ring)]
-
-    seen = set()
-    walks = []
-    for d in darts:
-        key = (d.line, reduce_mod_lattice(d.start), d.forward)
-        if key in seen:
-            continue
-        walk = []
-        cur = d
-        while True:
-            k = (cur.line, reduce_mod_lattice(cur.start), cur.forward)
-            if k in seen:
-                break
-            seen.add(k)
-            walk.append(cur)
-            cur = next_dart(cur)
-        walks.append(walk)
-    return walks
+    # the reverse dart is the unique one on the same line leaving the end
+    # point in the opposite traversal sense
+    by_key = {(d.line, reduce_mod_lattice(d.start), d.forward): d for d in darts}
+    return face_orbits(
+        darts,
+        tail=lambda d: reduce_mod_lattice(d.start),
+        reverse=lambda d: by_key[(d.line, reduce_mod_lattice(d.end), not d.forward)],
+        direction=lambda d: d.end - d.start,
+    )
 
 
 def _unroll(walk):

@@ -27,6 +27,7 @@ from .kasteleyn import (
     determinant,
     enumerate_matchings,
     format_laurent,
+    gauge_seed,
     kasteleyn_matrix,
     make_gauge,
 )
@@ -66,6 +67,15 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _gauge_name(name: str) -> str:
+    """A `--gauge` value, refused at parse time unless `make_gauge` knows it."""
+    try:
+        gauge_seed(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tropdimer")
@@ -82,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("kasteleyn")
     p.add_argument("input")
-    p.add_argument("--gauge", default="paper")
+    p.add_argument("--gauge", default="paper", type=_gauge_name)
 
     p = add("mutate")
     p.add_argument("input")

@@ -23,6 +23,7 @@ from .lattice import (
     RatPolygon,
     TorusPoint,
     Vec2,
+    angle_key,
     interiors_intersect,
     reduce_mod_lattice,
 )
@@ -44,6 +45,14 @@ class Polytope:
 
 @dataclass(frozen=True)
 class DualDimer:
+    """The dimer data; every polygon strictly convex and counterclockwise.
+
+    Each structural stage below is computed at most once per instance, on
+    first use, and kept on it (a stage that raises keeps nothing).  The
+    module functions `validate`, `build_graph`, `zigzag_paths` and `faces`
+    return the kept value.  Equality and hashing use the fields only.
+    """
+
     denominator: int
     polytopes: tuple
 
@@ -54,14 +63,48 @@ class DualDimer:
         for p in self.polytopes:
             if p.polygon.is_degenerate:
                 raise ValueError("degenerate polytope")
-            for v in p.polygon.vertices:
-                if (v.x * self.denominator).denominator != 1 or (
-                    v.y * self.denominator
-                ).denominator != 1:
-                    raise ValueError("vertex not on the declared lattice")
+            scaled = [(v.x * self.denominator, v.y * self.denominator) for v in p.polygon.vertices]
+            if any(x.denominator != 1 or y.denominator != 1 for x, y in scaled):
+                raise ValueError("vertex not on the declared lattice")
+            if not _strictly_convex([(int(x), int(y)) for x, y in scaled]):
+                raise ValueError("polytope is not strictly convex and counterclockwise")
 
     def indices(self, color: str):
         return [i for i, p in enumerate(self.polytopes) if p.color == color]
+
+    @functools.cached_property
+    def _vertex_maps(self):
+        return {color: _vertex_map(self, color) for color in (WHITE, BLACK)}
+
+    @functools.cached_property
+    def _report(self):
+        return _validate(self)
+
+    @functools.cached_property
+    def _graph(self):
+        return _build_graph(self)
+
+    @functools.cached_property
+    def _zigzags(self):
+        return _zigzag_paths(self)
+
+    @functools.cached_property
+    def _faces(self):
+        return _trace_faces(self)
+
+
+def _strictly_convex(points) -> bool:
+    """Whether every point of an integer polygon lies strictly left of every
+    edge it is not an end of: strictly convex and counterclockwise."""
+    n = len(points)
+    for i in range(n):
+        (ax, ay), (bx, by) = points[i], points[(i + 1) % n]
+        for k in range(n):
+            if k != i and k != (i + 1) % n:
+                cx, cy = points[k]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +174,9 @@ def _torus_interiors_intersect(p: RatPolygon, q: RatPolygon, exclude_zero: bool)
     qys = [v.y for v in q.vertices]
 
     def irange(pmin, pmax, qmin, qmax):
-        lo = math.floor(pmin - qmax)
-        hi = math.ceil(pmax - qmin)
-        return range(lo, hi + 1)
+        # integers strictly inside (pmin - qmax, pmax - qmin): at any other
+        # translate the projections of the interiors are disjoint
+        return range(math.floor(pmin - qmax) + 1, math.ceil(pmax - qmin))
 
     for tx in irange(min(pxs), max(pxs), min(qxs), max(qxs)):
         for ty in irange(min(pys), max(pys), min(qys), max(qys)):
@@ -144,10 +187,13 @@ def _torus_interiors_intersect(p: RatPolygon, q: RatPolygon, exclude_zero: bool)
     return False
 
 
-@functools.lru_cache(maxsize=256)
 def validate(dimer: DualDimer) -> ValidationReport:
-    white_map, white_clash = _vertex_map(dimer, WHITE)
-    black_map, black_clash = _vertex_map(dimer, BLACK)
+    return dimer._report
+
+
+def _validate(dimer: DualDimer) -> ValidationReport:
+    white_map, white_clash = dimer._vertex_maps[WHITE]
+    black_map, black_clash = dimer._vertex_maps[BLACK]
     distinct_ok = not white_clash and not black_clash
 
     mismatch = tuple(sorted(set(white_map) ^ set(black_map)))
@@ -214,13 +260,15 @@ class DimerGraph:
     edges: tuple
 
 
-@functools.lru_cache(maxsize=256)
 def build_graph(dimer: DualDimer) -> DimerGraph:
-    report = validate(dimer)
-    if not report.ok:
+    return dimer._graph
+
+
+def _build_graph(dimer: DualDimer) -> DimerGraph:
+    if not validate(dimer).ok:
         raise ValueError("dimer fails validation; cannot build graph")
-    white_map, _ = _vertex_map(dimer, WHITE)
-    black_map, _ = _vertex_map(dimer, BLACK)
+    white_map, _ = dimer._vertex_maps[WHITE]
+    black_map, _ = dimer._vertex_maps[BLACK]
     edges = []
     for t in sorted(white_map):
         wi, wv = white_map[t]
@@ -277,6 +325,11 @@ def _directed_boundary(dimer: DualDimer):
 
 
 def zigzag_paths(dimer: DualDimer):
+    """The zigzag cycles, in a fixed order; needs no validation."""
+    return dimer._zigzags
+
+
+def _zigzag_paths(dimer: DualDimer):
     darts = _directed_boundary(dimer)
     lookup = {}
     for d in darts:
@@ -312,7 +365,7 @@ def zigzag_paths(dimer: DualDimer):
         if not total.is_integral():
             raise ValueError("zigzag cycle does not close on the torus")
         paths.append(ZigzagPath(tuple(cycle), H1Class(int(total.x), int(total.y))))
-    return paths
+    return tuple(paths)
 
 
 def _black_lattice_length(dimer: DualDimer, path: ZigzagPath) -> int:
@@ -357,71 +410,67 @@ class DimerFace:
     cls: H1Class
 
 
-def _angle_key(v: Vec2):
-    """Exact angular sort key: half-plane index then cross-product order."""
-    upper = 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+def face_orbits(darts, tail, reverse, direction):
+    """Orbits of the face permutation of a graph embedded in an oriented
+    surface: lists of darts in walk order, in the order of their first dart
+    in ``darts``.
 
-    class _K:
-        __slots__ = ("h", "v")
+    ``tail(d)`` is the vertex dart ``d`` leaves, ``reverse(d)`` the dart of
+    the same edge traversed backwards, and ``direction(d)`` orders the darts
+    leaving a vertex counterclockwise (the rotation system).  A dart is
+    followed by the one after its reverse in the rotation at its head.
+    """
+    rings: dict = {}
+    for d in darts:
+        rings.setdefault(tail(d), []).append(d)
+    after = {}
+    for ring in rings.values():
+        ring.sort(key=lambda d: angle_key(direction(d)))
+        for k, d in enumerate(ring):
+            after[d] = ring[(k + 1) % len(ring)]
 
-        def __init__(self, h, vec):
-            self.h, self.v = h, vec
-
-        def __lt__(self, other):
-            if self.h != other.h:
-                return self.h < other.h
-            return self.v.cross(other.v) > 0
-
-        def __eq__(self, other):
-            return self.h == other.h and self.v.cross(other.v) == 0
-
-    return _K(upper, v)
+    seen = set()
+    orbits = []
+    for start in darts:
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = after[reverse(cur)]
+        orbits.append(orbit)
+    return orbits
 
 
 def faces(dimer: DualDimer):
+    return dimer._faces
+
+
+def _trace_faces(dimer: DualDimer):
     report = validate(dimer)
     if not report.ok:
         raise ValueError("dimer fails validation")
     if report.self_intersecting:
         raise ValueError("faces undefined for immersed dimer")
     graph = build_graph(dimer)
+    centroids = [p.polygon.centroid() for p in dimer.polytopes]
 
-    # rotation system: darts leaving each polytope, sorted by exact angle of
-    # (own anchor lift - centroid)
-    rotations: dict = {}
-    for idx, e in enumerate(graph.edges):
-        cw = dimer.polytopes[e.white].polygon.centroid()
-        cb = dimer.polytopes[e.black].polygon.centroid()
-        rotations.setdefault(e.white, []).append((idx, +1, e.white_vertex - cw))
-        rotations.setdefault(e.black, []).append((idx, -1, e.black_vertex - cb))
-    for v in rotations:
-        rotations[v].sort(key=lambda item: _angle_key(item[2]))
+    # darts (edge index, +1 white -> black or -1 back), rotated at each
+    # polytope by the exact angle of (own anchor lift - centroid)
+    def tail(dart):
+        e = graph.edges[dart[0]]
+        return e.white if dart[1] > 0 else e.black
 
-    def head(dart):
-        idx, sign = dart
-        e = graph.edges[idx]
-        return e.black if sign > 0 else e.white
-
-    def next_dart(dart):
-        idx, sign = dart
-        v = head(dart)
-        ring = rotations[v]
-        pos = next(k for k, item in enumerate(ring) if item[0] == idx and item[1] == -sign)
-        nxt = ring[(pos + 1) % len(ring)]
-        return (nxt[0], nxt[1])
+    def direction(dart):
+        e = graph.edges[dart[0]]
+        lift = e.white_vertex if dart[1] > 0 else e.black_vertex
+        return lift - centroids[tail(dart)]
 
     all_darts = [(i, s) for i in range(len(graph.edges)) for s in (+1, -1)]
-    seen = set()
     out = []
-    for start in all_darts:
-        if start in seen:
-            continue
-        walk = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
-            cur = next_dart(cur)
+    for walk in face_orbits(all_darts, tail, lambda d: (d[0], -d[1]), direction):
         boundary = []
         edge_indices = []
         orientations = []
@@ -451,4 +500,4 @@ def faces(dimer: DualDimer):
     e_count = len(graph.edges)
     if v_count - e_count + len(out) != 0:
         raise ValueError("embedding does not close up to a torus")
-    return out
+    return tuple(out)

@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 
 from .dimer import DualDimer, Polytope, WHITE, BLACK
-from .lattice import RatPolygon, Vec2
+from .lattice import RatPolygon, Vec2, canonical_lift
 
 SCHEMA = "tropdimer/1"
 DIAGRAM_SCHEMA = "tropdimer-diagram/1"
@@ -46,7 +46,7 @@ def parse_dimer(text: str):
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     den = doc.get("denominator")
-    _require(isinstance(den, int) and den >= 1, "denominator must be a positive integer")
+    _require(type(den) is int and den >= 1, "denominator must be a positive integer")
     polys = doc.get("polytopes")
     _require(isinstance(polys, list) and polys, "polytopes must be a nonempty list")
     polytopes = []
@@ -61,7 +61,7 @@ def parse_dimer(text: str):
             _require(
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(isinstance(c, int) for c in pair),
+                and all(type(c) is int for c in pair),
                 "vertex must be a pair of integer numerators",
             )
             points.append(Vec2(Fraction(pair[0], den), Fraction(pair[1], den)))
@@ -77,7 +77,7 @@ def parse_dimer(text: str):
         _require(
             isinstance(value, list)
             and len(value) == 2
-            and all(isinstance(c, int) for c in value)
+            and all(type(c) is int for c in value)
             and value[1] > 0,
             "weight must be [numerator, positive denominator]",
         )
@@ -90,13 +90,7 @@ def parse_dimer(text: str):
 
 
 def _canonical_polygon(polygon: RatPolygon) -> RatPolygon:
-    least = min(polygon.vertices)
-    shift = Vec2(
-        -(least.x.numerator // least.x.denominator),
-        -(least.y.numerator // least.y.denominator),
-    )
-    moved = polygon.translate(shift)
-    verts = list(moved.vertices)
+    verts = list(canonical_lift(polygon).vertices)
     k = verts.index(min(verts))
     return RatPolygon(tuple(verts[k:] + verts[:k]))
 
@@ -150,7 +144,7 @@ def _parse_rat(pair) -> Fraction:
     _require(
         isinstance(pair, list)
         and len(pair) == 2
-        and all(isinstance(c, int) for c in pair)
+        and all(type(c) is int for c in pair)
         and pair[1] > 0,
         "rational must be [numerator, positive denominator]",
     )
@@ -194,7 +188,7 @@ def parse_diagram(text: str):
     for entry in doc.get("nodes", []):
         ray = entry.get("eigenray")
         _require(
-            isinstance(ray, list) and len(ray) == 2 and all(isinstance(c, int) for c in ray),
+            isinstance(ray, list) and len(ray) == 2 and all(type(c) is int for c in ray),
             "eigenray must be an integer pair",
         )
         nodes.append(

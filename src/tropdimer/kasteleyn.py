@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Vec2
-from .dimer import DimerGraph, DualDimer, build_graph
+from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,34 @@ class Gauge:
 TRIVIAL_GAUGE = Gauge((), ())
 
 
+def gauge_seed(name: str):
+    """The integer seed of a `random:<seed>` gauge name, None for `paper`
+    and `trivial`; ValueError for any other name."""
+    if name in ("paper", "trivial"):
+        return None
+    kind, _, seed = name.partition(":")
+    if kind == "random":
+        try:
+            return int(seed)
+        except ValueError:
+            pass
+    raise ValueError(f"unknown gauge {name!r}")
+
+
 def make_gauge(graph: DimerGraph, name: str) -> Gauge:
     """`paper` and `trivial` are the identity gauge; `random:<seed>` draws
     integer exponents deterministically from the seed."""
-    if name in ("paper", "trivial"):
+    seed = gauge_seed(name)
+    if seed is None:
         return TRIVIAL_GAUGE
-    if name.startswith("random:"):
-        rng = random.Random(int(name.split(":", 1)[1]))
-        rows = tuple(
-            (w, Vec2(rng.randint(-3, 3), rng.randint(-3, 3))) for w in graph.whites
-        )
-        cols = tuple(
-            (b, Vec2(rng.randint(-3, 3), rng.randint(-3, 3))) for b in graph.blacks
-        )
-        return Gauge(rows, cols)
-    raise ValueError(f"unknown gauge {name!r}")
+    rng = random.Random(seed)
+    rows = tuple(
+        (w, Vec2(rng.randint(-3, 3), rng.randint(-3, 3))) for w in graph.whites
+    )
+    cols = tuple(
+        (b, Vec2(rng.randint(-3, 3), rng.randint(-3, 3))) for b in graph.blacks
+    )
+    return Gauge(rows, cols)
 
 
 def edge_monomial(graph: DimerGraph, edge, gauge: Gauge = TRIVIAL_GAUGE) -> LaurentPolynomial:
@@ -166,15 +179,13 @@ def kasteleyn_signs(dimer: DualDimer):
     that Boltzmann monomial.  All-positive when faces are undefined
     (immersed dimer) -- the hexagonal-lattice case needs no flips either.
     """
-    from .dimer import faces as _faces, validate
-
     graph = build_graph(dimer)
     n = len(graph.edges)
     if validate(dimer).self_intersecting:
         return [1] * n
 
     rows = []
-    for face in _faces(dimer):
+    for face in faces(dimer):
         vec = [0] * (n + 1)
         for idx in face.edge_indices:
             vec[idx] ^= 1

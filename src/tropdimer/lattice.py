@@ -11,16 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Rat = Fraction
-
-
-def rat(value, den=None) -> Rat:
-    """Coerce to an exact rational."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -88,8 +81,17 @@ V = Vec2  # short constructor alias used heavily in tests and the catalog
 ORIGIN = Vec2(Fraction(0), Fraction(0))
 
 
-def _floor1(q: Rat) -> int:
-    return q.numerator // q.denominator
+def angle_key(v: Vec2):
+    """Exact sort key of a nonzero vector's counterclockwise angle from the
+    positive x-axis, in [0, 2 pi).
+
+    The half-plane comes first (angles [0, pi) before [pi, 2 pi)); inside a
+    half-plane the direction along the x-axis comes first, then minus the
+    cotangent, which increases with the angle.  Vectors on one ray get equal
+    keys.
+    """
+    lower = v.y < 0 or (v.y == 0 and v.x < 0)
+    return (lower, v.y != 0, -v.x / v.y if v.y else 0)
 
 
 @dataclass(frozen=True, order=True)
@@ -112,7 +114,7 @@ def reduce_mod_lattice(p: Vec2) -> TorusPoint:
 
     Idempotent; the result is congruent to ``p`` mod Z^2.
     """
-    return TorusPoint(Vec2(p.x - _floor1(p.x), p.y - _floor1(p.y)))
+    return TorusPoint(Vec2(p.x - math.floor(p.x), p.y - math.floor(p.y)))
 
 
 @dataclass(frozen=True, order=True)
@@ -133,11 +135,6 @@ class H1Class:
 
     def __repr__(self):
         return f"<{self.a},{self.b}>"
-
-
-def intersection_number(c1: H1Class, c2: H1Class) -> int:
-    """|a1*b2 - a2*b1|, the unsigned homological intersection number."""
-    return abs(c1.a * c2.b - c2.a * c1.b)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +203,13 @@ class RatPolygon:
 
     def __repr__(self):
         return "Poly[" + ", ".join(repr(v) for v in self.vertices) + "]"
+
+
+def canonical_lift(polygon: RatPolygon) -> RatPolygon:
+    """The integer translate of ``polygon`` whose least vertex lies in the
+    fundamental domain [0,1)^2; the same for every lift of the polygon."""
+    least = min(polygon.vertices)
+    return polygon.translate(reduce_mod_lattice(least).coords - least)
 
 
 def convex_hull(points: Iterable[Vec2]) -> RatPolygon:

@@ -30,7 +30,7 @@ from .dimer import (
     validate,
     zigzag_paths,
 )
-from .lattice import H1Class, UnimodularMap, Vec2, convex_hull
+from .lattice import H1Class, UnimodularMap, Vec2, angle_key, convex_hull
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def seed_directions(fan_rays):
     if rays not in known.values():
         raise ValueError("unknown fan")
 
-    ordered = _sort_ccw(list(rays))
+    ordered = sorted(rays, key=angle_key)
     out = []
     n = len(ordered)
     for i in range(n):
@@ -316,21 +316,6 @@ def seed_directions(fan_rays):
         p = d.primitive()
         out.append(H1Class(int(p.x), int(p.y)))
     return sorted(out, key=lambda c: (c.a, c.b))
-
-
-def _sort_ccw(vectors):
-    """Counterclockwise angular order starting from the positive x-axis."""
-    import functools
-
-    def cmp(u: Vec2, w: Vec2):
-        hu = 0 if (u.y > 0 or (u.y == 0 and u.x > 0)) else 1
-        hw = 0 if (w.y > 0 or (w.y == 0 and w.x > 0)) else 1
-        if hu != hw:
-            return -1 if hu < hw else 1
-        c = u.cross(w)
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    return sorted(vectors, key=functools.cmp_to_key(cmp))
 
 
 def compare_up_to_unimodular(a, b) -> Optional[UnimodularMap]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dimer import BLACK, DualDimer, build_graph, validate, zigzag_paths
-from .lattice import Vec2
+from .lattice import Vec2, canonical_lift, reduce_mod_lattice
 
 SCALE = 240
 MARGIN = 24
@@ -28,17 +28,14 @@ def _pt(p: Vec2) -> str:
     return f"{_fmt(MARGIN + p.x * SCALE)},{_fmt(MARGIN + (1 - p.y) * SCALE)}"
 
 
-def _canonical_lift(polygon):
-    least = min(polygon.vertices)
-    shift = Vec2(
-        -(least.x.numerator // least.x.denominator),
-        -(least.y.numerator // least.y.denominator),
-    )
-    return polygon.translate(shift)
-
-
 def render_dimer(dimer: DualDimer, show=()) -> str:
-    """SVG text; ``show`` may contain "edges" and "zigzags"."""
+    """SVG text; ``show`` may contain "edges" and "zigzags".
+
+    The picture depends only on the dimer on the torus, not on the stored
+    lifts: polygons are drawn at their canonical lifts, each edge from the
+    centroid of its white polygon's canonical lift, and each zigzag as one
+    continuous walk from its start point reduced to the fundamental domain.
+    """
     size = SCALE + 2 * MARGIN
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -46,8 +43,8 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{SCALE}" height="{SCALE}" '
         'fill="none" stroke="#cccccc" stroke-dasharray="4 4"/>',
     ]
-    for p in dimer.polytopes:
-        lifted = _canonical_lift(p.polygon)
+    lifts = [canonical_lift(p.polygon) for p in dimer.polytopes]
+    for p, lifted in zip(dimer.polytopes, lifts):
         points = " ".join(_pt(v) for v in lifted.vertices)
         if p.color == BLACK:
             style = 'fill="#222222" stroke="#222222"'
@@ -55,31 +52,29 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
             style = 'fill="none" stroke="#222222"'
         out.append(f'<polygon points="{points}" {style} stroke-width="1.5"/>')
 
-    if "edges" in show and validate(dimer).ok:
-        graph = build_graph(dimer)
-        for e in graph.edges:
-            cw = dimer.polytopes[e.white].polygon.centroid()
-            a = _pt(cw)
-            b = _pt(cw + e.displacement)  # the black centroid's compatible lift
-            out.append(
-                f'<line x1="{a.split(",")[0]}" y1="{a.split(",")[1]}" '
-                f'x2="{b.split(",")[0]}" y2="{b.split(",")[1]}" '
-                'stroke="#888888" stroke-width="0.8"/>'
-            )
-
-    if "zigzags" in show and validate(dimer).ok:
-        for k, path in enumerate(zigzag_paths(dimer)):
-            color = ZIGZAG_COLORS[k % len(ZIGZAG_COLORS)]
-            pts = [path.steps[0].start] + [s.end for s in path.steps]
-            base = pts[0] - Vec2(
-                pts[0].x.numerator // pts[0].x.denominator,
-                pts[0].y.numerator // pts[0].y.denominator,
-            )
-            shift = base - pts[0]
-            points = " ".join(_pt(p + shift) for p in pts)
-            out.append(f'<g class="zigzag" stroke="{color}" fill="none">')
-            out.append(f'<polyline points="{points}" stroke-width="2"/>')
-            out.append("</g>")
+    if ("edges" in show or "zigzags" in show) and validate(dimer).ok:
+        if "edges" in show:
+            for e in build_graph(dimer).edges:
+                cw = lifts[e.white].centroid()
+                a = _pt(cw)
+                b = _pt(cw + e.displacement)  # the black centroid's compatible lift
+                out.append(
+                    f'<line x1="{a.split(",")[0]}" y1="{a.split(",")[1]}" '
+                    f'x2="{b.split(",")[0]}" y2="{b.split(",")[1]}" '
+                    'stroke="#888888" stroke-width="0.8"/>'
+                )
+        if "zigzags" in show:
+            for k, path in enumerate(zigzag_paths(dimer)):
+                color = ZIGZAG_COLORS[k % len(ZIGZAG_COLORS)]
+                here = reduce_mod_lattice(path.steps[0].start).coords
+                pts = [here]
+                for step in path.steps:
+                    here = here + step.displacement
+                    pts.append(here)
+                points = " ".join(_pt(p) for p in pts)
+                out.append(f'<g class="zigzag" stroke="{color}" fill="none">')
+                out.append(f'<polyline points="{points}" stroke-width="2"/>')
+                out.append("</g>")
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

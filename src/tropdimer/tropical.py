@@ -23,10 +23,7 @@ from .lattice import (
     Rat,
     RatPolygon,
     Vec2,
-    convex_hull,
-    dilate,
     interior_lattice_points,
-    unit_triangle,
 )
 
 
@@ -54,10 +51,6 @@ def tropical_polynomial(term_map, concave: bool = False) -> TropicalPolynomial:
 def evaluate(phi: TropicalPolynomial, q: Vec2) -> Rat:
     m = max(c + a.dot(q) for a, c in phi.terms)
     return -m if phi.concave else m
-
-
-def newton_polytope(phi: TropicalPolynomial) -> RatPolygon:
-    return convex_hull([a for a, _ in phi.terms])
 
 
 def dual_function(delta: RatPolygon, color: str) -> TropicalPolynomial:
@@ -267,14 +260,3 @@ def genus_degree(d: int) -> int:
 
 def genus_of(delta: RatPolygon) -> int:
     return len(interior_lattice_points(delta))
-
-
-def is_unimodular_subdivision(phi: TropicalPolynomial) -> bool:
-    """Whether the induced regular subdivision of the Newton polygon is
-    unimodular (all dual edges have lattice length 1).
-
-    Exposed as a smoothness proxy; whether this matches any particular
-    notion of a smooth tropical polynomial is deliberately left open.
-    """
-    curve = nonlinearity_locus(phi)
-    return all(e.multiplicity == 1 for e in curve.edges)

@@ -1,6 +1,9 @@
 import json
 import random
 
+import pytest
+
+from tropdimer import catalog
 from tropdimer.cli import run
 
 
@@ -20,6 +23,40 @@ def test_gauge_variants_accepted(capsys):
     for gauge in ("trivial", "random:7"):
         code, out, _ = invoke(capsys, "kasteleyn", "catalog:honeycomb", "--gauge", gauge)
         assert code == 0 and out.strip()
+
+
+def test_unknown_gauge_is_usage_error(capsys):
+    for gauge in ("bogus", "random:abc"):
+        code, out, err = invoke(capsys, "kasteleyn", "catalog:honeycomb", "--gauge", gauge)
+        assert code == 2 and not out
+        assert "unknown gauge" in err
+
+
+def test_clockwise_polygon_is_refused_at_parse_time(tmp_path, capsys):
+    doc = json.loads(catalog.catalog_text("pants-min"))
+    doc["polytopes"][0]["vertices"].reverse()
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "zigzags", "fan"):
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 2 and not out
+        assert "strictly convex and counterclockwise" in err
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_render_overlay_ignores_stored_lifts(name, tmp_path, capsys):
+    doc = json.loads(catalog.catalog_text(name))
+    den = doc["denominator"]
+    for k, poly in enumerate(doc["polytopes"]):
+        dx, dy = den * (k % 3 - 1), den * (k % 2)
+        poly["vertices"] = [[x + dx, y + dy] for x, y in poly["vertices"]]
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps(doc))
+    code, canonical, _ = invoke(capsys, "render", f"catalog:{name}", "--show", "edges,zigzags")
+    assert code == 0
+    code, lifted, _ = invoke(capsys, "render", str(path), "--show", "edges,zigzags")
+    assert code == 0
+    assert lifted == canonical
 
 
 def test_validate_catalog_entries(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unimodular_image
-from tropdimer import catalog
+from tropdimer import catalog, dimer
 from tropdimer.dimer import (
     DualDimer,
     Polytope,
@@ -69,6 +69,46 @@ def test_graph_refuses_invalid_dimer():
         build_graph(bad)
 
 
+def test_each_stage_is_computed_once_per_dimer(honeycomb):
+    for stage in (validate, build_graph, zigzag_paths, faces):
+        assert stage(honeycomb) is stage(honeycomb)
+    assert isinstance(zigzag_paths(honeycomb), tuple)
+    assert isinstance(faces(honeycomb), tuple)
+
+
+def test_zigzags_and_fan_never_validate(honeycomb, monkeypatch):
+    def no_overlap_test(*args, **kwargs):
+        raise AssertionError("overlap test ran")
+
+    monkeypatch.setattr(dimer, "_torus_interiors_intersect", no_overlap_test)
+    bad = DualDimer(
+        2,
+        (
+            Polytope("white", RatPolygon((V(0, 0), V("1/2", 0), V(0, "1/2")))),
+            Polytope("black", RatPolygon((V(0, 0), V("1/2", "1/2"), V(0, "1/2")))),
+        ),
+    )
+    with pytest.raises(ValueError, match="zigzag continuation missing"):
+        zigzag_paths(bad)
+    assert len(zigzag_paths(honeycomb)) == 3
+    assert check_balancing(dimer_to_tropical_fan(honeycomb))
+    with pytest.raises(AssertionError, match="overlap test ran"):
+        validate(honeycomb)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        (V(0, 0), V(0, 1), V(1, 0)),  # clockwise
+        (V(0, 0), V("1/2", 0), V(1, 0), V(0, 1)),  # collinear vertex
+        (V(0, 0), V(1, 0), V(1, 1), V("1/2", "1/4"), V(0, 1)),  # reflex vertex
+    ],
+)
+def test_dimer_refuses_polygons_not_strictly_convex_counterclockwise(vertices):
+    with pytest.raises(ValueError, match="strictly convex and counterclockwise"):
+        DualDimer(4, (Polytope("white", RatPolygon(vertices)),))
+
+
 def test_honeycomb_zigzags(honeycomb):
     classes = sorted((p.cls.a, p.cls.b) for p in zigzag_paths(honeycomb))
     assert classes == [(-2, -1), (1, -1), (1, 2)]
@@ -107,7 +147,7 @@ def test_honeycomb_has_three_hexagonal_faces(honeycomb):
 @given(st.sampled_from(catalog.NAMES), st.integers(min_value=0, max_value=10**6))
 def test_zigzag_classes_sum_to_zero_under_unimodular_change(name, seed):
     d = unimodular_image(catalog.build(name), random.Random(seed))
-    paths = zigzag_paths(d)  # validates internally
+    paths = zigzag_paths(d)  # needs no validation; raises if a zigzag does not close
     assert sum(p.cls.a for p in paths) == 0
     assert sum(p.cls.b for p in paths) == 0
 

@@ -47,6 +47,25 @@ def test_malformed_json_raises_decode_error():
             '[{"color": "green", "vertices": [[0,0],[1,0],[0,1]]}]}',
             "color",
         ),
+        pytest.param(
+            '{"schema": "tropdimer/1", "denominator": true, "polytopes": '
+            '[{"color": "white", "vertices": [[0,0],[1,0],[0,1]]}]}',
+            "denominator",
+            id="boolean-denominator",
+        ),
+        pytest.param(
+            '{"schema": "tropdimer/1", "denominator": 1, "polytopes": '
+            '[{"color": "white", "vertices": [[false,false],[true,false],[0,1]]}]}',
+            "integer numerators",
+            id="boolean-numerators",
+        ),
+        pytest.param(
+            '{"schema": "tropdimer/1", "denominator": 1, "polytopes": '
+            '[{"color": "white", "vertices": [[0,0],[1,0],[0,1]]}], '
+            '"weights": {"w0-b1@0,0": [true, 1]}}',
+            "weight must be",
+            id="boolean-weight",
+        ),
     ],
 )
 def test_schema_violations(doc, msg):
@@ -62,6 +81,24 @@ def test_diagram_round_trip():
     back = parse_diagram(text)
     assert serialize_diagram(back) == text
     assert len(back.nodes) == 3
+
+
+@pytest.mark.parametrize(
+    "old,new,msg",
+    [
+        pytest.param(
+            '"position":[[-2,1],', '"position":[[-2,true],', "rational must be", id="rational"
+        ),
+        pytest.param('"eigenray":[-1,-1]', '"eigenray":[true,-1]', "eigenray must be", id="eigenray"),
+    ],
+)
+def test_diagram_refuses_booleans_as_integers(old, new, msg):
+    from tropdimer.almost_toric import BaseDiagram, trade_all_corners
+
+    text = serialize_diagram(trade_all_corners(BaseDiagram(catalog.MOMENT_POLYGONS["cp2"])))
+    assert old in text
+    with pytest.raises(SchemaError, match=msg):
+        parse_diagram(text.replace(old, new, 1))
 
 
 @settings(max_examples=200, deadline=None)

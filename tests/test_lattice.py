@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from tropdimer.lattice import (
     RatPolygon,
     UnimodularMap,
     Vec2,
+    angle_key,
     convex_hull,
     dilate,
     interior_lattice_points,
@@ -57,6 +59,20 @@ def test_signed_area_sees_orientation():
     cw = RatPolygon((Vec2(0, 0), Vec2(0, 1), Vec2(1, 0)))
     assert ccw.area2() == 1
     assert cw.area2() == -1
+
+
+@given(st.lists(vectors.filter(lambda v: not v.is_zero()), max_size=8))
+def test_angle_key_orders_like_the_cross_product(vs):
+    def half(v):
+        return 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+
+    def cmp(u, w):
+        if half(u) != half(w):
+            return half(u) - half(w)
+        c = u.cross(w)
+        return 0 if c == 0 else (-1 if c > 0 else 1)
+
+    assert sorted(vs, key=angle_key) == sorted(vs, key=functools.cmp_to_key(cmp))
 
 
 def _random_unimodular(data):
