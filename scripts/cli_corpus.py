@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Golden digests of the dimer subcommands' output.
+
+Runs ``tropdimer.cli.run`` in-process for every dimer subcommand on every
+catalog entry, once on the canonical document and once on a fixed integer
+lift of each polytope, and records the sha256 of exit code, stdout and
+stderr per command line into ``tests/golden_cli.json``.  The check is
+``python -m pytest tests/test_golden_cli.py``, which compares the current
+digests against that file.
+
+    PYTHONPATH=src python3 scripts/cli_corpus.py    # rewrite the file
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from tropdimer import catalog
+from tropdimer.cli import run
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden_cli.json"
+
+FORMS = ("canonical", "lifted")
+
+
+def commands():
+    """Subcommand argument lists, ``{input}`` standing for the document."""
+    out = []
+    for name in ("validate", "graph", "zigzags", "fan", "matchings", "euler", "directions"):
+        out.append([name, "{input}"])
+        out.append([name, "{input}", "--json"])
+    for gauge in ("paper", "trivial", "random:7"):
+        out.append(["kasteleyn", "{input}", "--gauge", gauge])
+    for fan in sorted(catalog.DEL_PEZZO_FANS):
+        out.append(["compare-seed", "{input}", fan])
+    out.append(["mutate", "{input}", "--face", "0"])
+    out.append(["render", "{input}", "--show", "edges,zigzags"])
+    return out
+
+
+def lifted_text(name: str) -> str:
+    """The catalog document with polytope k moved by a fixed integer vector."""
+    doc = json.loads(catalog.catalog_text(name))
+    den = doc["denominator"]
+    for k, poly in enumerate(doc["polytopes"]):
+        dx, dy = den * (k % 3 - 1), den * ((k // 3) % 3 - 1)
+        poly["vertices"] = [[x + dx, y + dy] for x, y in poly["vertices"]]
+    return json.dumps(doc)
+
+
+def _digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def corpus(names=catalog.NAMES) -> dict:
+    """``{"<form>:<entry> <arguments>": sha256}`` for the given entries."""
+    saved = os.environ.pop("TROPDIMER_COLOR", None)
+    digests = {}
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in names:
+                path = pathlib.Path(tmp) / f"{name}.json"
+                path.write_text(lifted_text(name))
+                sources = {"canonical": f"catalog:{name}", "lifted": str(path)}
+                for form in FORMS:
+                    for argv in commands():
+                        key = " ".join([f"{form}:{name}"] + argv[:1] + argv[2:])
+                        digests[key] = _digest([a.replace("{input}", sources[form]) for a in argv])
+    finally:
+        if saved is not None:
+            os.environ["TROPDIMER_COLOR"] = saved
+    return digests
+
+
+def main():
+    digests = corpus()
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -47,9 +47,6 @@ class Node:
         linear = UnimodularMap(a, b, c, d)
         return UnimodularMap(a, b, c, d, self.position - linear.apply_vector(self.position))
 
-    def on_eigenline(self, p: Vec2) -> bool:
-        return (p - self.position).cross(self.eigenray) == 0
-
 
 @dataclass(frozen=True)
 class Cut:

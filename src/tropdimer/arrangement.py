@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, face_orbits
-from .lattice import RatPolygon, Vec2, reduce_mod_lattice
+from .lattice import RatPolygon, Vec2, angle_key, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _crossings(lines):
         for i in incident:
             line = lines[i]
             m = _comonomial(line.direction)
-            s = m.dot(t.coords - line.base_point())
+            s = m.dot(t - line.base_point())
             s = s - (s.numerator // s.denominator)
             passages.setdefault(i, []).append((s, t))
     for i in passages:
@@ -127,7 +127,7 @@ def _trace_regions(darts):
         darts,
         tail=lambda d: reduce_mod_lattice(d.start),
         reverse=lambda d: by_key[(d.line, reduce_mod_lattice(d.end), not d.forward)],
-        direction=lambda d: d.end - d.start,
+        order=lambda d: angle_key(d.end - d.start),
     )
 
 

@@ -39,7 +39,7 @@ from .mutation import (
     mutation_directions,
     seed_directions,
 )
-from .render import render_diagram, render_dimer
+from .render import LAYERS, render_diagram, render_dimer
 from .tropical import genus_degree
 
 
@@ -67,6 +67,17 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _layers(text: str) -> tuple:
+    """A `--show` value: comma-separated layers, each refused at parse time
+    unless `render_dimer` draws it."""
+    layers = tuple(s for s in text.split(",") if s)
+    for layer in layers:
+        if layer not in LAYERS:
+            choices = ",".join(LAYERS)
+            raise argparse.ArgumentTypeError(f"unknown layer {layer!r} (choose from {choices})")
+    return layers
+
+
 def _gauge_name(name: str) -> str:
     """A `--gauge` value, refused at parse time unless `make_gauge` knows it."""
     try:
@@ -81,40 +92,38 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tropdimer")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        return p
-
     for name in ("validate", "graph", "zigzags", "fan", "euler", "directions", "matchings"):
-        p = add(name)
+        p = sub.add_parser(name)
         p.add_argument("input")
         p.add_argument("--json", action="store_true")
 
-    p = add("kasteleyn")
+    p = sub.add_parser("kasteleyn")
     p.add_argument("input")
     p.add_argument("--gauge", default="paper", type=_gauge_name)
 
-    p = add("mutate")
+    p = sub.add_parser("mutate")
     p.add_argument("input")
     p.add_argument("--face", type=int, required=True)
     p.add_argument("--out")
 
-    p = add("compare-seed")
+    p = sub.add_parser("compare-seed")
     p.add_argument("input")
     p.add_argument("fan", choices=sorted(cat.DEL_PEZZO_FANS))
 
-    p = add("genus")
+    p = sub.add_parser("genus")
     p.add_argument("degree", type=int)
 
-    p = add("render")
+    p = sub.add_parser("render")
     p.add_argument("input")
-    p.add_argument("--show", default="", help="comma-separated layers: edges,zigzags")
+    p.add_argument(
+        "--show", default=(), type=_layers, help="comma-separated layers: " + ",".join(LAYERS)
+    )
     p.add_argument("--out")
 
-    p = add("catalog")
+    p = sub.add_parser("catalog")
     p.add_argument("name", nargs="?")
 
-    p = add("atf")
+    p = sub.add_parser("atf")
     atf = p.add_subparsers(dest="atf_command", required=True)
     q = atf.add_parser("trade")
     q.add_argument("surface", choices=sorted(cat.MOMENT_POLYGONS))
@@ -278,10 +287,7 @@ def _run(args) -> int:
         if not weights:
             weights = exact_assignment(dimer)
         result = mutate_face(dimer, all_faces[args.face], weights)
-        if args.out:
-            _emit(serialize_dimer(result.dimer), args.out)
-        else:
-            sys.stdout.write(serialize_dimer(result.dimer))
+        _emit(serialize_dimer(result.dimer), args.out)
         print(f"immersed: {str(result.immersed).lower()}")
         return 0
 
@@ -310,8 +316,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "render":
-        show = tuple(s for s in args.show.split(",") if s)
-        _emit(render_dimer(dimer, show), args.out)
+        _emit(render_dimer(dimer, args.show), args.out)
         return 0
 
     return 2

@@ -11,6 +11,11 @@ in (1/N)Z^2, drawn on T^2 = R^2/Z^2, such that
 From this data we extract the bipartite polytope-adjacency graph, the
 zigzag cycles obtained by concatenating parallel polygon edges, the disk
 faces of the embedded graph, and the associated tropical fan.
+
+The analysis runs on integer numerators over N: a vertex is a pair (x, y)
+of ints standing for (x/N, y/N), a torus point is its representative
+(x % N, y % N), and an edge germ is a primitive integer direction.  Only
+the Kasteleyn exponents and the fan are rational.
 """
 
 from __future__ import annotations
@@ -18,15 +23,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from .lattice import (
-    H1Class,
-    RatPolygon,
-    TorusPoint,
-    Vec2,
-    angle_key,
-    interiors_intersect,
-    reduce_mod_lattice,
-)
+from fractions import Fraction
+
+from .lattice import H1Class, RatPolygon, Vec2
 from .tropical import TropicalCurve, make_fan
 
 WHITE = "white"
@@ -47,6 +46,10 @@ class Polytope:
 class DualDimer:
     """The dimer data; every polygon strictly convex and counterclockwise.
 
+    ``numerators[i]`` holds polytope i's vertices as integer pairs over
+    N = ``denominator``; every stage reads them and nothing else of the
+    polygons.
+
     Each structural stage below is computed at most once per instance, on
     first use, and kept on it (a stage that raises keeps nothing).  The
     module functions `validate`, `build_graph`, `zigzag_paths` and `faces`
@@ -60,14 +63,18 @@ class DualDimer:
         object.__setattr__(self, "polytopes", tuple(self.polytopes))
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
+        numerators = []
         for p in self.polytopes:
             if p.polygon.is_degenerate:
                 raise ValueError("degenerate polytope")
             scaled = [(v.x * self.denominator, v.y * self.denominator) for v in p.polygon.vertices]
             if any(x.denominator != 1 or y.denominator != 1 for x, y in scaled):
                 raise ValueError("vertex not on the declared lattice")
-            if not _strictly_convex([(int(x), int(y)) for x, y in scaled]):
+            points = tuple((x.numerator, y.numerator) for x, y in scaled)
+            if not _strictly_convex(points):
                 raise ValueError("polytope is not strictly convex and counterclockwise")
+            numerators.append(points)
+        object.__setattr__(self, "numerators", tuple(numerators))
 
     def indices(self, color: str):
         return [i for i, p in enumerate(self.polytopes) if p.color == color]
@@ -107,6 +114,20 @@ def _strictly_convex(points) -> bool:
     return True
 
 
+def fundamental_lift(points, n: int):
+    """The translate of an integer polygon by multiples of n whose least
+    vertex lies in [0, n)^2; the same for every lift of the polygon."""
+    lx, ly = min(points)
+    dx, dy = lx % n - lx, ly % n - ly
+    return [(x + dx, y + dy) for x, y in points]
+
+
+def _primitive(dx: int, dy: int):
+    """The primitive integer direction of a nonzero integer vector."""
+    g = math.gcd(dx, dy)
+    return (dx // g, dy // g)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -120,69 +141,76 @@ class ValidationReport:
     germs_ok: bool
     germ_offenders: tuple
     self_intersecting: bool
+    denominator: int  # offenders are torus points (x % N, y % N)
 
     @property
     def ok(self) -> bool:
         return self.distinct_ok and self.matching_ok and self.germs_ok
 
     def lines(self):
-        def verdict(flag):
-            return "pass" if flag else "FAIL"
-
-        yield f"distinct vertices per color: {verdict(self.distinct_ok)}" + (
-            f" offenders={list(self.distinct_offenders)}" if self.distinct_offenders else ""
-        )
-        yield f"white/black vertex sets match mod Z^2: {verdict(self.matching_ok)}" + (
-            f" offenders={list(self.matching_offenders)}" if self.matching_offenders else ""
-        )
-        yield f"opposite edge germs at matched vertices: {verdict(self.germs_ok)}" + (
-            f" offenders={list(self.germ_offenders)}" if self.germ_offenders else ""
-        )
+        n = self.denominator
+        for label, flag, offenders in (
+            ("distinct vertices per color", self.distinct_ok, self.distinct_offenders),
+            ("white/black vertex sets match mod Z^2", self.matching_ok, self.matching_offenders),
+            ("opposite edge germs at matched vertices", self.germs_ok, self.germ_offenders),
+        ):
+            points = ", ".join(f"T({Fraction(x, n)}, {Fraction(y, n)})" for x, y in offenders)
+            verdict = "pass" if flag else "FAIL"
+            yield f"{label}: {verdict}" + (f" offenders=[{points}]" if offenders else "")
         yield "self-intersections: " + ("present" if self.self_intersecting else "none")
 
 
 def _vertex_map(dimer: DualDimer, color: str):
-    """torus point -> (polytope index, stored lift) for one color."""
+    """torus point -> (polytope index, vertex index) for one color."""
+    n = dimer.denominator
     out: dict = {}
     clashes = []
     for i in dimer.indices(color):
-        for v in dimer.polytopes[i].polygon.vertices:
-            t = reduce_mod_lattice(v)
+        for k, (x, y) in enumerate(dimer.numerators[i]):
+            t = (x % n, y % n)
             if t in out:
                 clashes.append(t)
-            out[t] = (i, v)
+            out[t] = (i, k)
     return out, clashes
 
 
-def _germs(polygon: RatPolygon, v: Vec2):
-    """Primitive directions of the two polygon edges leaving vertex v."""
-    verts = polygon.vertices
-    n = len(verts)
-    i = verts.index(v)
+def _germs(points, k: int):
+    """Primitive directions of the two polygon edges leaving vertex k."""
+    x, y = points[k]
     return frozenset(
-        {
-            (verts[(i + 1) % n] - v).primitive(),
-            (verts[(i - 1) % n] - v).primitive(),
-        }
+        _primitive(px - x, py - y) for px, py in (points[(k + 1) % len(points)], points[k - 1])
     )
 
 
-def _torus_interiors_intersect(p: RatPolygon, q: RatPolygon, exclude_zero: bool) -> bool:
-    pxs = [v.x for v in p.vertices]
-    pys = [v.y for v in p.vertices]
-    qxs = [v.x for v in q.vertices]
-    qys = [v.y for v in q.vertices]
+def _torus_interiors_intersect(p, q, n: int, exclude_zero: bool) -> bool:
+    """Do the interiors of the convex integer polygons p and q + n t meet for
+    some t in Z^2 (t != 0 when ``exclude_zero``)?
 
-    def irange(pmin, pmax, qmin, qmax):
-        # integers strictly inside (pmin - qmax, pmax - qmin): at any other
-        # translate the projections of the interiors are disjoint
-        return range(math.floor(pmin - qmax) + 1, math.ceil(pmax - qmin))
-
-    for tx in irange(min(pxs), max(pxs), min(qxs), max(qxs)):
-        for ty in irange(min(pys), max(pys), min(qys), max(qys)):
+    Separating-axis test over the edge normals of both polygons.
+    """
+    pxs, pys = zip(*p)
+    qxs, qys = zip(*q)
+    # only t with n t strictly inside (min p - max q, max p - min q): at any
+    # other translate the projections of the interiors are disjoint
+    xs = range((min(pxs) - max(qxs)) // n + 1, -((min(qxs) - max(pxs)) // n))
+    ys = range((min(pys) - max(qys)) // n + 1, -((min(qys) - max(pys)) // n))
+    if not xs or not ys:
+        return False
+    axes = []
+    for poly in (p, q):
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+            nx, ny = ay - by, bx - ax
+            on_p = [nx * x + ny * y for x, y in p]
+            on_q = [nx * x + ny * y for x, y in q]
+            axes.append((nx * n, ny * n, min(on_p), max(on_p), min(on_q), max(on_q)))
+    for tx in xs:
+        for ty in ys:
             if exclude_zero and tx == 0 and ty == 0:
                 continue
-            if interiors_intersect(p, q.translate(Vec2(tx, ty))):
+            if all(
+                pmin < qmax + nx * tx + ny * ty and qmin + nx * tx + ny * ty < pmax
+                for nx, ny, pmin, pmax, qmin, qmax in axes
+            ):
                 return True
     return False
 
@@ -199,22 +227,23 @@ def _validate(dimer: DualDimer) -> ValidationReport:
     mismatch = tuple(sorted(set(white_map) ^ set(black_map)))
     matching_ok = not mismatch
 
+    points = dimer.numerators
     germ_offenders = []
     if matching_ok and distinct_ok:
         for t in white_map:
-            wi, wv = white_map[t]
-            bi, bv = black_map[t]
-            wg = _germs(dimer.polytopes[wi].polygon, wv)
-            bg = _germs(dimer.polytopes[bi].polygon, bv)
-            if frozenset(-g for g in wg) != bg:
+            wi, wk = white_map[t]
+            bi, bk = black_map[t]
+            wg = _germs(points[wi], wk)
+            bg = _germs(points[bi], bk)
+            if frozenset((-gx, -gy) for gx, gy in wg) != bg:
                 germ_offenders.append(t)
     germs_ok = matching_ok and distinct_ok and not germ_offenders
 
-    polys = [p.polygon for p in dimer.polytopes]
+    n = dimer.denominator
     selfx = False
-    for i in range(len(polys)):
-        for j in range(i, len(polys)):
-            if _torus_interiors_intersect(polys[i], polys[j], exclude_zero=(i == j)):
+    for i in range(len(points)):
+        for j in range(i, len(points)):
+            if _torus_interiors_intersect(points[i], points[j], n, exclude_zero=(i == j)):
                 selfx = True
                 break
         if selfx:
@@ -228,6 +257,7 @@ def _validate(dimer: DualDimer) -> ValidationReport:
         germs_ok,
         tuple(sorted(germ_offenders)),
         selfx,
+        n,
     )
 
 
@@ -239,22 +269,18 @@ def _validate(dimer: DualDimer) -> ValidationReport:
 class DimerEdge:
     white: int
     black: int
-    anchor: TorusPoint
-    white_vertex: Vec2  # the white polygon's stored lift of the anchor
-    black_vertex: Vec2
+    anchor: tuple  # the shared vertex as a torus point (x % N, y % N)
+    white_vertex: tuple  # the white polygon's stored numerators of the anchor
+    black_vertex: tuple
     displacement: Vec2  # white centroid -> anchor -> black centroid, lifted
-    denominator: int
 
     @property
     def edge_id(self) -> str:
-        ax = self.anchor.coords.x * self.denominator
-        ay = self.anchor.coords.y * self.denominator
-        return f"w{self.white}-b{self.black}@{int(ax)},{int(ay)}"
+        return f"w{self.white}-b{self.black}@{self.anchor[0]},{self.anchor[1]}"
 
 
 @dataclass(frozen=True)
 class DimerGraph:
-    dimer: DualDimer
     whites: tuple  # polytope indices
     blacks: tuple
     edges: tuple
@@ -269,16 +295,21 @@ def _build_graph(dimer: DualDimer) -> DimerGraph:
         raise ValueError("dimer fails validation; cannot build graph")
     white_map, _ = dimer._vertex_maps[WHITE]
     black_map, _ = dimer._vertex_maps[BLACK]
+    n = dimer.denominator
+    points = dimer.numerators
+    centroids = []  # the vertex centroid of each polygon
+    for pts in points:
+        k = n * len(pts)
+        centroids.append(Vec2(Fraction(sum(x for x, _ in pts), k), Fraction(sum(y for _, y in pts), k)))
     edges = []
     for t in sorted(white_map):
-        wi, wv = white_map[t]
-        bi, bv = black_map[t]
-        cw = dimer.polytopes[wi].polygon.centroid()
-        cb = dimer.polytopes[bi].polygon.centroid()
-        disp = (wv - cw) + (cb - bv)
-        edges.append(DimerEdge(wi, bi, t, wv, bv, disp, dimer.denominator))
+        wi, wk = white_map[t]
+        bi, bk = black_map[t]
+        (wx, wy), (bx, by) = points[wi][wk], points[bi][bk]
+        # (white lift - white centroid) + (black centroid - black lift)
+        disp = Vec2(Fraction(wx - bx, n), Fraction(wy - by, n)) - centroids[wi] + centroids[bi]
+        edges.append(DimerEdge(wi, bi, t, (wx, wy), (bx, by), disp))
     return DimerGraph(
-        dimer,
         tuple(dimer.indices(WHITE)),
         tuple(dimer.indices(BLACK)),
         tuple(edges),
@@ -292,12 +323,12 @@ def _build_graph(dimer: DualDimer) -> DimerGraph:
 @dataclass(frozen=True)
 class ZigzagStep:
     polytope: int
-    start: Vec2  # stored lift on the polygon boundary
-    end: Vec2
+    start: tuple  # stored numerators on the polygon boundary
+    end: tuple
 
     @property
-    def displacement(self) -> Vec2:
-        return self.end - self.start
+    def displacement(self) -> tuple:
+        return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
 @dataclass(frozen=True)
@@ -315,7 +346,7 @@ def _directed_boundary(dimer: DualDimer):
     """
     darts = []
     for i, p in enumerate(dimer.polytopes):
-        verts = p.polygon.vertices
+        verts = dimer.numerators[i]
         if p.color == WHITE:
             verts = tuple(reversed(verts))
         n = len(verts)
@@ -330,19 +361,22 @@ def zigzag_paths(dimer: DualDimer):
 
 
 def _zigzag_paths(dimer: DualDimer):
+    n = dimer.denominator
     darts = _directed_boundary(dimer)
+
+    def key(point, dart):  # a dart's torus point and primitive direction
+        return (point[0] % n, point[1] % n, _primitive(*dart.displacement))
+
     lookup = {}
     for d in darts:
-        key = (reduce_mod_lattice(d.start), d.displacement.primitive())
-        if key in lookup:
+        if key(d.start, d) in lookup:
             raise ValueError("ambiguous zigzag continuation")
-        lookup[key] = d
+        lookup[key(d.start, d)] = d
 
     colors = {i: p.color for i, p in enumerate(dimer.polytopes)}
     successor = {}
     for d in darts:
-        key = (reduce_mod_lattice(d.end), d.displacement.primitive())
-        nxt = lookup.get(key)
+        nxt = lookup.get(key(d.end, d))
         if nxt is None or colors[nxt.polytope] == colors[d.polytope]:
             raise ValueError("zigzag continuation missing; dimer is not valid")
         successor[d] = nxt
@@ -359,23 +393,20 @@ def _zigzag_paths(dimer: DualDimer):
             cycle.append(cur)
             seen.add(cur)
             cur = successor[cur]
-        total = Vec2(0, 0)
-        for s in cycle:
-            total = total + s.displacement
-        if not total.is_integral():
+        tx = sum(s.end[0] - s.start[0] for s in cycle)
+        ty = sum(s.end[1] - s.start[1] for s in cycle)
+        if tx % n or ty % n:
             raise ValueError("zigzag cycle does not close on the torus")
-        paths.append(ZigzagPath(tuple(cycle), H1Class(int(total.x), int(total.y))))
+        paths.append(ZigzagPath(tuple(cycle), H1Class(tx // n, ty // n)))
     return tuple(paths)
 
 
 def _black_lattice_length(dimer: DualDimer, path: ZigzagPath) -> int:
     total = 0
-    n = dimer.denominator
     for s in path.steps:
         if dimer.polytopes[s.polytope].color != BLACK:
             continue
-        d = s.displacement
-        total += math.gcd(abs(int(d.x * n)), abs(int(d.y * n)))
+        total += math.gcd(*s.displacement)
     return total
 
 
@@ -393,7 +424,7 @@ def dimer_to_tropical_fan(dimer: DualDimer) -> TropicalCurve:
         cls = path.cls
         if cls.a == 0 and cls.b == 0:
             raise ValueError("null-homologous zigzag has no ray direction")
-        direction = Vec2(cls.b, -cls.a).primitive()
+        direction = Vec2(*_primitive(cls.b, -cls.a))
         rays[direction] = rays.get(direction, 0) + _black_lattice_length(dimer, path)
     return make_fan(sorted(rays.items()))
 
@@ -410,22 +441,23 @@ class DimerFace:
     cls: H1Class
 
 
-def face_orbits(darts, tail, reverse, direction):
+def face_orbits(darts, tail, reverse, order):
     """Orbits of the face permutation of a graph embedded in an oriented
     surface: lists of darts in walk order, in the order of their first dart
     in ``darts``.
 
     ``tail(d)`` is the vertex dart ``d`` leaves, ``reverse(d)`` the dart of
-    the same edge traversed backwards, and ``direction(d)`` orders the darts
-    leaving a vertex counterclockwise (the rotation system).  A dart is
-    followed by the one after its reverse in the rotation at its head.
+    the same edge traversed backwards, and the sort key ``order(d)`` puts
+    the darts leaving a vertex in counterclockwise cyclic order (the
+    rotation system).  A dart is followed by the one after its reverse in
+    the rotation at its head.
     """
     rings: dict = {}
     for d in darts:
         rings.setdefault(tail(d), []).append(d)
     after = {}
     for ring in rings.values():
-        ring.sort(key=lambda d: angle_key(direction(d)))
+        ring.sort(key=order)
         for k, d in enumerate(ring):
             after[d] = ring[(k + 1) % len(ring)]
 
@@ -455,44 +487,44 @@ def _trace_faces(dimer: DualDimer):
     if report.self_intersecting:
         raise ValueError("faces undefined for immersed dimer")
     graph = build_graph(dimer)
-    centroids = [p.polygon.centroid() for p in dimer.polytopes]
+    n = dimer.denominator
+    corners = {color: dimer._vertex_maps[color][0] for color in (WHITE, BLACK)}
 
     # darts (edge index, +1 white -> black or -1 back), rotated at each
-    # polytope by the exact angle of (own anchor lift - centroid)
+    # polytope in the order of its anchors around the convex polygon, which
+    # is the counterclockwise order of its vertex indices
     def tail(dart):
         e = graph.edges[dart[0]]
         return e.white if dart[1] > 0 else e.black
 
-    def direction(dart):
-        e = graph.edges[dart[0]]
-        lift = e.white_vertex if dart[1] > 0 else e.black_vertex
-        return lift - centroids[tail(dart)]
+    def corner(dart):
+        anchor = graph.edges[dart[0]].anchor
+        return corners[WHITE if dart[1] > 0 else BLACK][anchor][1]
 
     all_darts = [(i, s) for i in range(len(graph.edges)) for s in (+1, -1)]
     out = []
-    for walk in face_orbits(all_darts, tail, lambda d: (d[0], -d[1]), direction):
+    for walk in face_orbits(all_darts, tail, lambda d: (d[0], -d[1]), corner):
+        # the sum of the walk's displacements: the centroids cancel, which
+        # leaves sign * (white vertex - black vertex) per edge
         boundary = []
         edge_indices = []
         orientations = []
-        total = Vec2(0, 0)
+        tx = ty = 0
         for idx, sign in walk:
             e = graph.edges[idx]
             edge_indices.append(idx)
             orientations.append(sign)
-            if sign > 0:
-                boundary.append((e.white, WHITE))
-                total = total + e.displacement
-            else:
-                boundary.append((e.black, BLACK))
-                total = total - e.displacement
-        if not total.is_integral():
+            boundary.append((e.white, WHITE) if sign > 0 else (e.black, BLACK))
+            tx += sign * (e.white_vertex[0] - e.black_vertex[0])
+            ty += sign * (e.white_vertex[1] - e.black_vertex[1])
+        if tx % n or ty % n:
             raise ValueError("face walk does not close on the torus")
         out.append(
             DimerFace(
                 tuple(boundary),
                 tuple(edge_indices),
                 tuple(orientations),
-                H1Class(int(total.x), int(total.y)),
+                H1Class(tx // n, ty // n),
             )
         )
     # torus sanity: V - E + F = 0

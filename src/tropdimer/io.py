@@ -18,10 +18,11 @@ column order, hence the determinant's sign).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
-from .dimer import DualDimer, Polytope, WHITE, BLACK
-from .lattice import RatPolygon, Vec2, canonical_lift
+from .dimer import BLACK, WHITE, DualDimer, Polytope, fundamental_lift
+from .lattice import RatPolygon, Vec2
 
 SCHEMA = "tropdimer/1"
 DIAGRAM_SCHEMA = "tropdimer-diagram/1"
@@ -34,6 +35,10 @@ class SchemaError(ValueError):
 def _require(cond: bool, message: str):
     if not cond:
         raise SchemaError(message)
+
+
+def _is_int_pair(pair) -> bool:
+    return isinstance(pair, list) and len(pair) == 2 and all(type(c) is int for c in pair)
 
 
 def parse_dimer(text: str):
@@ -58,18 +63,9 @@ def parse_dimer(text: str):
         _require(isinstance(verts, list) and len(verts) >= 3, "vertices must list >= 3 points")
         points = []
         for pair in verts:
-            _require(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(type(c) is int for c in pair),
-                "vertex must be a pair of integer numerators",
-            )
+            _require(_is_int_pair(pair), "vertex must be a pair of integer numerators")
             points.append(Vec2(Fraction(pair[0], den), Fraction(pair[1], den)))
-        try:
-            polygon = RatPolygon(tuple(points))
-        except ValueError as exc:
-            raise SchemaError(str(exc))
-        polytopes.append(Polytope(color, polygon))
+        polytopes.append(Polytope(color, RatPolygon(tuple(points))))
     weights = {}
     raw_weights = doc.get("weights", {})
     _require(isinstance(raw_weights, dict), "weights must be an object")
@@ -89,34 +85,36 @@ def parse_dimer(text: str):
     return dimer, weights
 
 
-def _canonical_polygon(polygon: RatPolygon) -> RatPolygon:
-    verts = list(canonical_lift(polygon).vertices)
-    k = verts.index(min(verts))
-    return RatPolygon(tuple(verts[k:] + verts[:k]))
+def _canonical_polytopes(dimer: DualDimer):
+    """(color, vertex numerators) per polytope, whites first, each polygon
+    moved by multiples of N so its least vertex lies in [0, N)^2 and
+    rotated to start there."""
+    n = dimer.denominator
+    out = []
+    for color in (WHITE, BLACK):
+        for p, points in zip(dimer.polytopes, dimer.numerators):
+            if p.color == color:
+                k = points.index(min(points))
+                out.append((color, fundamental_lift(points[k:] + points[:k], n)))
+    return out
 
 
 def canonicalize(dimer: DualDimer) -> DualDimer:
-    ordered = [p for p in dimer.polytopes if p.color == WHITE] + [
-        p for p in dimer.polytopes if p.color == BLACK
-    ]
-    return DualDimer(
-        dimer.denominator,
-        tuple(Polytope(p.color, _canonical_polygon(p.polygon)) for p in ordered),
-    )
+    n = dimer.denominator
+    polytopes = []
+    for color, points in _canonical_polytopes(dimer):
+        vertices = tuple(Vec2(Fraction(x, n), Fraction(y, n)) for x, y in points)
+        polytopes.append(Polytope(color, RatPolygon(vertices)))
+    return DualDimer(n, tuple(polytopes))
 
 
 def serialize_dimer(dimer: DualDimer, weights=None) -> str:
-    canon = canonicalize(dimer)
-    n = canon.denominator
     doc = {
         "schema": SCHEMA,
-        "denominator": n,
+        "denominator": dimer.denominator,
         "polytopes": [
-            {
-                "color": p.color,
-                "vertices": [[int(v.x * n), int(v.y * n)] for v in p.polygon.vertices],
-            }
-            for p in canon.polytopes
+            {"color": color, "vertices": [list(v) for v in points]}
+            for color, points in _canonical_polytopes(dimer)
         ],
     }
     if weights:
@@ -181,22 +179,34 @@ def parse_diagram(text: str):
     doc = json.loads(text)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == DIAGRAM_SCHEMA, f"schema must be {DIAGRAM_SCHEMA!r}")
+    raw_boundary = doc.get("boundary")
+    _require(
+        raw_boundary is None or (isinstance(raw_boundary, list) and raw_boundary),
+        "boundary must be a nonempty list of points or null",
+    )
     boundary = None
-    if doc.get("boundary") is not None:
-        boundary = RatPolygon(tuple(_parse_vec(v) for v in doc["boundary"]))
+    if raw_boundary is not None:
+        boundary = RatPolygon(tuple(_parse_vec(v) for v in raw_boundary))
+    raw_nodes = doc.get("nodes", [])
+    _require(isinstance(raw_nodes, list), "nodes must be a list")
     nodes = []
-    for entry in doc.get("nodes", []):
+    for entry in raw_nodes:
+        _require(isinstance(entry, dict), "node must be an object")
+        _require("position" in entry, "node must have a position")
         ray = entry.get("eigenray")
         _require(
-            isinstance(ray, list) and len(ray) == 2 and all(type(c) is int for c in ray),
-            "eigenray must be an integer pair",
+            _is_int_pair(ray) and math.gcd(*ray) == 1,
+            "eigenray must be a primitive integer pair",
         )
-        nodes.append(
-            Node(
-                _parse_vec(entry["position"]),
-                Vec2(ray[0], ray[1]),
-                int(entry.get("multiplicity", 1)),
-            )
+        multiplicity = entry.get("multiplicity", 1)
+        _require(
+            type(multiplicity) is int and multiplicity >= 1,
+            "multiplicity must be a positive integer",
         )
-    traded = tuple(doc.get("traded", []))
-    return BaseDiagram(boundary, tuple(nodes), traded)
+        nodes.append(Node(_parse_vec(entry["position"]), Vec2(*ray), multiplicity))
+    traded = doc.get("traded", [])
+    _require(
+        isinstance(traded, list) and all(_is_int_pair(t) for t in traded),
+        "traded must be a list of integer pairs",
+    )
+    return BaseDiagram(boundary, tuple(nodes), tuple(tuple(t) for t in traded))

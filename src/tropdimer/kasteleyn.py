@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Vec2
+from .lattice import ORIGIN, Vec2
 from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
 
 
@@ -122,11 +122,15 @@ class Gauge:
     row_exponents: tuple  # (white index, Vec2)
     col_exponents: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", dict(self.row_exponents))
+        object.__setattr__(self, "_cols", dict(self.col_exponents))
+
     def row(self, w: int) -> Vec2:
-        return dict(self.row_exponents).get(w, Vec2(0, 0))
+        return self._rows.get(w, ORIGIN)
 
     def col(self, b: int) -> Vec2:
-        return dict(self.col_exponents).get(b, Vec2(0, 0))
+        return self._cols.get(b, ORIGIN)
 
 
 TRIVIAL_GAUGE = Gauge((), ())
@@ -162,8 +166,11 @@ def make_gauge(graph: DimerGraph, name: str) -> Gauge:
     return Gauge(rows, cols)
 
 
-def edge_monomial(graph: DimerGraph, edge, gauge: Gauge = TRIVIAL_GAUGE) -> LaurentPolynomial:
-    return monomial(edge.displacement + gauge.row(edge.white) + gauge.col(edge.black))
+def edge_monomial(
+    graph: DimerGraph, edge, gauge: Gauge = TRIVIAL_GAUGE, sign: int = 1
+) -> LaurentPolynomial:
+    """sign * z^(displacement + row exponent + column exponent)."""
+    return monomial(edge.displacement + gauge.row(edge.white) + gauge.col(edge.black), sign)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +244,7 @@ def kasteleyn_matrix(dimer: DualDimer, gauge: Gauge = TRIVIAL_GAUGE) -> Kasteley
     cols = graph.blacks
     grid = {(w, b): ZERO for w in rows for b in cols}
     for idx, e in enumerate(graph.edges):
-        term = monomial(
-            e.displacement + gauge.row(e.white) + gauge.col(e.black), signs[idx]
-        )
+        term = edge_monomial(graph, e, gauge, signs[idx])
         grid[(e.white, e.black)] = grid[(e.white, e.black)] + term
     entries = tuple(grid[(w, b)] for w in rows for b in cols)
     return KasteleynMatrix(tuple(rows), tuple(cols), entries)

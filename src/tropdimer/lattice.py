@@ -1,9 +1,11 @@
 """Exact rational lattice geometry on R^2 and the torus T^2 = R^2/Z^2.
 
-Everything downstream (dimers, tropical curves, Kasteleyn algebra, base
-diagrams) is built on the primitives here.  All coordinates are
-``fractions.Fraction``; there is no floating point anywhere in the core,
-so every comparison made by callers is exact.
+The primitives here carry ``fractions.Fraction`` coordinates: they are the
+public input type of dimer polygons and the working type of tropical
+curves, Kasteleyn exponents and base diagrams.  The dimer analysis itself
+runs on integer numerators over the dimer's denominator (see ``dimer``).
+There is no floating point anywhere in the core, so every comparison made
+by callers is exact.
 """
 
 from __future__ import annotations
@@ -94,27 +96,9 @@ def angle_key(v: Vec2):
     return (lower, v.y != 0, -v.x / v.y if v.y else 0)
 
 
-@dataclass(frozen=True, order=True)
-class TorusPoint:
-    """A point of T^2, stored by its representative in [0,1)^2."""
-
-    coords: Vec2
-
-    def __post_init__(self):
-        c = self.coords
-        if not (0 <= c.x < 1 and 0 <= c.y < 1):
-            raise ValueError("torus point outside fundamental domain")
-
-    def __repr__(self):
-        return f"T{self.coords!r}"
-
-
-def reduce_mod_lattice(p: Vec2) -> TorusPoint:
-    """Reduce a point of R^2 into the fundamental domain [0,1)^2.
-
-    Idempotent; the result is congruent to ``p`` mod Z^2.
-    """
-    return TorusPoint(Vec2(p.x - math.floor(p.x), p.y - math.floor(p.y)))
+def reduce_mod_lattice(p: Vec2) -> Vec2:
+    """The representative of ``p`` mod Z^2 in the fundamental domain [0,1)^2."""
+    return Vec2(p.x - math.floor(p.x), p.y - math.floor(p.y))
 
 
 @dataclass(frozen=True, order=True)
@@ -177,39 +161,19 @@ class RatPolygon:
             total += a.cross(b)
         return total
 
-    def centroid(self) -> Vec2:
-        """Arithmetic mean of the vertices (the vertex centroid)."""
-        sx = sum((v.x for v in self.vertices), Fraction(0))
-        sy = sum((v.y for v in self.vertices), Fraction(0))
-        n = len(self.vertices)
-        return Vec2(sx / n, sy / n)
-
     def contains(self, p: Vec2, strict: bool = False) -> bool:
         if self.is_degenerate:
             if strict:
                 return False
-            if len(self.vertices) == 1:
-                return p == self.vertices[0]
-            a, b = self.vertices
-            return _orient(a, b, p) == 0 and (a - p).dot(b - p) <= 0
+            return on_segment(p, self.vertices[0], self.vertices[-1])
         for a, b in self.edges():
             s = _orient(a, b, p)
             if s < 0 or (strict and s == 0):
                 return False
         return True
 
-    def translate(self, d: Vec2) -> "RatPolygon":
-        return RatPolygon(tuple(v + d for v in self.vertices))
-
     def __repr__(self):
         return "Poly[" + ", ".join(repr(v) for v in self.vertices) + "]"
-
-
-def canonical_lift(polygon: RatPolygon) -> RatPolygon:
-    """The integer translate of ``polygon`` whose least vertex lies in the
-    fundamental domain [0,1)^2; the same for every lift of the polygon."""
-    least = min(polygon.vertices)
-    return polygon.translate(reduce_mod_lattice(least).coords - least)
 
 
 def convex_hull(points: Iterable[Vec2]) -> RatPolygon:
@@ -317,32 +281,12 @@ class UnimodularMap:
 
 
 # ---------------------------------------------------------------------------
-# segment and polygon predicates shared by dimer validation and rendering
+# segments and dilations
 
 
 def on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
     """Is p on the closed segment ab?"""
     return _orient(a, b, p) == 0 and (a - p).dot(b - p) <= 0
-
-
-def interiors_intersect(P: RatPolygon, Q: RatPolygon) -> bool:
-    """Do two convex polygons have intersecting interiors?
-
-    Separating-axis test over both edge normal sets, exact arithmetic.
-    Degenerate polygons have empty interior.
-    """
-    if P.is_degenerate or Q.is_degenerate:
-        return False
-    for poly in (P, Q):
-        for a, b in poly.edges():
-            n = (b - a).rot90()
-            pmax = max(n.dot(v) for v in P.vertices)
-            pmin = min(n.dot(v) for v in P.vertices)
-            qmax = max(n.dot(v) for v in Q.vertices)
-            qmin = min(n.dot(v) for v in Q.vertices)
-            if pmax <= qmin or qmax <= pmin:
-                return False
-    return True
 
 
 def dilate(P: RatPolygon, k) -> RatPolygon:

@@ -26,7 +26,6 @@ from .dimer import (
     Polytope,
     build_graph,
     faces,
-    reduce_mod_lattice,
     validate,
     zigzag_paths,
 )
@@ -84,22 +83,18 @@ class MutationResult:
 
 
 def _face_polytope_lifts(dimer: DualDimer, face: DimerFace):
-    """Integer translations making the face's boundary polytopes share
-    vertices literally in the plane, walking once around the face."""
+    """Translations (numerator pairs, multiples of N) making the face's
+    boundary polytopes share vertices literally in the plane, walking once
+    around the face."""
     graph = build_graph(dimer)
-    m = len(face.edge_indices)
     offsets = []  # (polytope index, translation) per boundary position
-    tau = Vec2(0, 0)
-    for k in range(m):
-        idx = face.edge_indices[k]
-        sign = face.orientations[k]
+    tx = ty = 0
+    for idx, sign in zip(face.edge_indices, face.orientations):
         e = graph.edges[idx]
-        here, there = (e.white, e.black) if sign > 0 else (e.black, e.white)
-        a = e.white_vertex if sign > 0 else e.black_vertex
-        b = e.black_vertex if sign > 0 else e.white_vertex
-        offsets.append((here, tau))
-        tau = tau + (a - b)
-    if not tau.is_zero():
+        offsets.append((e.white if sign > 0 else e.black, (tx, ty)))
+        tx += sign * (e.white_vertex[0] - e.black_vertex[0])
+        ty += sign * (e.white_vertex[1] - e.black_vertex[1])
+    if tx or ty:
         raise ValueError("face walk does not close in the plane")
     return offsets
 
@@ -112,20 +107,24 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
     if cycle_weight(graph, list(zip(face.edge_indices, face.orientations)), weights) != 0:
         raise ValueError("face not mutable")
 
+    n = dimer.denominator
     offsets = _face_polytope_lifts(dimer, face)
     boundary_indices = {i for i, _ in offsets}
-    white_points, black_points = [], []
-    for i, tau in offsets:
-        p = dimer.polytopes[i]
-        bucket = white_points if p.color == WHITE else black_points
-        bucket.extend(v + tau for v in p.polygon.vertices)
+    points = {WHITE: set(), BLACK: set()}
+    for i, (tx, ty) in offsets:
+        points[dimer.polytopes[i].color].update(
+            (x + tx, y + ty) for x, y in dimer.numerators[i]
+        )
+
+    def hull(color):
+        return convex_hull(Vec2(Fraction(x, n), Fraction(y, n)) for x, y in points[color])
 
     kept = [p for i, p in enumerate(dimer.polytopes) if i not in boundary_indices]
     new_polys = kept + [
-        Polytope(WHITE, convex_hull(white_points)),
-        Polytope(BLACK, convex_hull(black_points)),
+        Polytope(WHITE, hull(WHITE)),
+        Polytope(BLACK, hull(BLACK)),
     ]
-    result = DualDimer(dimer.denominator, tuple(new_polys))
+    result = DualDimer(n, tuple(new_polys))
     report = validate(result)
     if not report.ok:
         raise ValueError("mutation produced an invalid dimer")
@@ -216,18 +215,17 @@ def _smith_normal_form(rows, width):
 def _zigzag_walks(dimer: DualDimer, graph):
     """Each zigzag as an integer chain over the graph edges (oriented
     white-to-black)."""
+    n = dimer.denominator
     edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
     colors = {i: p.color for i, p in enumerate(dimer.polytopes)}
     chains = []
     for path in zigzag_paths(dimer):
         chain = [0] * len(graph.edges)
-        steps = path.steps
-        m = len(steps)
-        for k in range(m):
-            anchor = reduce_mod_lattice(steps[k].end)
-            idx = edge_at[anchor]
-            # traversal goes from the polytope of step k to that of step k+1
-            sign = 1 if colors[steps[k].polytope] == WHITE else -1
+        for step in path.steps:
+            x, y = step.end
+            idx = edge_at[(x % n, y % n)]
+            # traversal goes from this step's polytope to the next step's
+            sign = 1 if colors[step.polytope] == WHITE else -1
             chain[idx] += sign
         chains.append(chain)
     return chains

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dimer import BLACK, DualDimer, build_graph, validate, zigzag_paths
-from .lattice import Vec2, canonical_lift, reduce_mod_lattice
+from .dimer import BLACK, DualDimer, build_graph, fundamental_lift, validate, zigzag_paths
+from .lattice import Vec2
 
 SCALE = 240
 MARGIN = 24
+
+LAYERS = ("edges", "zigzags")  # the overlays ``render_dimer`` can draw
 
 ZIGZAG_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
@@ -23,9 +25,10 @@ def _fmt(q) -> str:
     return f"{float(q):.3f}"
 
 
-def _pt(p: Vec2) -> str:
+def _xy(x, y, den: int):
+    """Screen coordinates of the exact torus point (x/den, y/den)."""
     # y is flipped so the lattice y-axis points up on screen
-    return f"{_fmt(MARGIN + p.x * SCALE)},{_fmt(MARGIN + (1 - p.y) * SCALE)}"
+    return _fmt(MARGIN + Fraction(x * SCALE, den)), _fmt(MARGIN + SCALE - Fraction(y * SCALE, den))
 
 
 def render_dimer(dimer: DualDimer, show=()) -> str:
@@ -43,9 +46,10 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{SCALE}" height="{SCALE}" '
         'fill="none" stroke="#cccccc" stroke-dasharray="4 4"/>',
     ]
-    lifts = [canonical_lift(p.polygon) for p in dimer.polytopes]
+    n = dimer.denominator
+    lifts = [fundamental_lift(points, n) for points in dimer.numerators]
     for p, lifted in zip(dimer.polytopes, lifts):
-        points = " ".join(_pt(v) for v in lifted.vertices)
+        points = " ".join(",".join(_xy(x, y, n)) for x, y in lifted)
         if p.color == BLACK:
             style = 'fill="#222222" stroke="#222222"'
         else:
@@ -55,23 +59,27 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
     if ("edges" in show or "zigzags" in show) and validate(dimer).ok:
         if "edges" in show:
             for e in build_graph(dimer).edges:
-                cw = lifts[e.white].centroid()
-                a = _pt(cw)
-                b = _pt(cw + e.displacement)  # the black centroid's compatible lift
+                lifted = lifts[e.white]
+                den = n * len(lifted)
+                sx, sy = sum(x for x, _ in lifted), sum(y for _, y in lifted)
+                x1, y1 = _xy(sx, sy, den)
+                # the black centroid's compatible lift
+                x2, y2 = _xy(sx + den * e.displacement.x, sy + den * e.displacement.y, den)
                 out.append(
-                    f'<line x1="{a.split(",")[0]}" y1="{a.split(",")[1]}" '
-                    f'x2="{b.split(",")[0]}" y2="{b.split(",")[1]}" '
+                    f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     'stroke="#888888" stroke-width="0.8"/>'
                 )
         if "zigzags" in show:
             for k, path in enumerate(zigzag_paths(dimer)):
                 color = ZIGZAG_COLORS[k % len(ZIGZAG_COLORS)]
-                here = reduce_mod_lattice(path.steps[0].start).coords
-                pts = [here]
+                x, y = path.steps[0].start
+                x, y = x % n, y % n
+                pts = [_xy(x, y, n)]
                 for step in path.steps:
-                    here = here + step.displacement
-                    pts.append(here)
-                points = " ".join(_pt(p) for p in pts)
+                    dx, dy = step.displacement
+                    x, y = x + dx, y + dy
+                    pts.append(_xy(x, y, n))
+                points = " ".join(",".join(p) for p in pts)
                 out.append(f'<g class="zigzag" stroke="{color}" fill="none">')
                 out.append(f'<polyline points="{points}" stroke-width="2"/>')
                 out.append("</g>")

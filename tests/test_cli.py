@@ -107,6 +107,30 @@ def test_invalid_dimer_is_domain_failure(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_validate_report_names_unmatched_torus_points(tmp_path, capsys):
+    doc = tmp_path / "mismatched.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "schema": "tropdimer/1",
+                "denominator": 2,
+                "polytopes": [
+                    {"color": "white", "vertices": [[0, 0], [1, 0], [0, 1]]},
+                    {"color": "black", "vertices": [[0, 0], [1, 1], [0, 1]]},
+                ],
+            }
+        )
+    )
+    code, out, _ = invoke(capsys, "validate", str(doc))
+    assert code == 1
+    assert out.splitlines() == [
+        "distinct vertices per color: pass",
+        "white/black vertex sets match mod Z^2: FAIL offenders=[T(1/2, 0), T(1/2, 1/2)]",
+        "opposite edge germs at matched vertices: FAIL",
+        "self-intersections: present",
+    ]
+
+
 def test_mutate_writes_dimer_and_reports_immersion(tmp_path, capsys):
     out_path = tmp_path / "mut.json"
     code, out, _ = invoke(capsys, "mutate", "catalog:honeycomb", "--face", "0", "--out", str(out_path))
@@ -166,6 +190,13 @@ def test_render_polygon_and_zigzag_counts(tmp_path, capsys):
     code, _, _ = invoke(capsys, "render", "catalog:honeycomb", "--show", "zigzags", "--out", str(svg))
     assert code == 0
     assert svg.read_text().count('<g class="zigzag"') == 3
+
+
+def test_unknown_render_layer_is_usage_error(capsys):
+    for show in ("edge", "edges,zigzag"):
+        code, out, err = invoke(capsys, "render", "catalog:honeycomb", "--show", show)
+        assert code == 2 and not out
+        assert "unknown layer" in err
 
 
 def test_render_is_deterministic(capsys):

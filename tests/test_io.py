@@ -90,6 +90,9 @@ def test_diagram_round_trip():
             '"position":[[-2,1],', '"position":[[-2,true],', "rational must be", id="rational"
         ),
         pytest.param('"eigenray":[-1,-1]', '"eigenray":[true,-1]', "eigenray must be", id="eigenray"),
+        pytest.param(
+            '"multiplicity":1', '"multiplicity":true', "multiplicity must be", id="multiplicity"
+        ),
     ],
 )
 def test_diagram_refuses_booleans_as_integers(old, new, msg):
@@ -99,6 +102,37 @@ def test_diagram_refuses_booleans_as_integers(old, new, msg):
     assert old in text
     with pytest.raises(SchemaError, match=msg):
         parse_diagram(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "edit,msg",
+    [
+        pytest.param(lambda d: d["nodes"][0].pop("position"), "position", id="node-without-position"),
+        pytest.param(lambda d: d.update(boundary=5), "boundary must be", id="boundary-not-a-list"),
+        pytest.param(lambda d: d.update(nodes=5), "nodes must be", id="nodes-not-a-list"),
+        pytest.param(lambda d: d.update(traded=5), "traded must be", id="traded-not-a-list"),
+        pytest.param(
+            lambda d: d["nodes"][0].update(eigenray=[2, -2]),
+            "eigenray must be",
+            id="non-primitive-eigenray",
+        ),
+        pytest.param(
+            lambda d: d["nodes"][0].update(eigenray=[0, 0]), "eigenray must be", id="zero-eigenray"
+        ),
+        pytest.param(
+            lambda d: d["nodes"][0].update(multiplicity=0),
+            "multiplicity must be",
+            id="zero-multiplicity",
+        ),
+    ],
+)
+def test_diagram_schema_violations(edit, msg):
+    from tropdimer.almost_toric import BaseDiagram, trade_all_corners
+
+    doc = json.loads(serialize_diagram(trade_all_corners(BaseDiagram(catalog.MOMENT_POLYGONS["cp2"]))))
+    edit(doc)
+    with pytest.raises(SchemaError, match=msg):
+        parse_diagram(json.dumps(doc))
 
 
 @settings(max_examples=200, deadline=None)
