@@ -39,7 +39,8 @@ def commands():
         out.append(["kasteleyn", "{input}", "--gauge", gauge])
     for fan in sorted(catalog.DEL_PEZZO_FANS):
         out.append(["compare-seed", "{input}", fan])
-    out.append(["mutate", "{input}", "--face", "0"])
+    for face in range(6):  # past the last face the refusal is pinned too
+        out.append(["mutate", "{input}", "--face", str(face)])
     out.append(["render", "{input}", "--show", "edges,zigzags"])
     return out
 

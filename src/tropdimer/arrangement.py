@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, face_orbits
-from .lattice import RatPolygon, Vec2, angle_key, reduce_mod_lattice
+from .lattice import Vec2, angle_key, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def arrangement_dimer(lines) -> DualDimer:
     darts = _darts(lines, passages)
     walks = _trace_regions(darts)
 
-    polytopes = []
+    regions = []  # (color, rational corners)
     for walk in walks:
         pts = _unroll(walk)
         if pts is None:
@@ -184,10 +184,14 @@ def arrangement_dimer(lines) -> DualDimer:
             prev, here, nxt = pts[(k - 1) % m], pts[k], pts[(k + 1) % m]
             if (here - prev).cross(nxt - here) != 0:
                 corners.append(here)
-        polytopes.append(Polytope(color, RatPolygon(tuple(corners))))
+        regions.append((color, corners))
 
     den = 1
-    for p in polytopes:
-        for v in p.polygon.vertices:
+    for _, corners in regions:
+        for v in corners:
             den = math.lcm(den, v.x.denominator, v.y.denominator)
-    return DualDimer(den, tuple(polytopes))
+    polytopes = tuple(
+        Polytope(color, tuple((int(v.x * den), int(v.y * den)) for v in corners))
+        for color, corners in regions
+    )
+    return DualDimer(den, polytopes)

@@ -36,10 +36,6 @@ MOMENT_POLYGONS = {
 }
 
 
-def _sixth(*pairs):
-    return RatPolygon(tuple(V(Fraction(x, 6), Fraction(y, 6)) for x, y in pairs))
-
-
 def build_honeycomb() -> DualDimer:
     """Three upward and three downward triangles tiling the torus.
 
@@ -47,14 +43,14 @@ def build_honeycomb() -> DualDimer:
     the determinant on the nose: 3 - z1 - z2 - z1^-1*z2^-1.
     """
     whites = [
-        _sixth((0, 0), (2, 1), (1, 2)),
-        _sixth((2, 4), (4, 5), (3, 6)),
-        _sixth((4, 2), (6, 3), (5, 4)),
+        ((0, 0), (2, 1), (1, 2)),
+        ((2, 4), (4, 5), (3, 6)),
+        ((4, 2), (6, 3), (5, 4)),
     ]
     blacks = [
-        _sixth((2, 4), (0, 3), (1, 2)),
-        _sixth((6, 6), (4, 5), (5, 4)),
-        _sixth((4, 2), (2, 1), (3, 0)),
+        ((2, 4), (0, 3), (1, 2)),
+        ((6, 6), (4, 5), (5, 4)),
+        ((4, 2), (2, 1), (3, 0)),
     ]
     polys = [Polytope(WHITE, p) for p in whites] + [Polytope(BLACK, p) for p in blacks]
     return DualDimer(6, tuple(polys))
@@ -62,9 +58,8 @@ def build_honeycomb() -> DualDimer:
 
 def build_pants_min() -> DualDimer:
     """The minimal mirror pair: one triangle of each color."""
-    h = Fraction(1, 2)
-    black = RatPolygon((V(h, 0), V(0, h), V(-h, -h)))
-    white = RatPolygon((V(-h, 0), V(0, -h), V(h, h)))
+    black = ((1, 0), (0, 1), (-1, -1))
+    white = ((-1, 0), (0, -1), (1, 1))
     return DualDimer(2, (Polytope(WHITE, white), Polytope(BLACK, black)))
 
 

@@ -12,10 +12,11 @@ From this data we extract the bipartite polytope-adjacency graph, the
 zigzag cycles obtained by concatenating parallel polygon edges, the disk
 faces of the embedded graph, and the associated tropical fan.
 
-The analysis runs on integer numerators over N: a vertex is a pair (x, y)
-of ints standing for (x/N, y/N), a torus point is its representative
-(x % N, y % N), and an edge germ is a primitive integer direction.  Only
-the Kasteleyn exponents and the fan are rational.
+Polygons are given and kept as integer numerators over N: a vertex is a
+pair (x, y) of ints standing for (x/N, y/N), a torus point is its
+representative (x % N, y % N), and an edge germ is a primitive integer
+direction.  Only the edge displacements (hence the Kasteleyn exponents)
+and the fan are rational.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import H1Class, RatPolygon, Vec2
+from .lattice import H1Class, Vec2
 from .tropical import TropicalCurve, make_fan
 
 WHITE = "white"
@@ -34,21 +35,22 @@ BLACK = "black"
 
 @dataclass(frozen=True)
 class Polytope:
+    """One polygon: its color and its vertices as integer pairs over the
+    denominator N of the dimer that holds it."""
+
     color: str
-    polygon: RatPolygon
+    vertices: tuple
 
     def __post_init__(self):
         if self.color not in (WHITE, BLACK):
             raise ValueError(f"unknown color {self.color!r}")
+        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
 
 
 @dataclass(frozen=True)
 class DualDimer:
-    """The dimer data; every polygon strictly convex and counterclockwise.
-
-    ``numerators[i]`` holds polytope i's vertices as integer pairs over
-    N = ``denominator``; every stage reads them and nothing else of the
-    polygons.
+    """The dimer data: polytopes whose vertices are integer pairs over
+    N = ``denominator``, each polygon strictly convex and counterclockwise.
 
     Each structural stage below is computed at most once per instance, on
     first use, and kept on it (a stage that raises keeps nothing).  The
@@ -63,18 +65,13 @@ class DualDimer:
         object.__setattr__(self, "polytopes", tuple(self.polytopes))
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
-        numerators = []
         for p in self.polytopes:
-            if p.polygon.is_degenerate:
+            if len(p.vertices) < 3:
                 raise ValueError("degenerate polytope")
-            scaled = [(v.x * self.denominator, v.y * self.denominator) for v in p.polygon.vertices]
-            if any(x.denominator != 1 or y.denominator != 1 for x, y in scaled):
-                raise ValueError("vertex not on the declared lattice")
-            points = tuple((x.numerator, y.numerator) for x, y in scaled)
-            if not _strictly_convex(points):
+            if any(len(v) != 2 or not all(type(c) is int for c in v) for v in p.vertices):
+                raise ValueError("vertex must be a pair of integer numerators")
+            if not _strictly_convex(p.vertices):
                 raise ValueError("polytope is not strictly convex and counterclockwise")
-            numerators.append(points)
-        object.__setattr__(self, "numerators", tuple(numerators))
 
     def indices(self, color: str):
         return [i for i, p in enumerate(self.polytopes) if p.color == color]
@@ -166,7 +163,7 @@ def _vertex_map(dimer: DualDimer, color: str):
     out: dict = {}
     clashes = []
     for i in dimer.indices(color):
-        for k, (x, y) in enumerate(dimer.numerators[i]):
+        for k, (x, y) in enumerate(dimer.polytopes[i].vertices):
             t = (x % n, y % n)
             if t in out:
                 clashes.append(t)
@@ -227,7 +224,7 @@ def _validate(dimer: DualDimer) -> ValidationReport:
     mismatch = tuple(sorted(set(white_map) ^ set(black_map)))
     matching_ok = not mismatch
 
-    points = dimer.numerators
+    points = [p.vertices for p in dimer.polytopes]
     germ_offenders = []
     if matching_ok and distinct_ok:
         for t in white_map:
@@ -296,7 +293,7 @@ def _build_graph(dimer: DualDimer) -> DimerGraph:
     white_map, _ = dimer._vertex_maps[WHITE]
     black_map, _ = dimer._vertex_maps[BLACK]
     n = dimer.denominator
-    points = dimer.numerators
+    points = [p.vertices for p in dimer.polytopes]
     centroids = []  # the vertex centroid of each polygon
     for pts in points:
         k = n * len(pts)
@@ -346,7 +343,7 @@ def _directed_boundary(dimer: DualDimer):
     """
     darts = []
     for i, p in enumerate(dimer.polytopes):
-        verts = dimer.numerators[i]
+        verts = p.vertices
         if p.color == WHITE:
             verts = tuple(reversed(verts))
         n = len(verts)

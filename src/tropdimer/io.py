@@ -61,11 +61,9 @@ def parse_dimer(text: str):
         _require(color in (WHITE, BLACK), "color must be 'white' or 'black'")
         verts = entry.get("vertices")
         _require(isinstance(verts, list) and len(verts) >= 3, "vertices must list >= 3 points")
-        points = []
         for pair in verts:
             _require(_is_int_pair(pair), "vertex must be a pair of integer numerators")
-            points.append(Vec2(Fraction(pair[0], den), Fraction(pair[1], den)))
-        polytopes.append(Polytope(color, RatPolygon(tuple(points))))
+        polytopes.append(Polytope(color, verts))
     weights = {}
     raw_weights = doc.get("weights", {})
     _require(isinstance(raw_weights, dict), "weights must be an object")
@@ -92,20 +90,17 @@ def _canonical_polytopes(dimer: DualDimer):
     n = dimer.denominator
     out = []
     for color in (WHITE, BLACK):
-        for p, points in zip(dimer.polytopes, dimer.numerators):
+        for p in dimer.polytopes:
             if p.color == color:
+                points = p.vertices
                 k = points.index(min(points))
                 out.append((color, fundamental_lift(points[k:] + points[:k], n)))
     return out
 
 
 def canonicalize(dimer: DualDimer) -> DualDimer:
-    n = dimer.denominator
-    polytopes = []
-    for color, points in _canonical_polytopes(dimer):
-        vertices = tuple(Vec2(Fraction(x, n), Fraction(y, n)) for x, y in points)
-        polytopes.append(Polytope(color, RatPolygon(vertices)))
-    return DualDimer(n, tuple(polytopes))
+    polytopes = tuple(Polytope(color, points) for color, points in _canonical_polytopes(dimer))
+    return DualDimer(dimer.denominator, polytopes)
 
 
 def serialize_dimer(dimer: DualDimer, weights=None) -> str:

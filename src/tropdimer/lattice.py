@@ -1,11 +1,11 @@
 """Exact rational lattice geometry on R^2 and the torus T^2 = R^2/Z^2.
 
 The primitives here carry ``fractions.Fraction`` coordinates: they are the
-public input type of dimer polygons and the working type of tropical
-curves, Kasteleyn exponents and base diagrams.  The dimer analysis itself
-runs on integer numerators over the dimer's denominator (see ``dimer``).
-There is no floating point anywhere in the core, so every comparison made
-by callers is exact.
+working type of tropical curves, Kasteleyn exponents and base diagrams.
+Dimer polygons are integer numerators over the dimer's denominator (see
+``dimer``); ``convex_hull`` works on such integer points.  There is no
+floating point anywhere in the core, so every comparison made by callers
+is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 Rat = Fraction
 
@@ -70,9 +69,6 @@ class Vec2:
         nx, ny = int(self.x * den), int(self.y * den)
         g = math.gcd(abs(nx), abs(ny))
         return Vec2(Fraction(nx, g), Fraction(ny, g))
-
-    def as_tuple(self):
-        return (self.x, self.y)
 
     def __repr__(self):
         return f"({self.x}, {self.y})"
@@ -176,23 +172,27 @@ class RatPolygon:
         return "Poly[" + ", ".join(repr(v) for v in self.vertices) + "]"
 
 
-def convex_hull(points: Iterable[Vec2]) -> RatPolygon:
-    """Exact convex hull (monotone chain); counterclockwise vertex order.
+def convex_hull(points) -> tuple:
+    """Exact convex hull (monotone chain) of integer pairs, as a tuple of
+    integer pairs in counterclockwise order.
 
     Collinear boundary points are dropped, so the vertex list is strictly
-    convex.  One point gives a degenerate point polygon, a collinear set
-    gives a degenerate segment.
+    convex.  One point gives that point alone, a collinear set the two ends
+    of its segment.
     """
     pts = sorted(set(points))
     if not pts:
         raise ValueError("empty point set")
     if len(pts) == 1:
-        return RatPolygon((pts[0],))
+        return (pts[0],)
 
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _orient(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out
@@ -201,8 +201,8 @@ def convex_hull(points: Iterable[Vec2]) -> RatPolygon:
     upper = half(reversed(pts))
     ring = lower[:-1] + upper[:-1]
     if len(ring) < 3:
-        return RatPolygon((pts[0], pts[-1]))
-    return RatPolygon(tuple(ring))
+        return (pts[0], pts[-1])
+    return tuple(ring)
 
 
 def interior_lattice_points(P: RatPolygon):

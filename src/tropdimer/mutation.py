@@ -107,24 +107,20 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
     if cycle_weight(graph, list(zip(face.edge_indices, face.orientations)), weights) != 0:
         raise ValueError("face not mutable")
 
-    n = dimer.denominator
     offsets = _face_polytope_lifts(dimer, face)
     boundary_indices = {i for i, _ in offsets}
     points = {WHITE: set(), BLACK: set()}
     for i, (tx, ty) in offsets:
         points[dimer.polytopes[i].color].update(
-            (x + tx, y + ty) for x, y in dimer.numerators[i]
+            (x + tx, y + ty) for x, y in dimer.polytopes[i].vertices
         )
-
-    def hull(color):
-        return convex_hull(Vec2(Fraction(x, n), Fraction(y, n)) for x, y in points[color])
 
     kept = [p for i, p in enumerate(dimer.polytopes) if i not in boundary_indices]
     new_polys = kept + [
-        Polytope(WHITE, hull(WHITE)),
-        Polytope(BLACK, hull(BLACK)),
+        Polytope(WHITE, convex_hull(points[WHITE])),
+        Polytope(BLACK, convex_hull(points[BLACK])),
     ]
-    result = DualDimer(n, tuple(new_polys))
+    result = DualDimer(dimer.denominator, tuple(new_polys))
     report = validate(result)
     if not report.ok:
         raise ValueError("mutation produced an invalid dimer")

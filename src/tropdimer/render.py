@@ -25,10 +25,16 @@ def _fmt(q) -> str:
     return f"{float(q):.3f}"
 
 
-def _xy(x, y, den: int):
+def _xy(x: int, y: int, den: int):
     """Screen coordinates of the exact torus point (x/den, y/den)."""
-    # y is flipped so the lattice y-axis points up on screen
-    return _fmt(MARGIN + Fraction(x * SCALE, den)), _fmt(MARGIN + SCALE - Fraction(y * SCALE, den))
+    # int true division rounds correctly, so the floats are those of the
+    # exact rationals; y is flipped so the lattice y-axis points up on screen
+    return _fmt((MARGIN * den + x * SCALE) / den), _fmt(((MARGIN + SCALE) * den - y * SCALE) / den)
+
+
+def _centroid_xy(points, n: int):
+    """Screen coordinates of the vertex centroid of an integer polygon over n."""
+    return _xy(sum(x for x, _ in points), sum(y for _, y in points), n * len(points))
 
 
 def render_dimer(dimer: DualDimer, show=()) -> str:
@@ -47,7 +53,7 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
         'fill="none" stroke="#cccccc" stroke-dasharray="4 4"/>',
     ]
     n = dimer.denominator
-    lifts = [fundamental_lift(points, n) for points in dimer.numerators]
+    lifts = [fundamental_lift(p.vertices, n) for p in dimer.polytopes]
     for p, lifted in zip(dimer.polytopes, lifts):
         points = " ".join(",".join(_xy(x, y, n)) for x, y in lifted)
         if p.color == BLACK:
@@ -59,12 +65,13 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
     if ("edges" in show or "zigzags" in show) and validate(dimer).ok:
         if "edges" in show:
             for e in build_graph(dimer).edges:
-                lifted = lifts[e.white]
-                den = n * len(lifted)
-                sx, sy = sum(x for x, _ in lifted), sum(y for _, y in lifted)
-                x1, y1 = _xy(sx, sy, den)
-                # the black centroid's compatible lift
-                x2, y2 = _xy(sx + den * e.displacement.x, sy + den * e.displacement.y, den)
+                white = lifts[e.white]
+                x1, y1 = _centroid_xy(white, n)
+                # the black polygon lifted to share the white lift's anchor
+                ax, ay = white[dimer.polytopes[e.white].vertices.index(e.white_vertex)]
+                dx, dy = ax - e.black_vertex[0], ay - e.black_vertex[1]
+                black = [(x + dx, y + dy) for x, y in dimer.polytopes[e.black].vertices]
+                x2, y2 = _centroid_xy(black, n)
                 out.append(
                     f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     'stroke="#888888" stroke-width="0.8"/>'

@@ -8,11 +8,12 @@ settings.load_profile("fast")
 
 from tropdimer import catalog
 from tropdimer.dimer import DualDimer, Polytope
-from tropdimer.lattice import UnimodularMap, Vec2
+from tropdimer.lattice import UnimodularMap
 
 
 def unimodular_image(dimer: DualDimer, rng: random.Random) -> DualDimer:
-    """A random SL(2,Z) image of the dimer, plus an integer translation."""
+    """A random SL(2,Z) image of the dimer, plus an integer translation:
+    numerators v over N go to A v + N t."""
     # Build the map from elementary shears so the determinant is +1 exactly.
     # small shears keep coordinates bounded, which keeps the exact torus
     # intersection tests cheap; the maps are still a decent spread of SL(2,Z)
@@ -21,12 +22,15 @@ def unimodular_image(dimer: DualDimer, rng: random.Random) -> DualDimer:
         k = rng.randint(-1, 1)
         shear = UnimodularMap(1, k, 0, 1) if rng.random() < 0.5 else UnimodularMap(1, 0, k, 1)
         m = m.compose(shear)
-    m = UnimodularMap(m.a, m.b, m.c, m.d, Vec2(rng.randint(-1, 1), rng.randint(-1, 1)))
+    n = dimer.denominator
+    tx, ty = n * rng.randint(-1, 1), n * rng.randint(-1, 1)
     polytopes = tuple(
-        Polytope(p.color, p.polygon.__class__(tuple(m.apply(v) for v in p.polygon.vertices)))
+        Polytope(
+            p.color, [(m.a * x + m.b * y + tx, m.c * x + m.d * y + ty) for x, y in p.vertices]
+        )
         for p in dimer.polytopes
     )
-    return DualDimer(dimer.denominator, polytopes)
+    return DualDimer(n, polytopes)
 
 
 @pytest.fixture

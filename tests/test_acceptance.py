@@ -77,10 +77,12 @@ def test_criterion_01_kasteleyn_determinant():
 
 def test_criterion_02_fan_agreement():
     honeycomb = catalog.build("honeycomb")
+    n = honeycomb.denominator
     loci = []
     for p in honeycomb.polytopes:
         kind = "convex" if p.color == WHITE else "concave"
-        loci.append(nonlinearity_locus(dual_function(p.polygon, kind)))
+        polygon = RatPolygon(tuple(V(F(x, n), F(y, n)) for x, y in p.vertices))
+        loci.append(nonlinearity_locus(dual_function(polygon, kind)))
     assert len(loci) == 6
     for other in loci[1:]:
         assert fan_equal(loci[0], other)
@@ -133,8 +135,9 @@ def test_criterion_05_mutation():
         result = mutate_face(honeycomb, face, weights)
         assert result.immersed
         assert len(result.dimer.polytopes) == 2
+        n = result.dimer.denominator
         got = {
-            p.color: tuple((v.x, v.y) for v in p.polygon.vertices)
+            p.color: tuple((F(x, n), F(y, n)) for x, y in p.vertices)
             for p in result.dimer.polytopes
         }
         assert got == expected_hulls[i]

@@ -1,4 +1,6 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from tropdimer.dimer import (
     validate,
     zigzag_paths,
 )
-from tropdimer.lattice import RatPolygon, Vec2
+from tropdimer.io import SchemaError, parse_dimer
+from tropdimer.lattice import Vec2
 from tropdimer.tropical import check_balancing, make_fan
 
 V = Vec2
@@ -39,8 +42,8 @@ def test_validation_catches_mismatched_vertex_sets():
     bad = DualDimer(
         2,
         (
-            Polytope("white", RatPolygon((V(0, 0), V("1/2", 0), V(0, "1/2")))),
-            Polytope("black", RatPolygon((V(0, 0), V("1/2", "1/2"), V(0, "1/2")))),
+            Polytope("white", ((0, 0), (1, 0), (0, 1))),
+            Polytope("black", ((0, 0), (1, 1), (0, 1))),
         ),
     )
     report = validate(bad)
@@ -61,8 +64,8 @@ def test_graph_refuses_invalid_dimer():
     bad = DualDimer(
         1,
         (
-            Polytope("white", RatPolygon((V(0, 0), V(1, 0), V(0, 1)))),
-            Polytope("black", RatPolygon((V(0, 0), V(1, 0), V(1, 1)))),
+            Polytope("white", ((0, 0), (1, 0), (0, 1))),
+            Polytope("black", ((0, 0), (1, 0), (1, 1))),
         ),
     )
     with pytest.raises(ValueError, match="fails validation"):
@@ -84,8 +87,8 @@ def test_zigzags_and_fan_never_validate(honeycomb, monkeypatch):
     bad = DualDimer(
         2,
         (
-            Polytope("white", RatPolygon((V(0, 0), V("1/2", 0), V(0, "1/2")))),
-            Polytope("black", RatPolygon((V(0, 0), V("1/2", "1/2"), V(0, "1/2")))),
+            Polytope("white", ((0, 0), (1, 0), (0, 1))),
+            Polytope("black", ((0, 0), (1, 1), (0, 1))),
         ),
     )
     with pytest.raises(ValueError, match="zigzag continuation missing"):
@@ -99,14 +102,34 @@ def test_zigzags_and_fan_never_validate(honeycomb, monkeypatch):
 @pytest.mark.parametrize(
     "vertices",
     [
-        (V(0, 0), V(0, 1), V(1, 0)),  # clockwise
-        (V(0, 0), V("1/2", 0), V(1, 0), V(0, 1)),  # collinear vertex
-        (V(0, 0), V(1, 0), V(1, 1), V("1/2", "1/4"), V(0, 1)),  # reflex vertex
+        ((0, 0), (0, 4), (4, 0)),  # clockwise
+        ((0, 0), (2, 0), (4, 0), (0, 4)),  # collinear vertex
+        ((0, 0), (4, 0), (4, 4), (2, 1), (0, 4)),  # reflex vertex
     ],
 )
 def test_dimer_refuses_polygons_not_strictly_convex_counterclockwise(vertices):
     with pytest.raises(ValueError, match="strictly convex and counterclockwise"):
-        DualDimer(4, (Polytope("white", RatPolygon(vertices)),))
+        DualDimer(4, (Polytope("white", vertices),))
+
+
+@pytest.mark.parametrize(
+    "vertices,msg",
+    [
+        (((0, 0), (Fraction(1, 2), 0), (0, 1)), "integer numerators"),
+        (((0, 0), (0.5, 0), (0, 1)), "integer numerators"),
+        (((0, 0), (True, 0), (0, 1)), "integer numerators"),
+        (((0, 0), (1, 0)), "degenerate"),
+    ],
+    ids=["fraction", "float", "boolean", "two-vertices"],
+)
+def test_dimer_refuses_vertices_that_are_not_three_integer_pairs(vertices, msg):
+    with pytest.raises(ValueError, match=msg):
+        DualDimer(2, (Polytope("white", vertices),))
+    # the same polygon in a document: the JSON form of 1/2 is a string
+    pairs = [[str(c) if isinstance(c, Fraction) else c for c in v] for v in vertices]
+    polytopes = [{"color": "white", "vertices": pairs}]
+    with pytest.raises(SchemaError):
+        parse_dimer(json.dumps({"schema": "tropdimer/1", "denominator": 2, "polytopes": polytopes}))
 
 
 def test_honeycomb_zigzags(honeycomb):
