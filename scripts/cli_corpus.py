@@ -2,9 +2,11 @@
 """Golden digests of the dimer subcommands' output.
 
 Runs ``tropdimer.cli.run`` in-process for every dimer subcommand on every
-catalog entry, once on the canonical document and once on a fixed integer
-lift of each polytope, and records the sha256 of exit code, stdout and
-stderr per command line into ``tests/golden_cli.json``.  The check is
+catalog entry, and for ``kasteleyn`` on a few torus covers of them (larger
+matrices, and exponents over larger denominators), once on the canonical
+document and once on a fixed integer lift of each polytope, and records the
+sha256 of exit code, stdout and stderr per command line into
+``tests/golden_cli.json``.  The check is
 ``python -m pytest tests/test_golden_cli.py``, which compares the current
 digests against that file.
 
@@ -28,6 +30,12 @@ GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden_cli.jso
 
 FORMS = ("canonical", "lifted")
 
+GAUGES = ("paper", "trivial", "random:7")
+
+# ``<name>@<kx>x<ky>`` is the kx-by-ky cover of a catalog entry: n = 8 .. 12
+# at 2x2, and the rational exponents of bl1-seed and bl2-seed at 1x2.
+COVERS = ("honeycomb@2x2", "cp2-seed@2x2", "p1p1-seed@2x2", "bl1-seed@1x2", "bl2-seed@1x2")
+
 
 def commands():
     """Subcommand argument lists, ``{input}`` standing for the document."""
@@ -35,8 +43,7 @@ def commands():
     for name in ("validate", "graph", "zigzags", "fan", "matchings", "euler", "directions"):
         out.append([name, "{input}"])
         out.append([name, "{input}", "--json"])
-    for gauge in ("paper", "trivial", "random:7"):
-        out.append(["kasteleyn", "{input}", "--gauge", gauge])
+    out.extend(kasteleyn_commands())
     for fan in sorted(catalog.DEL_PEZZO_FANS):
         out.append(["compare-seed", "{input}", fan])
     for face in range(6):  # past the last face the refusal is pinned too
@@ -45,9 +52,37 @@ def commands():
     return out
 
 
-def lifted_text(name: str) -> str:
-    """The catalog document with polytope k moved by a fixed integer vector."""
+def kasteleyn_commands():
+    """The `kasteleyn` argument lists, one per gauge; the only ones run on
+    the covers."""
+    return [["kasteleyn", "{input}", "--gauge", gauge] for gauge in GAUGES]
+
+
+def document(entry: str) -> dict:
+    """The document of a catalog entry, or of ``<name>@<kx>x<ky>``: copy
+    (i, j) of a vertex with numerators (x, y) over N becomes
+    ((x + N i) ky, (y + N j) kx) over N kx ky."""
+    name, _, size = entry.partition("@")
     doc = json.loads(catalog.catalog_text(name))
+    if size:
+        kx, ky = (int(k) for k in size.split("x"))
+        n = doc["denominator"]
+        doc["denominator"] = n * kx * ky
+        doc["polytopes"] = [
+            {
+                "color": poly["color"],
+                "vertices": [[(x + n * i) * ky, (y + n * j) * kx] for x, y in poly["vertices"]],
+            }
+            for i in range(kx)
+            for j in range(ky)
+            for poly in doc["polytopes"]
+        ]
+    return doc
+
+
+def lifted_text(entry: str) -> str:
+    """The document with polytope k moved by a fixed integer vector."""
+    doc = document(entry)
     den = doc["denominator"]
     for k, poly in enumerate(doc["polytopes"]):
         dx, dy = den * (k % 3 - 1), den * ((k // 3) % 3 - 1)
@@ -63,18 +98,25 @@ def _digest(argv) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def corpus(names=catalog.NAMES) -> dict:
-    """``{"<form>:<entry> <arguments>": sha256}`` for the given entries."""
+def corpus(names=catalog.NAMES + COVERS) -> dict:
+    """``{"<form>:<entry> <arguments>": sha256}`` for the given entries,
+    catalog names or covers."""
     saved = os.environ.pop("TROPDIMER_COLOR", None)
     digests = {}
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
-                path = pathlib.Path(tmp) / f"{name}.json"
-                path.write_text(lifted_text(name))
-                sources = {"canonical": f"catalog:{name}", "lifted": str(path)}
+                lifted = pathlib.Path(tmp) / f"{name}-lifted.json"
+                lifted.write_text(lifted_text(name))
+                sources = {"canonical": f"catalog:{name}", "lifted": str(lifted)}
+                argvs = commands()
+                if name in COVERS:
+                    canonical = pathlib.Path(tmp) / f"{name}.json"
+                    canonical.write_text(json.dumps(document(name)))
+                    sources["canonical"] = str(canonical)
+                    argvs = kasteleyn_commands()
                 for form in FORMS:
-                    for argv in commands():
+                    for argv in argvs:
                         key = " ".join([f"{form}:{name}"] + argv[:1] + argv[2:])
                         digests[key] = _digest([a.replace("{input}", sources[form]) for a in argv])
     finally:

@@ -78,6 +78,22 @@ def _layers(text: str) -> tuple:
     return layers
 
 
+def _source(text: str) -> str:
+    """An input: a file path, or `catalog:<name>` with a name the catalog has."""
+    name = text.removeprefix("catalog:")
+    if name != text and name not in cat.NAMES:
+        raise argparse.ArgumentTypeError(f"unknown catalog name {name!r}")
+    return text
+
+
+def _depth(text: str) -> Fraction:
+    """A `--depth` value, refused at parse time unless `Fraction` reads it."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid depth {text!r}") from None
+
+
 def _gauge_name(name: str) -> str:
     """A `--gauge` value, refused at parse time unless `make_gauge` knows it."""
     try:
@@ -94,34 +110,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("validate", "graph", "zigzags", "fan", "euler", "directions", "matchings"):
         p = sub.add_parser(name)
-        p.add_argument("input")
+        p.add_argument("input", type=_source)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("kasteleyn")
-    p.add_argument("input")
+    p.add_argument("input", type=_source)
     p.add_argument("--gauge", default="paper", type=_gauge_name)
 
     p = sub.add_parser("mutate")
-    p.add_argument("input")
+    p.add_argument("input", type=_source)
     p.add_argument("--face", type=int, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("compare-seed")
-    p.add_argument("input")
+    p.add_argument("input", type=_source)
     p.add_argument("fan", choices=sorted(cat.DEL_PEZZO_FANS))
 
     p = sub.add_parser("genus")
     p.add_argument("degree", type=int)
 
     p = sub.add_parser("render")
-    p.add_argument("input")
+    p.add_argument("input", type=_source)
     p.add_argument(
         "--show", default=(), type=_layers, help="comma-separated layers: " + ",".join(LAYERS)
     )
     p.add_argument("--out")
 
     p = sub.add_parser("catalog")
-    p.add_argument("name", nargs="?")
+    p.add_argument("name", nargs="?", choices=cat.NAMES)
 
     p = sub.add_parser("atf")
     atf = p.add_subparsers(dest="atf_command", required=True)
@@ -134,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q = atf.add_parser(name)
         q.add_argument("surface", choices=sorted(cat.MOMENT_POLYGONS))
         if name == "outer":
-            q.add_argument("--depth", default="1/2")
+            q.add_argument("--depth", default=Fraction(1, 2), type=_depth)
     q = atf.add_parser("exchange")
     q.add_argument("surface", choices=sorted(cat.MOMENT_POLYGONS) + ["local"])
     q = atf.add_parser("an")
@@ -181,7 +197,7 @@ def _run_atf(args) -> int:
         if args.atf_command == "inner":
             curve = build_inner_torus(diagram)
         else:
-            curve = build_outer_torus(diagram, Fraction(args.depth))
+            curve = build_outer_torus(diagram, args.depth)
         sys.stdout.write(_curve_summary(f"{args.atf_command} torus", curve, diagram))
         return 0
     if args.atf_command == "exchange":

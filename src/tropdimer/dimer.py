@@ -15,8 +15,9 @@ faces of the embedded graph, and the associated tropical fan.
 Polygons are given and kept as integer numerators over N: a vertex is a
 pair (x, y) of ints standing for (x/N, y/N), a torus point is its
 representative (x % N, y % N), and an edge germ is a primitive integer
-direction.  Only the edge displacements (hence the Kasteleyn exponents)
-and the fan are rational.
+direction.  The edge displacements (hence the Kasteleyn exponents) are
+integer pairs over the graph's denominator D = N * lcm of the polygons'
+vertex counts, that of every vertex centroid; only the fan is rational.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ class DimerEdge:
     anchor: tuple  # the shared vertex as a torus point (x % N, y % N)
     white_vertex: tuple  # the white polygon's stored numerators of the anchor
     black_vertex: tuple
-    displacement: Vec2  # white centroid -> anchor -> black centroid, lifted
+    displacement: tuple  # white centroid -> anchor -> black centroid, lifted, over D
 
     @property
     def edge_id(self) -> str:
@@ -281,6 +282,7 @@ class DimerGraph:
     whites: tuple  # polytope indices
     blacks: tuple
     edges: tuple
+    denominator: int  # D = N * lcm of the vertex counts, that of every centroid
 
 
 def build_graph(dimer: DualDimer) -> DimerGraph:
@@ -292,24 +294,25 @@ def _build_graph(dimer: DualDimer) -> DimerGraph:
         raise ValueError("dimer fails validation; cannot build graph")
     white_map, _ = dimer._vertex_maps[WHITE]
     black_map, _ = dimer._vertex_maps[BLACK]
-    n = dimer.denominator
     points = [p.vertices for p in dimer.polytopes]
-    centroids = []  # the vertex centroid of each polygon
+    scale = math.lcm(*map(len, points))  # D / N
+    arms = []  # per polygon, each vertex minus the polygon's vertex centroid, over D
     for pts in points:
-        k = n * len(pts)
-        centroids.append(Vec2(Fraction(sum(x for x, _ in pts), k), Fraction(sum(y for _, y in pts), k)))
+        k = scale // len(pts)
+        cx, cy = k * sum(x for x, _ in pts), k * sum(y for _, y in pts)
+        arms.append([(scale * x - cx, scale * y - cy) for x, y in pts])
     edges = []
     for t in sorted(white_map):
         wi, wk = white_map[t]
         bi, bk = black_map[t]
-        (wx, wy), (bx, by) = points[wi][wk], points[bi][bk]
-        # (white lift - white centroid) + (black centroid - black lift)
-        disp = Vec2(Fraction(wx - bx, n), Fraction(wy - by, n)) - centroids[wi] + centroids[bi]
-        edges.append(DimerEdge(wi, bi, t, (wx, wy), (bx, by), disp))
+        # (white lift - white centroid) - (black lift - black centroid)
+        (wx, wy), (bx, by) = arms[wi][wk], arms[bi][bk]
+        edges.append(DimerEdge(wi, bi, t, points[wi][wk], points[bi][bk], (wx - bx, wy - by)))
     return DimerGraph(
         tuple(dimer.indices(WHITE)),
         tuple(dimer.indices(BLACK)),
         tuple(edges),
+        dimer.denominator * scale,
     )
 
 

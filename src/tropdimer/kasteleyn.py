@@ -1,7 +1,9 @@
 """Exact Laurent-polynomial algebra and the Kasteleyn matrix of a dual dimer.
 
 Matrix entries are holonomy monomials z^delta where delta is the lift
-displacement white-centroid -> shared vertex -> black-centroid.  The
+displacement white-centroid -> shared vertex -> black-centroid.  Every
+exponent is a pair of integer numerators over the graph's denominator D
+(``DimerGraph.denominator``); only ``format_laurent`` divides by D.  The
 determinant (the partition function) is computed by cofactor expansion
 over the Laurent ring; perfect-matching enumeration provides an
 independent oracle for its terms.
@@ -12,45 +14,53 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .lattice import ORIGIN, Vec2
 from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
 
 
 @dataclass(frozen=True)
 class LaurentPolynomial:
-    terms: tuple  # sorted tuple of (exponent: Vec2, coefficient: Rat), no zeros
+    """A Laurent polynomial in z1, z2 whose exponents are integer pairs
+    (x, y) standing for (x/D, y/D), D = ``denominator``."""
+
+    terms: tuple  # sorted tuple of (exponent, coefficient), no zeros
+    denominator: int = 1
 
     def __post_init__(self):
-        items = self.terms
-        if isinstance(items, dict):
-            items = items.items()
-        items = tuple(sorted((a, Fraction(c)) for a, c in items if c != 0))
-        object.__setattr__(self, "terms", items)
+        object.__setattr__(self, "terms", tuple(sorted((a, c) for a, c in self.terms if c != 0)))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _over(self, other: "LaurentPolynomial") -> int:
+        """The common denominator; exponents over different ones do not mix."""
+        if self.denominator != other.denominator:
+            raise ValueError("exponents over different denominators do not mix")
+        return self.denominator
+
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        den = self._over(other)
         acc = dict(self.terms)
         for a, c in other.terms:
-            acc[a] = acc.get(a, Fraction(0)) + c
-        return LaurentPolynomial(tuple(acc.items()))
+            acc[a] = acc.get(a, 0) + c
+        return LaurentPolynomial(tuple(acc.items()), den)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((a, -c) for a, c in self.terms))
+        return LaurentPolynomial(tuple((a, -c) for a, c in self.terms), self.denominator)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        den = self._over(other)
         acc: dict = {}
-        for a, c in self.terms:
-            for b, d in other.terms:
-                key = a + b
-                acc[key] = acc.get(key, Fraction(0)) + c * d
-        return LaurentPolynomial(tuple(acc.items()))
+        for (ax, ay), c in self.terms:
+            for (bx, by), d in other.terms:
+                key = (ax + bx, ay + by)
+                acc[key] = acc.get(key, 0) + c * d
+        return LaurentPolynomial(tuple(acc.items()), den)
 
     def normalized(self) -> "LaurentPolynomial":
         """Shift exponents so the componentwise minimum is (0,0).
@@ -60,24 +70,15 @@ class LaurentPolynomial:
         """
         if self.is_zero:
             return self
-        mx = min(a.x for a, _ in self.terms)
-        my = min(a.y for a, _ in self.terms)
-        shift = Vec2(-mx, -my)
-        return LaurentPolynomial(tuple((a + shift, c) for a, c in self.terms))
+        mx = min(x for (x, _), _ in self.terms)
+        my = min(y for (_, y), _ in self.terms)
+        shifted = tuple(((x - mx, y - my), c) for (x, y), c in self.terms)
+        return LaurentPolynomial(shifted, self.denominator)
 
 
-ZERO = LaurentPolynomial(())
-ONE = LaurentPolynomial(((Vec2(0, 0), Fraction(1)),))
-
-
-def monomial(exponent: Vec2, coefficient=1) -> LaurentPolynomial:
-    return LaurentPolynomial(((exponent, Fraction(coefficient)),))
-
-
-def _format_power(name: str, e: Fraction) -> str:
-    if e == 1:
-        return name
-    return f"{name}^{e}"
+def monomial(exponent: tuple, coefficient=1, denominator: int = 1) -> LaurentPolynomial:
+    """coefficient * z^(exponent / denominator)."""
+    return LaurentPolynomial(((tuple(exponent), coefficient),), denominator)
 
 
 def format_laurent(p: LaurentPolynomial) -> str:
@@ -87,16 +88,15 @@ def format_laurent(p: LaurentPolynomial) -> str:
         return "0"
 
     def order(item):
-        a, _ = item
-        return (not (a.x == 0 and a.y == 0), (-a.x, -a.y))
+        (x, y), _ = item
+        return ((x, y) != (0, 0), (-x, -y))
 
     parts = []
-    for a, c in sorted(p.terms, key=order):
+    for (x, y), c in sorted(p.terms, key=order):
         factors = []
-        if a.x != 0:
-            factors.append(_format_power("z1", a.x))
-        if a.y != 0:
-            factors.append(_format_power("z2", a.y))
+        for name, e in (("z1", Fraction(x, p.denominator)), ("z2", Fraction(y, p.denominator))):
+            if e != 0:
+                factors.append(name if e == 1 else f"{name}^{e}")
         mag = abs(c)
         if not factors:
             body = str(mag)
@@ -112,28 +112,11 @@ def format_laurent(p: LaurentPolynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# gauges
+# gauges: a gauge maps a polytope index to the integer exponent pair of the
+# monomial its row or column is multiplied by (scaled by D where applied);
+# indices it leaves out keep exponent 0.
 
-
-@dataclass(frozen=True)
-class Gauge:
-    """Per-row and per-column monomial rescaling (coefficient 1)."""
-
-    row_exponents: tuple  # (white index, Vec2)
-    col_exponents: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", dict(self.row_exponents))
-        object.__setattr__(self, "_cols", dict(self.col_exponents))
-
-    def row(self, w: int) -> Vec2:
-        return self._rows.get(w, ORIGIN)
-
-    def col(self, b: int) -> Vec2:
-        return self._cols.get(b, ORIGIN)
-
-
-TRIVIAL_GAUGE = Gauge((), ())
+IDENTITY_GAUGE = MappingProxyType({})
 
 
 def gauge_seed(name: str):
@@ -150,27 +133,25 @@ def gauge_seed(name: str):
     raise ValueError(f"unknown gauge {name!r}")
 
 
-def make_gauge(graph: DimerGraph, name: str) -> Gauge:
+def make_gauge(graph: DimerGraph, name: str):
     """`paper` and `trivial` are the identity gauge; `random:<seed>` draws
-    integer exponents deterministically from the seed."""
+    integer exponents deterministically from the seed, whites first."""
     seed = gauge_seed(name)
     if seed is None:
-        return TRIVIAL_GAUGE
+        return IDENTITY_GAUGE
     rng = random.Random(seed)
-    rows = tuple(
-        (w, Vec2(rng.randint(-3, 3), rng.randint(-3, 3))) for w in graph.whites
-    )
-    cols = tuple(
-        (b, Vec2(rng.randint(-3, 3), rng.randint(-3, 3))) for b in graph.blacks
-    )
-    return Gauge(rows, cols)
+    return {i: (rng.randint(-3, 3), rng.randint(-3, 3)) for i in graph.whites + graph.blacks}
 
 
 def edge_monomial(
-    graph: DimerGraph, edge, gauge: Gauge = TRIVIAL_GAUGE, sign: int = 1
+    graph: DimerGraph, edge, gauge=IDENTITY_GAUGE, sign: int = 1
 ) -> LaurentPolynomial:
     """sign * z^(displacement + row exponent + column exponent)."""
-    return monomial(edge.displacement + gauge.row(edge.white) + gauge.col(edge.black), sign)
+    d = graph.denominator
+    x, y = edge.displacement
+    wx, wy = gauge.get(edge.white, (0, 0))
+    bx, by = gauge.get(edge.black, (0, 0))
+    return monomial((x + d * (wx + bx), y + d * (wy + by)), sign, d)
 
 
 # ---------------------------------------------------------------------------
@@ -228,41 +209,39 @@ class KasteleynMatrix:
     rows: tuple  # white polytope indices
     cols: tuple  # black polytope indices
     entries: tuple  # row-major tuple of LaurentPolynomial
-
-    @property
-    def is_square(self) -> bool:
-        return len(self.rows) == len(self.cols)
-
-    def entry(self, i: int, j: int) -> LaurentPolynomial:
-        return self.entries[i * len(self.cols) + j]
+    denominator: int  # D of every entry's exponents
 
 
-def kasteleyn_matrix(dimer: DualDimer, gauge: Gauge = TRIVIAL_GAUGE) -> KasteleynMatrix:
+def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
     graph = build_graph(dimer)
-    signs = kasteleyn_signs(dimer)
-    rows = graph.whites
-    cols = graph.blacks
-    grid = {(w, b): ZERO for w in rows for b in cols}
-    for idx, e in enumerate(graph.edges):
-        term = edge_monomial(graph, e, gauge, signs[idx])
-        grid[(e.white, e.black)] = grid[(e.white, e.black)] + term
-    entries = tuple(grid[(w, b)] for w in rows for b in cols)
-    return KasteleynMatrix(tuple(rows), tuple(cols), entries)
+    zero = LaurentPolynomial((), graph.denominator)
+    grid: dict = {}
+    for e, sign in zip(graph.edges, kasteleyn_signs(dimer)):
+        key = (e.white, e.black)
+        grid[key] = grid.get(key, zero) + edge_monomial(graph, e, gauge, sign)
+    entries = tuple(grid.get((w, b), zero) for w in graph.whites for b in graph.blacks)
+    return KasteleynMatrix(graph.whites, graph.blacks, entries, graph.denominator)
 
 
 def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
-    """Exact determinant by cofactor expansion; the zero polynomial for a
-    non-square matrix (callers surface the "non-square" note)."""
-    if not m.is_square:
-        return ZERO
+    """Exact determinant by cofactor expansion.
+
+    A non-square matrix gives the zero polynomial, which is the partition
+    function of a graph with no perfect matching: the `kasteleyn` command
+    prints it as `0`.
+    """
+    zero = LaurentPolynomial((), m.denominator)
     n = len(m.rows)
+    if n != len(m.cols):
+        return zero
+    one = monomial((0, 0), 1, m.denominator)
 
     def expand(row: int, cols: tuple) -> LaurentPolynomial:
         if not cols:
-            return ONE
-        acc = ZERO
+            return one
+        acc = zero
         for k, j in enumerate(cols):
-            entry = m.entry(row, j)
+            entry = m.entries[row * n + j]
             if entry.is_zero:
                 continue
             sub = expand(row + 1, cols[:k] + cols[k + 1 :])
@@ -304,8 +283,8 @@ def enumerate_matchings(graph: DimerGraph):
     return sorted(out)
 
 
-def boltzmann_monomial(graph: DimerGraph, matching, gauge: Gauge = TRIVIAL_GAUGE) -> LaurentPolynomial:
-    acc = ONE
+def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> LaurentPolynomial:
+    acc = monomial((0, 0), 1, graph.denominator)
     for idx in matching:
         acc = acc * edge_monomial(graph, graph.edges[idx], gauge)
     return acc

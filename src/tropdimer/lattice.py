@@ -1,11 +1,11 @@
 """Exact rational lattice geometry on R^2 and the torus T^2 = R^2/Z^2.
 
 The primitives here carry ``fractions.Fraction`` coordinates: they are the
-working type of tropical curves, Kasteleyn exponents and base diagrams.
-Dimer polygons are integer numerators over the dimer's denominator (see
-``dimer``); ``convex_hull`` works on such integer points.  There is no
-floating point anywhere in the core, so every comparison made by callers
-is exact.
+working type of tropical curves and base diagrams.  Dimer polygons and
+Kasteleyn exponents are integer numerators over their own denominators
+(see ``dimer``, ``kasteleyn``); ``convex_hull`` works on integer points.
+There is no floating point anywhere in the core, so every comparison made
+by callers is exact.
 """
 
 from __future__ import annotations

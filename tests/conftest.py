@@ -33,6 +33,20 @@ def unimodular_image(dimer: DualDimer, rng: random.Random) -> DualDimer:
     return DualDimer(n, polytopes)
 
 
+def cover(dimer: DualDimer, kx: int, ky: int) -> DualDimer:
+    """The kx-by-ky torus cover rescaled to the unit torus, the map of the
+    benchmark ladder: copy (i, j) of numerators (x, y) over N becomes
+    ((x + N i) ky, (y + N j) kx) over N kx ky, copies in (i, j) order."""
+    n = dimer.denominator
+    polytopes = tuple(
+        Polytope(p.color, [((x + n * i) * ky, (y + n * j) * kx) for x, y in p.vertices])
+        for i in range(kx)
+        for j in range(ky)
+        for p in dimer.polytopes
+    )
+    return DualDimer(n * kx * ky, polytopes)
+
+
 @pytest.fixture
 def honeycomb():
     return catalog.build("honeycomb")

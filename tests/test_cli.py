@@ -215,6 +215,24 @@ def test_color_env_toggles_ansi(capsys, monkeypatch):
     assert "\x1b[" not in out
 
 
+def test_unknown_catalog_name_is_usage_error(capsys):
+    for argv in (["catalog", "nope"], ["validate", "catalog:nope"], ["kasteleyn", "catalog:nope"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and not out
+        assert "'nope'" in err
+
+
+def test_outer_depth_is_parsed_at_parse_time(capsys):
+    for depth in ("1/0", "abc", ""):
+        code, out, err = invoke(capsys, "atf", "outer", "cp2", "--depth", depth)
+        assert code == 2 and not out
+        assert f"invalid depth {depth!r}" in err
+    code, out, _ = invoke(capsys, "atf", "outer", "cp2", "--depth", "1/3")
+    assert code == 0 and out.startswith("outer torus:")
+    code, _, err = invoke(capsys, "atf", "outer", "cp2", "--depth", "0")
+    assert code == 1 and "out of range" in err
+
+
 def test_atf_round_trip_via_cli(capsys):
     code, out, _ = invoke(capsys, "atf", "exchange", "cp2")
     assert code == 0

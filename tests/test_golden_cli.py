@@ -23,10 +23,13 @@ GOLDEN = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
 
 def test_corpus_covers_every_entry_form_and_command():
     expected = len(catalog.NAMES) * len(cli_corpus.FORMS) * len(cli_corpus.commands())
+    expected += (
+        len(cli_corpus.COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.kasteleyn_commands())
+    )
     assert len(GOLDEN) == expected
 
 
-@pytest.mark.parametrize("name", catalog.NAMES)
+@pytest.mark.parametrize("name", catalog.NAMES + cli_corpus.COVERS)
 def test_cli_output_matches_golden_digest(name):
     got = cli_corpus.corpus([name])
     want = {k: v for k, v in GOLDEN.items() if k.split(" ", 1)[0].split(":", 1)[1] == name}

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cover
 from tropdimer import catalog
 from tropdimer.dimer import build_graph
 from tropdimer.kasteleyn import (
@@ -17,9 +18,6 @@ from tropdimer.kasteleyn import (
     monomial,
     novikov_necessary_condition,
 )
-from tropdimer.lattice import Vec2
-
-V = Vec2
 
 SQUARE_NAMES = [
     n
@@ -27,20 +25,38 @@ SQUARE_NAMES = [
     if len(catalog.build(n).indices("white")) == len(catalog.build(n).indices("black"))
 ]
 
+# ``<name>@<kx>x<ky>``: the kx-by-ky cover of a catalog entry
+COVER_NAMES = ["honeycomb@2x2", "cp2-seed@2x2", "p1p1-seed@2x2", "bl1-seed@1x2", "bl2-seed@1x2"]
+
+
+def subject(name: str):
+    """The catalog entry, or the cover, that ``name`` names."""
+    base, _, size = name.partition("@")
+    if not size:
+        return catalog.build(base)
+    kx, ky = (int(k) for k in size.split("x"))
+    return cover(catalog.build(base), kx, ky)
+
+
+def rational_terms(p: LaurentPolynomial) -> dict:
+    """{(x/D, y/D): coefficient}, comparable across denominators."""
+    d = p.denominator
+    return {(Fraction(x, d), Fraction(y, d)): c for (x, y), c in p.terms}
+
 
 def test_laurent_arithmetic_is_exact():
-    p = monomial(V(1, 0)) + monomial(V(0, 1), Fraction(1, 3))
+    p = monomial((1, 0)) + monomial((0, 1), Fraction(1, 3))
     q = p * p
-    assert dict(q.terms)[V(0, 2)] == Fraction(1, 9)
+    assert dict(q.terms)[(0, 2)] == Fraction(1, 9)
     assert (p - p).is_zero
 
 
 def test_format_constant_first_then_lex_descending():
     p = (
-        monomial(V(0, 0), 3)
-        - monomial(V(1, 0))
-        - monomial(V(0, 1))
-        - monomial(V(-1, -1))
+        monomial((0, 0), 3)
+        - monomial((1, 0))
+        - monomial((0, 1))
+        - monomial((-1, -1))
     )
     assert format_laurent(p) == "3 - z1 - z2 - z1^-1*z2^-1"
     assert format_laurent(LaurentPolynomial(())) == "0"
@@ -51,13 +67,22 @@ def test_honeycomb_partition_function(honeycomb):
     assert format_laurent(det) == "3 - z1 - z2 - z1^-1*z2^-1"
 
 
-def test_gauge_changes_shift_exponents_only(honeycomb):
-    graph = build_graph(honeycomb)
-    base = determinant(kasteleyn_matrix(honeycomb)).normalized()
-    for seed in range(5):
-        gauge = make_gauge(graph, f"random:{seed}")
-        det = determinant(kasteleyn_matrix(honeycomb, gauge)).normalized()
-        assert det == base
+def test_gauge_changes_shift_exponents_only():
+    for name in SQUARE_NAMES + COVER_NAMES:
+        dimer = subject(name)
+        graph = build_graph(dimer)
+        base = determinant(kasteleyn_matrix(dimer)).normalized()
+        for seed in range(5):
+            gauge = make_gauge(graph, f"random:{seed}")
+            det = determinant(kasteleyn_matrix(dimer, gauge)).normalized()
+            assert det == base, (name, seed)
+
+
+def test_mixed_exponent_denominators_are_refused():
+    p, q = monomial((1, 0), 1, 2), monomial((1, 0), 1, 3)
+    for combine in (p.__add__, p.__sub__, p.__mul__):
+        with pytest.raises(ValueError, match="different denominators"):
+            combine(q)
 
 
 def test_unknown_gauge_rejected(honeycomb):
@@ -78,9 +103,29 @@ def test_boltzmann_monomials_match_determinant_support(honeycomb):
         assert c == 1 and a in exps
 
 
-@pytest.mark.parametrize("name", SQUARE_NAMES)
+@pytest.mark.parametrize("name", SQUARE_NAMES + COVER_NAMES)
 def test_determinant_counts_matchings(name):
-    assert det_matches_matchings(catalog.build(name))
+    assert det_matches_matchings(subject(name))
+
+
+@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "p1p1-seed"])
+def test_two_by_two_cover_determinant_is_product_over_sign_twists(name):
+    """Kenyon-Okounkov-Sheffield: the normalized determinant of the 2x2 cover
+    is +-prod P(s1 z1^(1/2), s2 z2^(1/2)) over s in {+1,-1}^2, P normalized."""
+    base = determinant(kasteleyn_matrix(catalog.build(name))).normalized()
+    d = base.denominator
+    assert all(x % d == 0 and y % d == 0 for (x, y), _ in base.terms)
+    product = monomial((0, 0), 1, 2)  # exponents over 2
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            twisted = [
+                ((x // d, y // d), c * s1 ** (x // d) * s2 ** (y // d))
+                for (x, y), c in base.terms
+            ]
+            product = product * LaurentPolynomial(twisted, 2)
+    got = rational_terms(determinant(kasteleyn_matrix(subject(f"{name}@2x2"))).normalized())
+    want = rational_terms(product.normalized())
+    assert got in (want, {a: -c for a, c in want.items()})
 
 
 @pytest.mark.parametrize("name", SQUARE_NAMES)
