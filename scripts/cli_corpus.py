@@ -2,11 +2,11 @@
 """Golden digests of the dimer subcommands' output.
 
 Runs ``tropdimer.cli.run`` in-process for every dimer subcommand on every
-catalog entry, and for ``kasteleyn`` on a few torus covers of them (larger
-matrices, and exponents over larger denominators), once on the canonical
-document and once on a fixed integer lift of each polytope, and records the
-sha256 of exit code, stdout and stderr per command line into
-``tests/golden_cli.json``.  The check is
+catalog entry, and for ``kasteleyn`` and ``matchings`` on a few torus covers
+of them (larger matrices, and exponents over larger denominators), once on
+the canonical document and once on a fixed integer lift of each polytope,
+and records the sha256 of exit code, stdout and stderr per command line
+into ``tests/golden_cli.json``.  The check is
 ``python -m pytest tests/test_golden_cli.py``, which compares the current
 digests against that file.
 
@@ -53,9 +53,14 @@ def commands():
 
 
 def kasteleyn_commands():
-    """The `kasteleyn` argument lists, one per gauge; the only ones run on
-    the covers."""
+    """The `kasteleyn` argument lists, one per gauge."""
     return [["kasteleyn", "{input}", "--gauge", gauge] for gauge in GAUGES]
+
+
+def cover_commands():
+    """The argument lists run on the covers: `kasteleyn` in every gauge and
+    `matchings`, plain and `--json`."""
+    return kasteleyn_commands() + [["matchings", "{input}"], ["matchings", "{input}", "--json"]]
 
 
 def document(entry: str) -> dict:
@@ -114,7 +119,7 @@ def corpus(names=catalog.NAMES + COVERS) -> dict:
                     canonical = pathlib.Path(tmp) / f"{name}.json"
                     canonical.write_text(json.dumps(document(name)))
                     sources["canonical"] = str(canonical)
-                    argvs = kasteleyn_commands()
+                    argvs = cover_commands()
                 for form in FORMS:
                     for argv in argvs:
                         key = " ".join([f"{form}:{name}"] + argv[:1] + argv[2:])

@@ -277,6 +277,14 @@ class DimerEdge:
         return f"w{self.white}-b{self.black}@{self.anchor[0]},{self.anchor[1]}"
 
 
+def edge_weight(weights, edge_id: str) -> Fraction:
+    """The weight of the edge named ``edge_id``; ValueError naming the edge
+    when ``weights`` has none."""
+    if edge_id not in weights:
+        raise ValueError(f"no weight for edge {edge_id}")
+    return Fraction(weights[edge_id])
+
+
 @dataclass(frozen=True)
 class DimerGraph:
     whites: tuple  # polytope indices

@@ -4,9 +4,9 @@ Matrix entries are holonomy monomials z^delta where delta is the lift
 displacement white-centroid -> shared vertex -> black-centroid.  Every
 exponent is a pair of integer numerators over the graph's denominator D
 (``DimerGraph.denominator``); only ``format_laurent`` divides by D.  The
-determinant (the partition function) is computed by cofactor expansion
-over the Laurent ring; perfect-matching enumeration provides an
-independent oracle for its terms.
+determinant (the partition function) and the perfect matchings are read
+from one walk over the transversals of the matrix, so the cost of either
+grows with the number of perfect matchings.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
+from .dimer import DimerGraph, DualDimer, build_graph, edge_weight, faces, validate
 
 
 @dataclass(frozen=True)
@@ -172,14 +172,14 @@ def kasteleyn_signs(dimer: DualDimer):
     if validate(dimer).self_intersecting:
         return [1] * n
 
+    # one int per face: bit c is edge c, bit n the right-hand side
     rows = []
     for face in faces(dimer):
-        vec = [0] * (n + 1)
-        for idx in face.edge_indices:
-            vec[idx] ^= 1
         k = len(face.edge_indices) // 2
-        vec[n] = (k + 1) % 2
-        rows.append(vec)
+        row = (k + 1) % 2 << n
+        for idx in face.edge_indices:
+            row ^= 1 << idx
+        rows.append(row)
 
     # Gaussian elimination over GF(2); free variables are set to zero, so
     # the assignment is deterministic and is all-positive whenever that
@@ -187,20 +187,21 @@ def kasteleyn_signs(dimer: DualDimer):
     pivots = []
     r = 0
     for c in range(n):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        bit = 1 << c
+        sel = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
         pivots.append((r, c))
         r += 1
-    if any(row[n] for row in rows[r:]):
+    if any(row >> n for row in rows[r:]):
         raise ValueError("no consistent sign assignment exists")
     x = [0] * n
     for i, c in pivots:
-        x[c] = rows[i][n]
+        x[c] = rows[i] >> n
     return [(-1) ** b for b in x]
 
 
@@ -223,33 +224,58 @@ def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
     return KasteleynMatrix(graph.whites, graph.blacks, entries, graph.denominator)
 
 
+# ---------------------------------------------------------------------------
+# the transversal walk
+
+
+def _transversals(options):
+    """Yield (parity, payloads) for every transversal of ``options``.
+
+    ``options`` holds one list of (column, payload) pairs per row; a
+    transversal picks one pair per row, no column twice, and ``parity`` is
+    that of the permutation row -> column.  Used columns are a bitmask; the
+    used columns above the chosen one are the inversions it adds.
+    """
+    n = len(options)
+    chosen = [None] * n
+
+    def walk(row, used, parity):
+        if row == n:
+            yield parity, tuple(chosen)
+            return
+        for col, payload in options[row]:
+            if used >> col & 1:
+                continue
+            chosen[row] = payload
+            yield from walk(row + 1, used | 1 << col, parity ^ ((used >> col).bit_count() & 1))
+
+    return walk(0, 0, 0)
+
+
 def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
-    """Exact determinant by cofactor expansion.
+    """Exact determinant as the Leibniz sum: one signed product of entry
+    terms per transversal of the nonzero entries, summed by exponent.
 
     A non-square matrix gives the zero polynomial, which is the partition
     function of a graph with no perfect matching: the `kasteleyn` command
     prints it as `0`.
     """
-    zero = LaurentPolynomial((), m.denominator)
     n = len(m.rows)
     if n != len(m.cols):
-        return zero
-    one = monomial((0, 0), 1, m.denominator)
-
-    def expand(row: int, cols: tuple) -> LaurentPolynomial:
-        if not cols:
-            return one
-        acc = zero
-        for k, j in enumerate(cols):
-            entry = m.entries[row * n + j]
-            if entry.is_zero:
-                continue
-            sub = expand(row + 1, cols[:k] + cols[k + 1 :])
-            term = entry * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
-    return expand(0, tuple(range(n)))
+        return LaurentPolynomial((), m.denominator)
+    options = [
+        [(j, term) for j in range(n) for term in m.entries[i * n + j].terms] for i in range(n)
+    ]
+    acc: dict = {}
+    for parity, terms in _transversals(options):
+        x = y = 0
+        coeff = -1 if parity else 1
+        for (dx, dy), c in terms:
+            x += dx
+            y += dy
+            coeff *= c
+        acc[x, y] = acc.get((x, y), 0) + coeff
+    return LaurentPolynomial(tuple(acc.items()), m.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +283,17 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
 
 
 def enumerate_matchings(graph: DimerGraph):
-    """All perfect matchings by backtracking, in sorted canonical order.
+    """All perfect matchings, in sorted canonical order.
 
-    Each matching is a tuple of indices into ``graph.edges``.
+    Each matching is a sorted tuple of indices into ``graph.edges``.
     """
     if len(graph.whites) != len(graph.blacks):
         return []
-    by_white: dict = {w: [] for w in graph.whites}
+    options = {w: [] for w in graph.whites}  # a black's index is its column
     for idx, e in enumerate(graph.edges):
-        by_white[e.white].append(idx)
-    whites = sorted(graph.whites)
-    out = []
-
-    def place(k: int, used_blacks: frozenset, chosen: tuple):
-        if k == len(whites):
-            out.append(tuple(sorted(chosen)))
-            return
-        for idx in by_white[whites[k]]:
-            b = graph.edges[idx].black
-            if b in used_blacks:
-                continue
-            place(k + 1, used_blacks | {b}, chosen + (idx,))
-
-    place(0, frozenset(), ())
-    return sorted(out)
+        options[e.white].append((e.black, idx))
+    walk = _transversals(list(options.values()))
+    return sorted(tuple(sorted(matching)) for _, matching in walk)
 
 
 def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> LaurentPolynomial:
@@ -290,42 +303,14 @@ def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> Lau
     return acc
 
 
-def det_matches_matchings(dimer: DualDimer) -> bool:
-    """Oracle check: the determinant counts perfect matchings.
-
-    True iff the determinant's exponent set equals the set of Boltzmann
-    monomials and each |coefficient| equals the number of matchings with
-    that monomial (signs are not fixed by any convention here), hence
-    also sum |coefficients| = matching count.
-    """
-    graph = build_graph(dimer)
-    if len(graph.whites) != len(graph.blacks):
-        return False
-    det = determinant(kasteleyn_matrix(dimer))
-    counts: dict = {}
-    for matching in enumerate_matchings(graph):
-        mono = boltzmann_monomial(graph, matching)
-        (exp, coeff), = mono.terms
-        assert coeff == 1
-        counts[exp] = counts.get(exp, 0) + 1
-    det_counts = {a: abs(c) for a, c in det.terms}
-    return det_counts == counts
-
-
 def novikov_necessary_condition(dimer: DualDimer, weights) -> bool:
     """Whether the minimal total Novikov weight over perfect matchings is
     attained at least twice (necessary for a nonzero kernel element)."""
     graph = build_graph(dimer)
     totals = []
     for matching in enumerate_matchings(graph):
-        total = Fraction(0)
-        for idx in matching:
-            w = Fraction(weights[graph.edges[idx].edge_id])
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            total += w
-        totals.append(total)
-    if not totals:
-        return False
-    lo = min(totals)
-    return totals.count(lo) >= 2
+        ws = [edge_weight(weights, graph.edges[idx].edge_id) for idx in matching]
+        if any(w < 0 for w in ws):
+            raise ValueError("weights must be nonnegative")
+        totals.append(sum(ws))
+    return len(totals) >= 2 and totals.count(min(totals)) >= 2

@@ -25,6 +25,7 @@ from .dimer import (
     DualDimer,
     Polytope,
     build_graph,
+    edge_weight,
     faces,
     validate,
     zigzag_paths,
@@ -66,7 +67,7 @@ def cycle_weight(graph, cycle, weights) -> Fraction:
             raise ValueError("walk is not closed")
     total = Fraction(0)
     for idx, sign in cycle:
-        w = Fraction(weights[graph.edges[idx].edge_id])
+        w = edge_weight(weights, graph.edges[idx].edge_id)
         total += -w if sign > 0 else w
     return total
 
@@ -104,6 +105,9 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
     if face not in all_faces:
         raise ValueError("face not found")
     graph = build_graph(dimer)
+    unknown = sorted(set(weights) - {e.edge_id for e in graph.edges})
+    if unknown:
+        raise ValueError(f"weight for unknown edge {unknown[0]}")
     if cycle_weight(graph, list(zip(face.edge_indices, face.orientations)), weights) != 0:
         raise ValueError("face not mutable")
 

@@ -145,6 +145,25 @@ def test_mutate_out_of_range_face(capsys):
     assert code == 1 and "face not found" in err
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({"w0-b3@1,2": [1, 1]}, "no weight for edge w0-b4@0,0"),
+        ({"w0-b3@0,0": [1, 1]}, "weight for unknown edge w0-b3@0,0"),
+        ({"bogus": [0, 1]}, "weight for unknown edge bogus"),
+    ],
+    ids=["missing", "unknown-w0-b3@0,0", "unknown-bogus"],
+)
+def test_mutate_refuses_incomplete_weights(weights, message, tmp_path, capsys):
+    doc = json.loads(catalog.catalog_text("honeycomb"))
+    doc["weights"] = weights
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "mutate", str(path), "--face", "0")
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_fan_and_zigzags_and_euler(capsys):
     code, out, _ = invoke(capsys, "fan", "catalog:honeycomb", "--json")
     assert code == 0

@@ -24,7 +24,7 @@ GOLDEN = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
 def test_corpus_covers_every_entry_form_and_command():
     expected = len(catalog.NAMES) * len(cli_corpus.FORMS) * len(cli_corpus.commands())
     expected += (
-        len(cli_corpus.COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.kasteleyn_commands())
+        len(cli_corpus.COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.cover_commands())
     )
     assert len(GOLDEN) == expected
 

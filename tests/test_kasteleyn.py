@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from tropdimer.dimer import build_graph
 from tropdimer.kasteleyn import (
     LaurentPolynomial,
     boltzmann_monomial,
-    det_matches_matchings,
     determinant,
     enumerate_matchings,
     format_laurent,
@@ -36,6 +36,40 @@ def subject(name: str):
         return catalog.build(base)
     kx, ky = (int(k) for k in size.split("x"))
     return cover(catalog.build(base), kx, ky)
+
+
+def det_matches_matchings(dimer) -> bool:
+    """True iff the determinant's exponent set equals the set of Boltzmann
+    monomials and each |coefficient| equals the number of matchings with
+    that monomial: Kasteleyn signs never cancel two matchings."""
+    graph = build_graph(dimer)
+    if len(graph.whites) != len(graph.blacks):
+        return False
+    det = determinant(kasteleyn_matrix(dimer))
+    counts: dict = {}
+    for matching in enumerate_matchings(graph):
+        ((exp, coeff),) = boltzmann_monomial(graph, matching).terms
+        assert coeff == 1
+        counts[exp] = counts.get(exp, 0) + 1
+    return {a: abs(c) for a, c in det.terms} == counts
+
+
+def leibniz_determinant(m) -> LaurentPolynomial:
+    """sum over permutations p of sign(p) * prod m[i][p(i)], the sign from
+    the inversion count and the products from ``LaurentPolynomial.__mul__``."""
+    n = len(m.rows)
+    one = monomial((0, 0), 1, m.denominator)
+    acc = LaurentPolynomial((), m.denominator)
+    for perm in itertools.permutations(range(n)):
+        factors = [m.entries[i * n + j] for i, j in enumerate(perm)]
+        if any(f.is_zero for f in factors):
+            continue
+        term = one
+        for f in factors:
+            term = term * f
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
 
 
 def rational_terms(p: LaurentPolynomial) -> dict:
@@ -108,6 +142,12 @@ def test_determinant_counts_matchings(name):
     assert det_matches_matchings(subject(name))
 
 
+@pytest.mark.parametrize("name", SQUARE_NAMES + ["p1p1-seed@2x2"])
+def test_determinant_is_leibniz_sum(name):
+    m = kasteleyn_matrix(subject(name))
+    assert determinant(m) == leibniz_determinant(m)
+
+
 @pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "p1p1-seed"])
 def test_two_by_two_cover_determinant_is_product_over_sign_twists(name):
     """Kenyon-Okounkov-Sheffield: the normalized determinant of the 2x2 cover
@@ -150,7 +190,11 @@ def test_novikov_condition(honeycomb):
     graph = build_graph(honeycomb)
     flat = {e.edge_id: Fraction(1) for e in graph.edges}
     assert novikov_necessary_condition(honeycomb, flat)
-    skew = dict(flat)
-    skew[graph.edges[0].edge_id] = Fraction(7)
+    # weight 0 on one matching's edges and 1 elsewhere: a unique minimum
+    (matching, *_) = enumerate_matchings(graph)
+    unique = {e.edge_id: Fraction(0 if i in matching else 1) for i, e in enumerate(graph.edges)}
+    assert not novikov_necessary_condition(honeycomb, unique)
     with pytest.raises(ValueError, match="nonnegative"):
         novikov_necessary_condition(honeycomb, {e.edge_id: Fraction(-1) for e in graph.edges})
+    with pytest.raises(ValueError, match=f"no weight for edge {graph.edges[0].edge_id}$"):
+        novikov_necessary_condition(honeycomb, {})
