@@ -2,9 +2,10 @@
 """Golden digests of the dimer subcommands' output.
 
 Runs ``tropdimer.cli.run`` in-process for every dimer subcommand on every
-catalog entry, and for ``kasteleyn`` and ``matchings`` on a few torus covers
-of them (larger matrices, and exponents over larger denominators), once on
-the canonical document and once on a fixed integer lift of each polytope,
+catalog entry, for ``kasteleyn`` and ``matchings`` on a few torus covers
+of them (larger matrices, and exponents over larger denominators), and for
+``kasteleyn`` alone on larger covers (n = 15 .. 27), once on the canonical
+document and once on a fixed integer lift of each polytope,
 and records the sha256 of exit code, stdout and stderr per command line
 into ``tests/golden_cli.json``.  The check is
 ``python -m pytest tests/test_golden_cli.py``, which compares the current
@@ -36,6 +37,12 @@ GAUGES = ("paper", "trivial", "random:7")
 # at 2x2, and the rational exponents of bl1-seed and bl2-seed at 1x2.
 COVERS = ("honeycomb@2x2", "cp2-seed@2x2", "p1p1-seed@2x2", "bl1-seed@1x2", "bl2-seed@1x2")
 
+# Larger covers, n = 15 .. 27, with too many perfect matchings to list:
+# only `kasteleyn`, in two gauges.
+LARGE_COVERS = ("bl3-seed@1x5", "honeycomb@2x3", "honeycomb@1x6", "honeycomb@3x3")
+
+LARGE_GAUGES = ("paper", "random:7")
+
 
 def commands():
     """Subcommand argument lists, ``{input}`` standing for the document."""
@@ -52,9 +59,9 @@ def commands():
     return out
 
 
-def kasteleyn_commands():
+def kasteleyn_commands(gauges=GAUGES):
     """The `kasteleyn` argument lists, one per gauge."""
-    return [["kasteleyn", "{input}", "--gauge", gauge] for gauge in GAUGES]
+    return [["kasteleyn", "{input}", "--gauge", gauge] for gauge in gauges]
 
 
 def cover_commands():
@@ -103,7 +110,7 @@ def _digest(argv) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def corpus(names=catalog.NAMES + COVERS) -> dict:
+def corpus(names=catalog.NAMES + COVERS + LARGE_COVERS) -> dict:
     """``{"<form>:<entry> <arguments>": sha256}`` for the given entries,
     catalog names or covers."""
     saved = os.environ.pop("TROPDIMER_COLOR", None)
@@ -115,11 +122,11 @@ def corpus(names=catalog.NAMES + COVERS) -> dict:
                 lifted.write_text(lifted_text(name))
                 sources = {"canonical": f"catalog:{name}", "lifted": str(lifted)}
                 argvs = commands()
-                if name in COVERS:
+                if name in COVERS + LARGE_COVERS:
                     canonical = pathlib.Path(tmp) / f"{name}.json"
                     canonical.write_text(json.dumps(document(name)))
                     sources["canonical"] = str(canonical)
-                    argvs = cover_commands()
+                    argvs = cover_commands() if name in COVERS else kasteleyn_commands(LARGE_GAUGES)
                 for form in FORMS:
                     for argv in argvs:
                         key = " ".join([f"{form}:{name}"] + argv[:1] + argv[2:])

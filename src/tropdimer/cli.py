@@ -19,6 +19,7 @@ from .dimer import (
     build_graph,
     dimer_to_tropical_fan,
     faces,
+    unknown_weight_keys,
     validate,
     zigzag_paths,
 )
@@ -236,17 +237,21 @@ def _run(args) -> int:
 
     if args.command == "validate":
         report = validate(dimer)
+        unknown = unknown_weight_keys(build_graph(dimer), weights) if report.ok else []
+        ok = report.ok and not unknown
         if args.json:
             print(json.dumps({
-                "ok": report.ok,
+                "ok": ok,
                 "immersed": report.self_intersecting,
             }))
-        elif report.ok:
+        elif ok:
             print(_color("ok", "32") + (" (immersed)" if report.self_intersecting else ""))
+        elif unknown:
+            print(_color(f"weight for unknown edge {unknown[0]}", "31"))
         else:
             for line in report.lines():
                 print(_color(line, "31"))
-        return 0 if report.ok else 1
+        return 0 if ok else 1
 
     if args.command == "graph":
         graph = build_graph(dimer)

@@ -285,6 +285,11 @@ def edge_weight(weights, edge_id: str) -> Fraction:
     return Fraction(weights[edge_id])
 
 
+def unknown_weight_keys(graph: DimerGraph, weights) -> list:
+    """The keys of ``weights`` that name no edge of ``graph``, sorted."""
+    return sorted(set(weights) - {e.edge_id for e in graph.edges})
+
+
 @dataclass(frozen=True)
 class DimerGraph:
     whites: tuple  # polytope indices

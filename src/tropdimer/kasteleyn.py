@@ -4,13 +4,17 @@ Matrix entries are holonomy monomials z^delta where delta is the lift
 displacement white-centroid -> shared vertex -> black-centroid.  Every
 exponent is a pair of integer numerators over the graph's denominator D
 (``DimerGraph.denominator``); only ``format_laurent`` divides by D.  The
-determinant (the partition function) and the perfect matchings are read
-from one walk over the transversals of the matrix, so the cost of either
-grows with the number of perfect matchings.
+determinant (the partition function) is computed in time polynomial in the
+matrix size n and in the size of its Newton box: a tree gauge makes the
+exponents integers, the tropical determinant bounds them, and exact
+evaluation modulo primes, interpolation and the Chinese remainder theorem
+give the coefficients.  Only ``enumerate_matchings`` walks the transversals
+of the matrix, so its cost grows with the number of perfect matchings.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,61 +229,290 @@ def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the transversal walk
+# the determinant
+
+
+def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
+    """Exact determinant: the partition function of the dimer.
+
+    1. A BFS-tree gauge, shifts reduced mod D, makes every entry exponent
+       an integer pair (a cycle's exponent sum is a homology class) and
+       multiplies the determinant by one monomial, divided out at the end.
+    2. Four assignment problems (the tropical determinant: least and
+       greatest total x and y exponent over the transversals) give a box
+       [x0, x1] x [y0, y1] holding every transversal's monomial.
+    3. Hadamard's inequality with Cauchy's coefficient estimate bounds
+       every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2); primes
+       below 2^61 are taken from 2^61 - 1 down until their product exceeds
+       twice that.
+    4. For each prime, det mod p on the (W1+1) x (W2+1) grid of points
+       (z1, z2) = (1..W1+1, 1..W2+1), W = box width, by sparse elimination.
+    5. Interpolation along z1 and then z2, and the Chinese remainder
+       theorem to balanced integers.
+
+    Entry coefficients must be integers.  The cost is four sparse
+    assignment problems, O(n e log n) for e nonzero entries, plus per prime
+    (W1+1)(W2+1) eliminations of an n x n matrix, O(n^3) at worst and far
+    less on the sparse Kasteleyn matrices of torus graphs, and the
+    interpolation, O(W1 W2 (W1 + W2)).  A non-square matrix, or one with no
+    transversal, gives the zero polynomial, which is the partition function
+    of a graph with no perfect matching: the `kasteleyn` command prints it
+    as `0`.
+    """
+    n, den = len(m.rows), m.denominator
+    zero = LaurentPolynomial((), den)
+    if n != len(m.cols):
+        return zero
+    rows, (sx, sy) = _tree_gauge(m)
+    box = []
+    for k in (0, 1):
+        for sign in (1, -1):  # least total exponent k, then least total of its negation
+            costs = [{j: min(sign * t[k] for t in ts) for j, ts in row.items()} for row in rows]
+            total = _assignment(costs)
+            if total is None:
+                return zero
+            box.append(sign * total)
+    x0, x1, y0, y1 = box
+    bound2 = 1
+    for row in rows:
+        bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
+    xs = {x for row in rows for ts in row.values() for x, _, _ in ts} | {-x0}
+    ys = {y for row in rows for ts in row.values() for _, y, _ in ts} | {-y0}
+    coeffs, modulus = [[0] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)], 1
+    for p in _primes():
+        za = [{x: pow(a, x, p) for x in xs} for a in range(1, x1 - x0 + 2)]
+        zb = [{y: pow(b, y, p) for y in ys} for b in range(1, y1 - y0 + 2)]
+        grid = [[_det_mod(rows, pa, pb, p) * pa[-x0] * pb[-y0] % p for pa in za] for pb in zb]
+        in_z1 = [_interpolate(values, p) for values in grid]  # [b][kx]
+        residues = [_interpolate(column, p) for column in zip(*in_z1)]  # [kx][ky]
+        step = pow(modulus, -1, p)
+        coeffs = [[c + modulus * ((r - c) * step % p) for c, r in zip(cs, rs)]
+                  for cs, rs in zip(coeffs, residues)]
+        modulus *= p
+        if modulus * modulus > 4 * bound2:
+            break
+    terms = [
+        ((den * (x0 + kx) - sx, den * (y0 + ky) - sy), c - modulus if 2 * c > modulus else c)
+        for kx, cs in enumerate(coeffs)
+        for ky, c in enumerate(cs)
+    ]
+    return LaurentPolynomial(tuple(terms), den)
+
+
+def _tree_gauge(m: KasteleynMatrix):
+    """(rows, shift): row i of the gauged matrix as {column: ((x, y, c), ...)}
+    with integer exponents, and the numerator pair over D that the gauge adds
+    to every monomial of the determinant.
+
+    Row and column potentials come from a BFS spanning forest of the
+    support, each chosen mod D so that the forest's entries, on their first
+    term, get exponents divisible by D; then every term's is.
+    """
+    n, den = len(m.rows), m.denominator
+    support = [{j: e.terms for j in range(n) if (e := m.entries[i * n + j]).terms}
+               for i in range(n)]
+    holders = [[] for _ in range(n)]
+    for i, row in enumerate(support):
+        for j in row:
+            holders[j].append(i)
+    row_pot, col_pot = [None] * n, [None] * n
+    for root in range(n):
+        if row_pot[root] is not None:
+            continue
+        row_pot[root] = (0, 0)
+        queue = [root]
+        for i in queue:
+            rx, ry = row_pot[i]
+            for j, terms in support[i].items():
+                if col_pot[j] is not None:
+                    continue
+                (ex, ey), _ = terms[0]
+                cx, cy = col_pot[j] = ((-ex - rx) % den, (-ey - ry) % den)
+                for k in holders[j]:
+                    if row_pot[k] is None:
+                        (ex, ey), _ = support[k][j][0]
+                        row_pot[k] = ((-ex - cx) % den, (-ey - cy) % den)
+                        queue.append(k)
+    col_pot = [pot or (0, 0) for pot in col_pot]  # a column with no entries
+    rows = []
+    for i, row in enumerate(support):
+        gauged = {}
+        for j, terms in row.items():
+            shift_x, shift_y = row_pot[i][0] + col_pot[j][0], row_pot[i][1] + col_pot[j][1]
+            gauged[j] = []
+            for (ex, ey), c in terms:
+                (x, rx), (y, ry) = divmod(ex + shift_x, den), divmod(ey + shift_y, den)
+                if rx or ry:
+                    raise ValueError("entry exponents are not integral up to a gauge")
+                gauged[j].append((x, y, c))
+        rows.append(gauged)
+    shift = tuple(sum(pot[k] for pot in row_pot + col_pot) for k in (0, 1))
+    return rows, shift
+
+
+def _assignment(costs):
+    """The least total cost of a transversal, where ``costs[i]`` maps each
+    column row i may take to an integer cost; None when there is none.
+
+    The Hungarian method with potentials u, v: one Dijkstra search per row
+    on the reduced costs c - u[i] - v[j] >= 0 of the sparse support, then an
+    augmentation along the shortest alternating path.
+    """
+    n = len(costs)
+    u = [min(row.values(), default=0) for row in costs]
+    v = [0] * n
+    match, owner = [None] * n, [None] * n  # row -> column, column -> row
+    for s in range(n):
+        row_dist, col_dist, back = {s: 0}, {}, {}
+        heap, done = [], set()
+        i, d = s, 0
+        while True:
+            for j, c in costs[i].items():
+                nd = d + c - u[i] - v[j]
+                if j not in done and nd < col_dist.get(j, nd + 1):
+                    col_dist[j], back[j] = nd, i
+                    heapq.heappush(heap, (nd, j))
+            while heap and heap[0][1] in done:
+                heapq.heappop(heap)
+            if not heap:
+                return None
+            d, j = heapq.heappop(heap)
+            done.add(j)
+            if owner[j] is None:
+                break
+            i = owner[j]
+            row_dist[i] = d
+        for r, dr in row_dist.items():
+            u[r] += d - dr
+        for c in done:
+            v[c] -= d - col_dist[c]
+        while j is not None:
+            i = back[j]
+            owner[j] = i
+            match[i], j = j, match[i]
+    return sum(costs[i][j] for i, j in enumerate(match))
+
+
+def _primes():
+    """The primes below 2^61, from 2^61 - 1 down: Miller-Rabin on the first
+    twelve prime bases, which is deterministic below 2^64."""
+    p = (1 << 61) - 1
+    while True:
+        d, s = p - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(a, d, p)
+            if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
+                break
+        else:
+            yield p
+        p -= 2
+
+
+def _det_mod(rows, pa: dict, pb: dict, p: int) -> int:
+    """det mod p of the gauged matrix at (z1, z2) = (a, b), given the powers
+    ``pa[x]`` = a^x and ``pb[y]`` = b^y mod p of its exponents.
+
+    Gaussian elimination on sparse dict rows: each step pivots on the
+    remaining row with the fewest entries, at its column held by the fewest
+    remaining rows, and the determinant is the product of the pivots times
+    the sign of the permutation they form.
+    """
+    n = len(rows)
+    left = []
+    holders = [set() for _ in range(n)]  # column -> remaining rows with an entry there
+    for i, row in enumerate(rows):
+        values = {}
+        for j, terms in row.items():
+            value = sum(c * pa[x] * pb[y] for x, y, c in terms) % p
+            if value:
+                values[j] = value
+                holders[j].add(i)
+        left.append(values)
+    remaining = set(range(n))
+    perm = [0] * n
+    det = 1
+    while remaining:
+        i = min(remaining, key=lambda r: len(left[r]))
+        row = left[i]
+        if not row:
+            return 0
+        j = min(row, key=lambda c: len(holders[c]))
+        remaining.discard(i)
+        for c in row:
+            holders[c].discard(i)
+        perm[i] = j
+        pivot = row.pop(j)
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        for r in holders[j]:
+            target = left[r]
+            f = target.pop(j) * inverse % p
+            for c, value in row.items():
+                w = (target.get(c, 0) - f * value) % p
+                if w:
+                    if c not in target:
+                        holders[c].add(r)
+                    target[c] = w
+                else:
+                    del target[c]
+                    holders[c].discard(r)
+        holders[j] = set()
+    seen = [False] * n
+    for start in range(n):  # a cycle of length k is k - 1 transpositions
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            if k != start:
+                det = -det
+    return det % p
+
+
+def _interpolate(values, p: int) -> list:
+    """The coefficients, lowest degree first, of the polynomial of degree
+    below len(values) that takes values[k] at k + 1, mod p: Newton's divided
+    differences, then the Newton form expanded."""
+    c = list(values)
+    k = len(c)
+    for j in range(1, k):
+        inverse = pow(j, -1, p)
+        for i in range(k - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inverse % p
+    poly = [0] * k
+    for i in range(k - 1, -1, -1):  # poly = poly * (z - (i + 1)) + c[i]
+        for t in range(k - 1, 0, -1):
+            poly[t] = (poly[t - 1] - (i + 1) * poly[t]) % p
+        poly[0] = (c[i] - (i + 1) * poly[0]) % p
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# matchings
 
 
 def _transversals(options):
-    """Yield (parity, payloads) for every transversal of ``options``.
+    """Yield the payloads, in row order, of every transversal of ``options``.
 
     ``options`` holds one list of (column, payload) pairs per row; a
-    transversal picks one pair per row, no column twice, and ``parity`` is
-    that of the permutation row -> column.  Used columns are a bitmask; the
-    used columns above the chosen one are the inversions it adds.
+    transversal picks one pair per row, no column twice.  Used columns are
+    a bitmask.
     """
     n = len(options)
     chosen = [None] * n
 
-    def walk(row, used, parity):
+    def walk(row, used):
         if row == n:
-            yield parity, tuple(chosen)
+            yield tuple(chosen)
             return
         for col, payload in options[row]:
             if used >> col & 1:
                 continue
             chosen[row] = payload
-            yield from walk(row + 1, used | 1 << col, parity ^ ((used >> col).bit_count() & 1))
+            yield from walk(row + 1, used | 1 << col)
 
-    return walk(0, 0, 0)
-
-
-def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
-    """Exact determinant as the Leibniz sum: one signed product of entry
-    terms per transversal of the nonzero entries, summed by exponent.
-
-    A non-square matrix gives the zero polynomial, which is the partition
-    function of a graph with no perfect matching: the `kasteleyn` command
-    prints it as `0`.
-    """
-    n = len(m.rows)
-    if n != len(m.cols):
-        return LaurentPolynomial((), m.denominator)
-    options = [
-        [(j, term) for j in range(n) for term in m.entries[i * n + j].terms] for i in range(n)
-    ]
-    acc: dict = {}
-    for parity, terms in _transversals(options):
-        x = y = 0
-        coeff = -1 if parity else 1
-        for (dx, dy), c in terms:
-            x += dx
-            y += dy
-            coeff *= c
-        acc[x, y] = acc.get((x, y), 0) + coeff
-    return LaurentPolynomial(tuple(acc.items()), m.denominator)
-
-
-# ---------------------------------------------------------------------------
-# matchings
+    return walk(0, 0)
 
 
 def enumerate_matchings(graph: DimerGraph):
@@ -293,7 +526,7 @@ def enumerate_matchings(graph: DimerGraph):
     for idx, e in enumerate(graph.edges):
         options[e.white].append((e.black, idx))
     walk = _transversals(list(options.values()))
-    return sorted(tuple(sorted(matching)) for _, matching in walk)
+    return sorted(tuple(sorted(matching)) for matching in walk)
 
 
 def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> LaurentPolynomial:

@@ -27,6 +27,7 @@ from .dimer import (
     build_graph,
     edge_weight,
     faces,
+    unknown_weight_keys,
     validate,
     zigzag_paths,
 )
@@ -105,7 +106,7 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
     if face not in all_faces:
         raise ValueError("face not found")
     graph = build_graph(dimer)
-    unknown = sorted(set(weights) - {e.edge_id for e in graph.edges})
+    unknown = unknown_weight_keys(graph, weights)
     if unknown:
         raise ValueError(f"weight for unknown edge {unknown[0]}")
     if cycle_weight(graph, list(zip(face.edge_indices, face.orientations)), weights) != 0:

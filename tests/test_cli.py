@@ -164,6 +164,17 @@ def test_mutate_refuses_incomplete_weights(weights, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_validate_refuses_unknown_weight(tmp_path, capsys):
+    doc = json.loads(catalog.catalog_text("honeycomb"))
+    doc["weights"] = {"bogus": [0, 1]}
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert (code, out, err) == (1, "weight for unknown edge bogus\n", "")
+    code, out, _ = invoke(capsys, "validate", str(path), "--json")
+    assert code == 1 and json.loads(out) == {"ok": False, "immersed": False}
+
+
 def test_fan_and_zigzags_and_euler(capsys):
     code, out, _ = invoke(capsys, "fan", "catalog:honeycomb", "--json")
     assert code == 0

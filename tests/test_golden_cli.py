@@ -26,10 +26,13 @@ def test_corpus_covers_every_entry_form_and_command():
     expected += (
         len(cli_corpus.COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.cover_commands())
     )
+    expected += (
+        len(cli_corpus.LARGE_COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.LARGE_GAUGES)
+    )
     assert len(GOLDEN) == expected
 
 
-@pytest.mark.parametrize("name", catalog.NAMES + cli_corpus.COVERS)
+@pytest.mark.parametrize("name", catalog.NAMES + cli_corpus.COVERS + cli_corpus.LARGE_COVERS)
 def test_cli_output_matches_golden_digest(name):
     got = cli_corpus.corpus([name])
     want = {k: v for k, v in GOLDEN.items() if k.split(" ", 1)[0].split(":", 1)[1] == name}

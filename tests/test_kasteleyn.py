@@ -7,6 +7,7 @@ from conftest import cover
 from tropdimer import catalog
 from tropdimer.dimer import build_graph
 from tropdimer.kasteleyn import (
+    KasteleynMatrix,
     LaurentPolynomial,
     boltzmann_monomial,
     determinant,
@@ -27,6 +28,17 @@ SQUARE_NAMES = [
 
 # ``<name>@<kx>x<ky>``: the kx-by-ky cover of a catalog entry
 COVER_NAMES = ["honeycomb@2x2", "cp2-seed@2x2", "p1p1-seed@2x2", "bl1-seed@1x2", "bl2-seed@1x2"]
+
+# the covers of the benchmark's `partition` ladder, n = 8 .. 18
+PARTITION_NAMES = [
+    "p1p1-seed@2x2",
+    "cp2-seed@2x2",
+    "honeycomb@2x2",
+    "bl2-seed@1x4",
+    "bl3-seed@1x5",
+    "honeycomb@2x3",
+    "honeycomb@1x6",
+]
 
 
 def subject(name: str):
@@ -70,6 +82,29 @@ def leibniz_determinant(m) -> LaurentPolynomial:
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         acc = acc - term if inversions % 2 else acc + term
     return acc
+
+
+def walk_determinant(m) -> LaurentPolynomial:
+    """The signed sum over the transversals of the nonzero entry terms,
+    walked row by row with a bitmask of used columns; the used columns above
+    the chosen one are the inversions each step adds to the parity."""
+    n = len(m.rows)
+    options = [
+        [(j, term) for j in range(n) for term in m.entries[i * n + j].terms] for i in range(n)
+    ]
+    acc: dict = {}
+
+    def walk(row, used, parity, x, y, coeff):
+        if row == n:
+            acc[x, y] = acc.get((x, y), 0) + (-coeff if parity else coeff)
+            return
+        for col, ((dx, dy), c) in options[row]:
+            if not used >> col & 1:
+                flip = (used >> col).bit_count() & 1
+                walk(row + 1, used | 1 << col, parity ^ flip, x + dx, y + dy, coeff * c)
+
+    walk(0, 0, 0, 0, 0, 1)
+    return LaurentPolynomial(tuple(acc.items()), m.denominator)
 
 
 def rational_terms(p: LaurentPolynomial) -> dict:
@@ -148,11 +183,59 @@ def test_determinant_is_leibniz_sum(name):
     assert determinant(m) == leibniz_determinant(m)
 
 
-@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "p1p1-seed"])
-def test_two_by_two_cover_determinant_is_product_over_sign_twists(name):
-    """Kenyon-Okounkov-Sheffield: the normalized determinant of the 2x2 cover
-    is +-prod P(s1 z1^(1/2), s2 z2^(1/2)) over s in {+1,-1}^2, P normalized."""
-    base = determinant(kasteleyn_matrix(catalog.build(name))).normalized()
+@pytest.mark.parametrize("name", PARTITION_NAMES)
+@pytest.mark.parametrize("gauge", ["trivial", "random:7"])
+def test_determinant_is_walk_sum(name, gauge):
+    dimer = subject(name)
+    m = kasteleyn_matrix(dimer, make_gauge(build_graph(dimer), gauge))
+    assert determinant(m) == walk_determinant(m)
+
+
+def test_honeycomb_three_by_three_coefficients_count_its_matchings():
+    """15,162 is the number of perfect matchings that enumeration finds,
+    too many to enumerate in every test run."""
+    det = determinant(kasteleyn_matrix(subject("honeycomb@3x3")))
+    assert sum(abs(c) for _, c in det.terms) == 15162
+
+
+def _matrix(rows, n_cols) -> KasteleynMatrix:
+    """A matrix of constants, ``rows`` a list of rows of ints."""
+    entries = tuple(LaurentPolynomial((((0, 0), c),)) for row in rows for c in row)
+    return KasteleynMatrix(tuple(range(len(rows))), tuple(range(n_cols)), entries, 1)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        _matrix([[1, 1, 1], [1, 1, 1]], 3),  # not square
+        _matrix([[1, 0, 0], [1, 0, 0], [1, 1, 1]], 3),  # no transversal
+        _matrix([[1, 1], [1, 1]], 2),  # transversals that cancel
+    ],
+    ids=["non-square", "no-transversal", "cancelling"],
+)
+def test_determinant_is_zero_polynomial(m):
+    assert determinant(m).is_zero
+
+
+def test_determinant_lifts_large_coefficients():
+    """Coefficients past 2^61 take several primes and the balanced lift."""
+    big = 2**70 + 1
+    rows = [
+        [[((1, 0), big), ((0, 0), 3)], [((0, 1), -1)], [((0, 0), 1)]],
+        [[((0, 0), 1)], [((-1, 0), -big), ((0, 1), 2)], [((0, 0), big)]],
+        [[((0, -1), 5)], [((0, 0), 1)], [((1, 1), -big)]],
+    ]
+    entries = tuple(LaurentPolynomial(tuple(terms)) for row in rows for terms in row)
+    m = KasteleynMatrix((0, 1, 2), (0, 1, 2), entries, 1)
+    det = determinant(m)
+    assert det == leibniz_determinant(m)
+    assert max(abs(c) for _, c in det.terms) > 2**200
+
+
+def sign_twist_product(base: LaurentPolynomial) -> dict:
+    """``rational_terms`` of prod P(s1 z1^(1/2), s2 z2^(1/2)) over s in
+    {+1,-1}^2, normalized, for P the normalized ``base``."""
+    base = base.normalized()
     d = base.denominator
     assert all(x % d == 0 and y % d == 0 for (x, y), _ in base.terms)
     product = monomial((0, 0), 1, 2)  # exponents over 2
@@ -163,9 +246,35 @@ def test_two_by_two_cover_determinant_is_product_over_sign_twists(name):
                 for (x, y), c in base.terms
             ]
             product = product * LaurentPolynomial(twisted, 2)
+    return rational_terms(product.normalized())
+
+
+@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "p1p1-seed"])
+def test_two_by_two_cover_determinant_is_product_over_sign_twists(name):
+    """Kenyon-Okounkov-Sheffield: the normalized determinant of the 2x2 cover
+    is +-prod P(s1 z1^(1/2), s2 z2^(1/2)) over s in {+1,-1}^2, P normalized."""
+    want = sign_twist_product(determinant(kasteleyn_matrix(catalog.build(name))))
     got = rational_terms(determinant(kasteleyn_matrix(subject(f"{name}@2x2"))).normalized())
-    want = rational_terms(product.normalized())
     assert got in (want, {a: -c for a, c in want.items()})
+
+
+@pytest.mark.parametrize("name", ["honeycomb", "bl3-seed"])
+def test_four_by_four_cover_determinant_is_product_over_sign_twists(name):
+    """The 2x2 cover oracle applied to the 2x2 cover (n = 48): the 2x2 cover
+    of it against the product of its determinant over the four sign twists,
+    up to sign and one substitution z_i -> -z_i, since the Kasteleyn sign
+    class of a cover can differ from the lifted one (bl3-seed needs
+    z1 -> -z1 already at 2x2)."""
+    two = cover(catalog.build(name), 2, 2)
+    want = sign_twist_product(determinant(kasteleyn_matrix(two)))
+    got = rational_terms(determinant(kasteleyn_matrix(cover(two, 2, 2))).normalized())
+    assert all(x.denominator == y.denominator == 1 for x, y in got)
+    substituted = [
+        {(x, y): sign * c * s1 ** int(x) * s2 ** int(y) for (x, y), c in got.items()}
+        for sign in (1, -1)
+        for s1, s2 in ((1, 1), (-1, 1), (1, -1))
+    ]
+    assert want in substituted
 
 
 @pytest.mark.parametrize("name", SQUARE_NAMES)
