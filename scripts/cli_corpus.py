@@ -2,10 +2,12 @@
 """Golden digests of the dimer subcommands' output.
 
 Runs ``tropdimer.cli.run`` in-process for every dimer subcommand on every
-catalog entry, for ``kasteleyn`` and ``matchings`` on a few torus covers
-of them (larger matrices, and exponents over larger denominators), and for
-``kasteleyn`` alone on larger covers (n = 15 .. 27), once on the canonical
-document and once on a fixed integer lift of each polytope,
+catalog entry, for ``validate``, ``kasteleyn`` and ``matchings`` on a few
+torus covers of them (larger matrices, and exponents over larger
+denominators), for ``validate`` and ``kasteleyn`` on larger covers
+(n = 15 .. 27), and for ``validate`` alone on covers of the immersed
+entries, once on the canonical document and once on a fixed integer lift
+of each polytope,
 and records the sha256 of exit code, stdout and stderr per command line
 into ``tests/golden_cli.json``.  The check is
 ``python -m pytest tests/test_golden_cli.py``, which compares the current
@@ -38,10 +40,14 @@ GAUGES = ("paper", "trivial", "random:7")
 COVERS = ("honeycomb@2x2", "cp2-seed@2x2", "p1p1-seed@2x2", "bl1-seed@1x2", "bl2-seed@1x2")
 
 # Larger covers, n = 15 .. 27, with too many perfect matchings to list:
-# only `kasteleyn`, in two gauges.
+# only `validate` and `kasteleyn`, in two gauges.
 LARGE_COVERS = ("bl3-seed@1x5", "honeycomb@2x3", "honeycomb@1x6", "honeycomb@3x3")
 
 LARGE_GAUGES = ("paper", "random:7")
+
+# Covers of the immersed entries: only `validate`, which reports them
+# immersed ("ok (immersed)", `"immersed": true`).
+IMMERSED_COVERS = ("pants-min@2x2", "immersed-hexagon@2x2")
 
 
 def commands():
@@ -64,10 +70,33 @@ def kasteleyn_commands(gauges=GAUGES):
     return [["kasteleyn", "{input}", "--gauge", gauge] for gauge in gauges]
 
 
+def validate_commands():
+    """The `validate` argument lists, plain and `--json`."""
+    return [["validate", "{input}"], ["validate", "{input}", "--json"]]
+
+
 def cover_commands():
-    """The argument lists run on the covers: `kasteleyn` in every gauge and
-    `matchings`, plain and `--json`."""
-    return kasteleyn_commands() + [["matchings", "{input}"], ["matchings", "{input}", "--json"]]
+    """The argument lists run on the covers: `validate`, `kasteleyn` in
+    every gauge and `matchings`, plain and `--json`."""
+    matchings = [["matchings", "{input}"], ["matchings", "{input}", "--json"]]
+    return validate_commands() + kasteleyn_commands() + matchings
+
+
+def large_cover_commands():
+    """The argument lists run on the larger covers: `validate`, plain and
+    `--json`, and `kasteleyn` in two gauges."""
+    return validate_commands() + kasteleyn_commands(LARGE_GAUGES)
+
+
+def entry_commands(entry: str):
+    """The argument lists run on a catalog entry or cover."""
+    if entry in COVERS:
+        return cover_commands()
+    if entry in LARGE_COVERS:
+        return large_cover_commands()
+    if entry in IMMERSED_COVERS:
+        return validate_commands()
+    return commands()
 
 
 def document(entry: str) -> dict:
@@ -110,7 +139,7 @@ def _digest(argv) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def corpus(names=catalog.NAMES + COVERS + LARGE_COVERS) -> dict:
+def corpus(names=catalog.NAMES + COVERS + LARGE_COVERS + IMMERSED_COVERS) -> dict:
     """``{"<form>:<entry> <arguments>": sha256}`` for the given entries,
     catalog names or covers."""
     saved = os.environ.pop("TROPDIMER_COLOR", None)
@@ -121,14 +150,12 @@ def corpus(names=catalog.NAMES + COVERS + LARGE_COVERS) -> dict:
                 lifted = pathlib.Path(tmp) / f"{name}-lifted.json"
                 lifted.write_text(lifted_text(name))
                 sources = {"canonical": f"catalog:{name}", "lifted": str(lifted)}
-                argvs = commands()
-                if name in COVERS + LARGE_COVERS:
+                if "@" in name:
                     canonical = pathlib.Path(tmp) / f"{name}.json"
                     canonical.write_text(json.dumps(document(name)))
                     sources["canonical"] = str(canonical)
-                    argvs = cover_commands() if name in COVERS else kasteleyn_commands(LARGE_GAUGES)
                 for form in FORMS:
-                    for argv in argvs:
+                    for argv in entry_commands(name):
                         key = " ".join([f"{form}:{name}"] + argv[:1] + argv[2:])
                         digests[key] = _digest([a.replace("{input}", sources[form]) for a in argv])
     finally:

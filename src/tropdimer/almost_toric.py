@@ -636,6 +636,19 @@ def _covector_fixed(alpha: Vec2, m: UnimodularMap) -> bool:
     )
 
 
+def _enters(region: RatPolygon, p: Vec2, ray: Vec2) -> bool:
+    """Whether p + eps ray lies strictly inside the region for every small
+    eps > 0: on each edge inequality the value at p is positive, or it is
+    zero and its derivative along the ray is positive."""
+    if region.is_degenerate:
+        return False
+    for a, b in region.edges():
+        value = (b - a).cross(p - a)
+        if value < 0 or (value == 0 and (b - a).cross(ray) <= 0):
+            return False
+    return True
+
+
 def validate_section(section: ChartedSection) -> bool:
     charts = section.charts
     # overlap compatibility: differences affine with integral gradient
@@ -656,27 +669,20 @@ def validate_section(section: ChartedSection) -> bool:
             g = _affine_on(samples, values)
             if g is None or not g.is_integral():
                 return False
-    # node compatibility: active covectors near the cut must be
-    # monodromy-invariant in every chart containing the node
+    # node compatibility: the covectors active on each germ of the eigenline
+    # at a node that enters a chart's interior must be monodromy-invariant;
+    # on the germ of node + eps ray they are those maximal in (value at the
+    # node, derivative along the ray), lexicographically
     if section.diagram is not None:
         for node in section.diagram.nodes:
             m = node.monodromy()
             for chart in charts:
-                if not chart.region.contains(node.position):
-                    continue
                 for sign in (1, -1):
-                    eps = Fraction(1)
-                    probe = None
-                    while eps >= Fraction(1, 4096):
-                        p = node.position + node.eigenray.scale(sign * eps)
-                        if chart.region.contains(p, strict=True):
-                            probe = p
-                            break
-                        eps /= 2
-                    if probe is None:
+                    ray = node.eigenray.scale(sign)
+                    if not _enters(chart.region, node.position, ray):
                         continue
-                    best = max(c + a.dot(probe) for a, c in chart.phi.terms)
-                    for a, c in chart.phi.terms:
-                        if c + a.dot(probe) == best and not _covector_fixed(a, m):
-                            return False
+                    germ = [((c + a.dot(node.position), a.dot(ray)), a) for a, c in chart.phi.terms]
+                    best = max(key for key, _ in germ)
+                    if any(key == best and not _covector_fixed(a, m) for key, a in germ):
+                        return False
     return True

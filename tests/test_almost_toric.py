@@ -161,6 +161,23 @@ def test_section_with_sheared_covector_fails():
     assert not validate_section(section_with_node(((V(0, 0), F(0)), (V(0, 1), F(0)))))
 
 
+def test_node_check_decides_the_germ_in_a_thin_wedge():
+    # a wedge with its apex at the node, 1/10000 deep along the eigenray
+    # (0, 1): no point node + eps (0, 1) with eps >= 1/4096 lies in it, but
+    # the germ enters its interior, and the check must run there
+    a = F(1, 10000)
+    wedge = RatPolygon((V(0, 0), V(a, a), V(-a, a)))
+    diagram = BaseDiagram(None, nodes=(Node(V(0, 0), V(0, 1)),))
+
+    def section(phi_terms):
+        return ChartedSection((Chart(wedge, TropicalPolynomial(phi_terms, False)),), (), diagram)
+
+    # max(0, x2) ties at the node; along the germ (0, 1) wins, and the
+    # monodromy moves it
+    assert not validate_section(section(((V(0, 0), F(0)), (V(0, 1), F(0)))))
+    assert validate_section(section(((V(0, 0), F(0)), (V(1, 0), F(0)))))
+
+
 def two_chart_section():
     phi_a = TropicalPolynomial(((V(0, 0), F(0)), (V(1, 0), F(0))), False)
     phi_b = TropicalPolynomial(((V(1, 0), F(0)), (V(2, 0), F(0))), False)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import unimodular_image
@@ -18,7 +18,7 @@ from tropdimer.dimer import (
     zigzag_paths,
 )
 from tropdimer.io import SchemaError, parse_dimer
-from tropdimer.lattice import Vec2
+from tropdimer.lattice import Vec2, convex_hull
 from tropdimer.tropical import check_balancing, make_fan
 
 V = Vec2
@@ -36,6 +36,120 @@ def test_honeycomb_is_embedded(honeycomb):
 
 def test_pants_min_is_immersed(pants_min):
     assert validate(pants_min).self_intersecting
+
+
+def translates_overlap(p, q, n, exclude_zero):
+    """Brute-force oracle for `dimer._torus_interiors_intersect`: try every
+    translate n t of q over the two polygons' extent, with a separating-axis
+    test over the edge normals of both polygons at each."""
+    pxs, pys = zip(*p)
+    qxs, qys = zip(*q)
+    # only t with n t strictly inside (min p - max q, max p - min q): at any
+    # other translate the projections of the interiors are disjoint
+    xs = range((min(pxs) - max(qxs)) // n + 1, -((min(qxs) - max(pxs)) // n))
+    ys = range((min(pys) - max(qys)) // n + 1, -((min(qys) - max(pys)) // n))
+    axes = []
+    for poly in (p, q):
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+            nx, ny = ay - by, bx - ax
+            on_p = [nx * x + ny * y for x, y in p]
+            on_q = [nx * x + ny * y for x, y in q]
+            axes.append((nx * n, ny * n, min(on_p), max(on_p), min(on_q), max(on_q)))
+    return any(
+        all(
+            pmin < qmax + nx * tx + ny * ty and qmin + nx * tx + ny * ty < pmax
+            for nx, ny, pmin, pmax, qmin, qmax in axes
+        )
+        for tx in xs
+        for ty in ys
+        if not (exclude_zero and tx == ty == 0)
+    )
+
+
+def all_pairs_overlap(d: DualDimer) -> bool:
+    """Brute-force `validate(d).self_intersecting`: the oracle on every pair
+    of polygons and on every polygon with itself."""
+    points = [p.vertices for p in d.polytopes]
+    return any(
+        translates_overlap(points[i], points[j], d.denominator, i == j)
+        for i in range(len(points))
+        for j in range(i, len(points))
+    )
+
+
+def polygons(draw, n: int) -> tuple:
+    """A strictly convex counterclockwise integer polygon up to 8 n wide
+    and high, moved by up to 3 n along each axis."""
+    span = draw(st.integers(min_value=1, max_value=4 * n))
+    coord = st.integers(min_value=-span, max_value=span)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8, unique=True))
+    hull = convex_hull(sorted(points))
+    assume(len(hull) >= 3)
+    dx, dy = draw(st.tuples(st.integers(-3 * n, 3 * n), st.integers(-3 * n, 3 * n)))
+    return tuple((x + dx, y + dy) for x, y in hull)
+
+
+@st.composite
+def polygon_pairs(draw):
+    """(p, q, n, same): two polygons, or one twice when ``same``."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    p = polygons(draw, n)
+    if draw(st.booleans()):
+        return p, p, n, True
+    return p, polygons(draw, n), n, False
+
+
+@st.composite
+def polygon_sets(draw):
+    """A dimer of one to six polygons, which need not satisfy the axioms."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=6))
+    return DualDimer(n, tuple(Polytope("white", polygons(draw, n)) for _ in range(count)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygon_pairs())
+def test_overlap_test_agrees_with_translates_oracle(pair):
+    p, q, n, same = pair
+    assert dimer._torus_interiors_intersect(p, q, n, same) == translates_overlap(p, q, n, same)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygon_sets())
+def test_overlap_verdict_agrees_with_all_pairs_oracle(d):
+    # the broad phase may drop a pair only when the oracle finds no overlap
+    assert validate(d).self_intersecting == all_pairs_overlap(d)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["x", "y"])
+@pytest.mark.parametrize("left,overlaps", [(1, True), (2, False)])
+def test_overlap_across_the_seam_of_the_torus(transpose, left, overlaps):
+    # over N = 10, [8, 12] x [0, 4] wraps past 10 to [0, 2]: it meets
+    # [1, 5] x [0, 4] there, and [2, 6] x [0, 4] only along a side
+    def square(x0, x1):
+        corners = [(x, y) for x in (x0, x1) for y in (0, 4)]
+        return convex_hull(sorted((y, x) if transpose else (x, y) for x, y in corners))
+
+    d = DualDimer(10, (Polytope("white", square(8, 12)), Polytope("white", square(left, left + 4))))
+    assert validate(d).self_intersecting is overlaps
+    assert all_pairs_overlap(d) is overlaps
+
+
+@pytest.mark.parametrize(
+    "vertices,overlaps",
+    [
+        (((0, 0), (1, 0), (200000, 10)), False),
+        (((0, 0), (1, 1), (20000, 20010)), False),
+        (((0, 0), (11, 0), (200000, 10)), True),  # its base is wider than N
+    ],
+    ids=["flat-sliver", "diagonal-sliver", "wide-base-sliver"],
+)
+def test_slivers_overlap_test_needs_no_translate_loop(vertices, overlaps):
+    # width or height far above N = 10: the translate loop would try ~10^4
+    # to ~10^7 translates, the lattice count a handful of floor sums
+    d = DualDimer(10, (Polytope("white", vertices),))
+    assert validate(d).self_intersecting is overlaps
+    assert dimer._torus_interiors_intersect(vertices, vertices, 10, True) is overlaps
 
 
 def test_validation_catches_mismatched_vertex_sets():
@@ -95,8 +209,10 @@ def test_zigzags_and_fan_never_validate(honeycomb, monkeypatch):
         zigzag_paths(bad)
     assert len(zigzag_paths(honeycomb)) == 3
     assert check_balancing(dimer_to_tropical_fan(honeycomb))
+    # validate does reach the overlap test: cp2-seed has pairs of polygons
+    # whose extents meet on the torus (honeycomb's only touch at vertices)
     with pytest.raises(AssertionError, match="overlap test ran"):
-        validate(honeycomb)
+        validate(catalog.build("cp2-seed"))
 
 
 @pytest.mark.parametrize(

@@ -23,16 +23,19 @@ GOLDEN = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
 
 def test_corpus_covers_every_entry_form_and_command():
     expected = len(catalog.NAMES) * len(cli_corpus.FORMS) * len(cli_corpus.commands())
-    expected += (
-        len(cli_corpus.COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.cover_commands())
-    )
-    expected += (
-        len(cli_corpus.LARGE_COVERS) * len(cli_corpus.FORMS) * len(cli_corpus.LARGE_GAUGES)
-    )
+    for covers, argvs in (
+        (cli_corpus.COVERS, cli_corpus.cover_commands()),
+        (cli_corpus.LARGE_COVERS, cli_corpus.large_cover_commands()),
+        (cli_corpus.IMMERSED_COVERS, cli_corpus.validate_commands()),
+    ):
+        expected += len(covers) * len(cli_corpus.FORMS) * len(argvs)
     assert len(GOLDEN) == expected
 
 
-@pytest.mark.parametrize("name", catalog.NAMES + cli_corpus.COVERS + cli_corpus.LARGE_COVERS)
+ENTRIES = catalog.NAMES + cli_corpus.COVERS + cli_corpus.LARGE_COVERS + cli_corpus.IMMERSED_COVERS
+
+
+@pytest.mark.parametrize("name", ENTRIES)
 def test_cli_output_matches_golden_digest(name):
     got = cli_corpus.corpus([name])
     want = {k: v for k, v in GOLDEN.items() if k.split(" ", 1)[0].split(":", 1)[1] == name}

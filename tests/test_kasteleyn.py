@@ -1,11 +1,15 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cover
+from conftest import cover, unimodular_image
 from tropdimer import catalog
-from tropdimer.dimer import build_graph
+from tropdimer.dimer import build_graph, zigzag_paths
 from tropdimer.kasteleyn import (
     KasteleynMatrix,
     LaurentPolynomial,
@@ -19,6 +23,7 @@ from tropdimer.kasteleyn import (
     monomial,
     novikov_necessary_condition,
 )
+from tropdimer.lattice import convex_hull
 
 SQUARE_NAMES = [
     n
@@ -275,6 +280,45 @@ def test_four_by_four_cover_determinant_is_product_over_sign_twists(name):
         for s1, s2 in ((1, 1), (-1, 1), (1, -1))
     ]
     assert want in substituted
+
+
+def newton_boundary(p: LaurentPolynomial) -> list:
+    """The Newton polygon's edges, each split into primitive vectors (one
+    per unit of lattice length), sorted."""
+    hull = convex_hull(sorted(exp for exp, _ in p.terms))
+    out = []
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(bx - ax, by - ay)
+        assert g % p.denominator == 0  # exponents differ by integer vectors
+        out += [((bx - ax) // g, (by - ay) // g)] * (g // p.denominator)
+    return sorted(out)
+
+
+def newton_matches_zigzags(dimer) -> bool:
+    """The Newton polygon of det K has the negated zigzag classes as its
+    primitive boundary vectors, as a multiset."""
+    det = determinant(kasteleyn_matrix(dimer))
+    return newton_boundary(det) == sorted((-p.cls.a, -p.cls.b) for p in zigzag_paths(dimer))
+
+
+# the catalog, its covers up to 3x3, and honeycomb 4x4
+NEWTON_NAMES = [
+    f"{name}@{kx}x{ky}" if kx * ky > 1 else name
+    for name in catalog.NAMES
+    for kx in (1, 2, 3)
+    for ky in (1, 2, 3)
+] + ["honeycomb@4x4"]
+
+
+@pytest.mark.parametrize("name", NEWTON_NAMES)
+def test_newton_polygon_boundary_is_the_zigzag_classes(name):
+    assert newton_matches_zigzags(subject(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(catalog.NAMES), st.integers(min_value=0, max_value=10**6))
+def test_newton_polygon_boundary_survives_unimodular_change(name, seed):
+    assert newton_matches_zigzags(unimodular_image(catalog.build(name), random.Random(seed)))
 
 
 @pytest.mark.parametrize("name", SQUARE_NAMES)
