@@ -7,9 +7,9 @@ torus covers of them (larger matrices, and exponents over larger
 denominators), for ``validate`` and ``kasteleyn`` on larger covers
 (n = 15 .. 27), and for ``validate`` alone on covers of the immersed
 entries, once on the canonical document and once on a fixed integer lift
-of each polytope,
-and records the sha256 of exit code, stdout and stderr per command line
-into ``tests/golden_cli.json``.  The check is
+of each polytope, and for the commands that read no dimer (``atf``,
+``genus``, ``catalog``), and records the sha256 of exit code, stdout and
+stderr per command line into ``tests/golden_cli.json``.  The check is
 ``python -m pytest tests/test_golden_cli.py``, which compares the current
 digests against that file.
 
@@ -18,6 +18,7 @@ digests against that file.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -62,6 +63,27 @@ def commands():
     for face in range(6):  # past the last face the refusal is pinned too
         out.append(["mutate", "{input}", "--face", str(face)])
     out.append(["render", "{input}", "--show", "edges,zigzags"])
+    return out
+
+
+def standalone_commands():
+    """The argument lists of the commands that read no dimer: every `atf`
+    operation on every surface (with the base-diagram SVG of `atf trade
+    --render`), `genus` and `catalog`."""
+    out = []
+    for surface in sorted(catalog.MOMENT_POLYGONS):
+        out.append(["atf", "trade", surface])
+        out.append(["atf", "trade", surface, "--render"])
+        out.append(["atf", "trade", surface, "--corner", "1", "--render"])
+        out.append(["atf", "inner", surface])
+        out.append(["atf", "outer", surface])
+        out.append(["atf", "outer", surface, "--depth", "1/3"])
+        out.append(["atf", "exchange", surface])
+    out.append(["atf", "exchange", "local"])
+    out.extend(["atf", "an", str(n)] for n in (1, 2, 3))
+    out.extend(["genus", str(d)] for d in (1, 2, 3, 4))
+    out.append(["catalog"])
+    out.extend(["catalog", name] for name in catalog.NAMES)
     return out
 
 
@@ -139,12 +161,22 @@ def _digest(argv) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@contextlib.contextmanager
+def _uncolored():
+    """Run with TROPDIMER_COLOR unset, so the digests do not depend on it."""
+    saved = os.environ.pop("TROPDIMER_COLOR", None)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            os.environ["TROPDIMER_COLOR"] = saved
+
+
 def corpus(names=catalog.NAMES + COVERS + LARGE_COVERS + IMMERSED_COVERS) -> dict:
     """``{"<form>:<entry> <arguments>": sha256}`` for the given entries,
     catalog names or covers."""
-    saved = os.environ.pop("TROPDIMER_COLOR", None)
     digests = {}
-    try:
+    with _uncolored():
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
                 lifted = pathlib.Path(tmp) / f"{name}-lifted.json"
@@ -158,14 +190,17 @@ def corpus(names=catalog.NAMES + COVERS + LARGE_COVERS + IMMERSED_COVERS) -> dic
                     for argv in entry_commands(name):
                         key = " ".join([f"{form}:{name}"] + argv[:1] + argv[2:])
                         digests[key] = _digest([a.replace("{input}", sources[form]) for a in argv])
-    finally:
-        if saved is not None:
-            os.environ["TROPDIMER_COLOR"] = saved
     return digests
 
 
+def standalone_corpus() -> dict:
+    """``{"none:<arguments>": sha256}`` for the commands that read no dimer."""
+    with _uncolored():
+        return {"none:" + " ".join(argv): _digest(argv) for argv in standalone_commands()}
+
+
 def main():
-    digests = corpus()
+    digests = {**corpus(), **standalone_corpus()}
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
 

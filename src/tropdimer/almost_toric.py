@@ -49,27 +49,10 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Cut:
-    """The ray along which a node's monodromy acts, with its transition."""
-
-    start: Vec2
-    direction: Vec2
-    transition: UnimodularMap
-    node_index: int
-
-
-@dataclass(frozen=True)
 class BaseDiagram:
     boundary: Optional[RatPolygon]  # None = the whole plane
     nodes: tuple = ()
     traded: tuple = ()  # (corner index, node index) pairs
-
-    @property
-    def cuts(self):
-        return tuple(
-            Cut(node.position, node.eigenray, node.monodromy(), i)
-            for i, node in enumerate(self.nodes)
-        )
 
 
 @dataclass(frozen=True)
@@ -433,61 +416,6 @@ def an_chain_curve(n: int):
         edges.append(CurveEdge(L[i], nodes[i].position))
         attachments.append((len(edges) - 1, i))
     return diagram, CurveOnBase(TropicalCurve(tuple(verts), tuple(edges)), tuple(attachments))
-
-
-# ---------------------------------------------------------------------------
-# the del-Pezzo data set
-
-
-@dataclass(frozen=True)
-class DelPezzo:
-    name: str
-    polygon: RatPolygon
-    fan: tuple
-    diagram: BaseDiagram
-    dimer: "object"
-
-
-@dataclass(frozen=True)
-class DelPezzoCatalog:
-    CP2: DelPezzo
-    P1P1: DelPezzo
-    BL1: DelPezzo
-    BL2: DelPezzo
-    BL3: DelPezzo
-    X3333: tuple  # vanishing-cycle classes of the square quotient example
-
-    @property
-    def names(self):
-        return ("CP2", "P1P1", "BL1", "BL2", "BL3")
-
-
-def catalog() -> DelPezzoCatalog:
-    """Per del-Pezzo surface: moment polygon, fan, fully traded diagram,
-    and the seed dual dimer; plus the X3333 vanishing-cycle classes."""
-    from .catalog import DEL_PEZZO_FANS, MOMENT_POLYGONS, SEED_FAN, load
-    from .lattice import H1Class
-
-    entries = {}
-    for short, seed in (
-        ("cp2", "cp2-seed"),
-        ("p1p1", "p1p1-seed"),
-        ("bl1", "bl1-seed"),
-        ("bl2", "bl2-seed"),
-        ("bl3", "bl3-seed"),
-    ):
-        polygon = MOMENT_POLYGONS[short]
-        entries[short] = DelPezzo(
-            short,
-            polygon,
-            DEL_PEZZO_FANS[short],
-            trade_all_corners(BaseDiagram(polygon)),
-            load(seed),
-        )
-    x3333 = (H1Class(1, 0), H1Class(0, 1), H1Class(-1, 1), H1Class(1, 1))
-    return DelPezzoCatalog(
-        entries["cp2"], entries["p1p1"], entries["bl1"], entries["bl2"], entries["bl3"], x3333
-    )
 
 
 # ---------------------------------------------------------------------------

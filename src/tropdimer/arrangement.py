@@ -6,8 +6,12 @@ arrangement (no triple points, no repeated geodesics) the complement
 decomposes into convex regions; a region whose counterclockwise boundary
 runs along every line's orientation is a black polytope, one running
 against every orientation is white, and the mixed regions are the faces.
-The black and white regions always assemble into a valid dual dimer: at
-each crossing the black and white corners are the two opposite cones.
+At each crossing the two opposite cones that both lines bound with the
+same sense are the candidate black and white corners, but the region
+holding a cone may be mixed elsewhere, and then the crossing is a vertex of
+one color only.  Whether the regions assemble into a valid dual dimer thus
+depends on the offsets, and `arrangement_dimer` refuses them when they
+do not.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimer import BLACK, WHITE, DualDimer, Polytope, face_orbits
-from .lattice import Vec2, angle_key, reduce_mod_lattice
+from .dimer import BLACK, WHITE, DualDimer, Polytope, face_orbits, validate
+from .lattice import RatPolygon, Vec2, angle_key, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -145,16 +149,10 @@ def _unroll(walk):
     return pts
 
 
-def _signed_area2(pts):
-    total = Fraction(0)
-    for i in range(len(pts)):
-        total += pts[i].cross(pts[(i + 1) % len(pts)])
-    return total
-
-
 def arrangement_dimer(lines) -> DualDimer:
     """The dual dimer whose polytopes are the uniformly-oriented regions of
-    the arrangement.  Raises if the arrangement is degenerate."""
+    the arrangement.  Raises ValueError if the arrangement is degenerate or
+    its regions fail `validate`."""
     lines = list(lines)
     dirs = {(l.direction, l.offset) for l in lines}
     if len(dirs) != len(lines):
@@ -170,7 +168,7 @@ def arrangement_dimer(lines) -> DualDimer:
         pts = _unroll(walk)
         if pts is None:
             raise ValueError("arrangement region is not a disk")
-        if _signed_area2(pts) < 0:
+        if RatPolygon(tuple(pts)).area2() < 0:
             walk = [_Dart(d.line, d.end, d.start, not d.forward) for d in reversed(walk)]
             pts = _unroll(walk)
         senses = {d.forward for d in walk}
@@ -194,4 +192,7 @@ def arrangement_dimer(lines) -> DualDimer:
         Polytope(color, tuple((int(v.x * den), int(v.y * den)) for v in corners))
         for color, corners in regions
     )
-    return DualDimer(den, polytopes)
+    dimer = DualDimer(den, polytopes)
+    if not validate(dimer).ok:
+        raise ValueError("arrangement regions do not form a valid dual dimer; change offsets")
+    return dimer

@@ -20,12 +20,14 @@ integer pairs over the graph's denominator D = N * lcm of the polygons'
 vertex counts, that of every vertex centroid; only the fan is rational.
 
 Validation also asks whether two polygon interiors meet on T^2, which
-separates embedded dimers from immersed ones.  A broad phase sweeps each
-polygon's x- and y-extents around the circle R / N Z, O(P log P) plus the
-pairs it finds; the narrow phase counts points of N Z^2 inside the
-Minkowski difference of a candidate pair with floor sums, O(n log extent)
-for n vertices.  No step loops over translates, so the cost does not grow
-with the size of the coordinates.
+separates embedded dimers from immersed ones.  A broad phase sweeps the
+polygons' x-extents around the circle R / N Z and tests the y-extents of
+each pair the sweep finds, O(P log P) plus those pairs; the narrow phase
+counts points of N Z^2 inside the Minkowski difference of a candidate pair
+with the floor sums of `lattice.interior_lattice_count`, O(n log extent)
+for n vertices, after one merge of the two polygons' edges in the order of
+`lattice.angle_cmp`.  No step loops over translates, so the cost does not
+grow with the size of the coordinates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import H1Class, Vec2
+from .lattice import H1Class, Vec2, angle_cmp, interior_lattice_count
 from .tropical import TropicalCurve, make_fan
 
 WHITE = "white"
@@ -188,23 +190,6 @@ def _germs(points, k: int):
     )
 
 
-def _floor_sum(count: int, m: int, a: int, b: int) -> int:
-    """The sum of floor((a i + b) / m) over i in range(count), for m > 0, by
-    the Euclid-like recursion: O(log m) steps whatever the size of a and b."""
-    total = 0
-    while count:
-        q, a = divmod(a, m)
-        total += q * (count * (count - 1) // 2)
-        q, b = divmod(b, m)
-        total += q * count
-        top = a * count + b
-        if top < m:
-            break
-        count, b = divmod(top, m)
-        m, a = a, m
-    return total
-
-
 def _minkowski_difference(p, q):
     """The edges (x0, y0, x1, y1) of P + (-Q), counterclockwise, for strictly
     convex counterclockwise integer polygons p and q: one merge of their edge
@@ -216,52 +201,19 @@ def _minkowski_difference(p, q):
         following = poly[1:] + poly[:1]
         return poly[0], [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(poly, following)]
 
-    def before(u, v):  # angle(u) < angle(v) in [0, 2 pi); half True is [pi, 2 pi)
-        hu, hv = u[1] < 0 or (u[1] == 0 and u[0] < 0), v[1] < 0 or (v[1] == 0 and v[0] < 0)
-        return hu < hv or (hu == hv and u[0] * v[1] - u[1] * v[0] > 0)
-
     (px, py), pe = start(list(p))
     (qx, qy), qe = start([(-x, -y) for x, y in q])
     x, y = px + qx, py + qy
     edges = []
     i = j = 0
     while i < len(pe) or j < len(qe):
-        if j == len(qe) or (i < len(pe) and before(pe[i], qe[j])):
+        if j == len(qe) or (i < len(pe) and angle_cmp(pe[i], qe[j]) < 0):
             (dx, dy), i = pe[i], i + 1
         else:
             (dx, dy), j = qe[j], j + 1
         edges.append((x, y, x + dx, y + dy))
         x, y = x + dx, y + dy
     return edges
-
-
-def _interior_lattice_count(edges, n: int) -> int:
-    """The number of points of n Z^2 strictly inside the convex polygon with
-    these counterclockwise edges.
-
-    Column n a holds the integers strictly between L(n a) / n and U(n a) / n,
-    where L and U are the lower and upper chains; summed over the columns
-    strictly inside the x-extent that is sum ceil(U / n) - floor(L / n) - 1.
-    Each non-vertical edge gives one floor sum over the columns in its
-    half-open x-range; an upper edge is reflected in the x-axis, since
-    ceil(u) = -floor(-u).
-    """
-    xmin = min(e[0] for e in edges)
-    xmax = max(e[0] for e in edges)
-    first = xmin // n + 1  # the columns are first <= a < ceil(xmax / n)
-    total = -max(0, -(-xmax // n) - first)
-    for x0, y0, x1, y1 in edges:
-        if x0 > x1:  # an upper edge
-            x0, y0, x1, y1 = x1, -y1, x0, -y0
-        elif x0 == x1:
-            continue
-        lo = max(-(-x0 // n), first)  # the columns x0 <= n a < x1
-        count = -(-x1 // n) - lo
-        if count > 0:
-            dx, dy = x1 - x0, y1 - y0
-            # floor(L(n a) / n) with L(x) = y0 + dy (x - x0) / dx, at a = lo + i
-            total -= _floor_sum(count, n * dx, n * dy, n * dy * lo + y0 * dx - dy * x0)
-    return total
 
 
 def _torus_interiors_intersect(p, q, n: int, exclude_zero: bool) -> bool:
@@ -273,7 +225,7 @@ def _torus_interiors_intersect(p, q, n: int, exclude_zero: bool) -> bool:
     log extent) with floor sums, whatever the size of the coordinates.  For
     q = p the origin is always one of them.
     """
-    return _interior_lattice_count(_minkowski_difference(p, q), n) > int(exclude_zero)
+    return interior_lattice_count(_minkowski_difference(p, q), n) > int(exclude_zero)
 
 
 def _arc_pairs(arcs, n: int):
@@ -307,9 +259,11 @@ def _self_intersecting(points, n: int) -> bool:
     of itself, meet on T^2.
 
     Broad phase: the open x-extents of two polygons must meet on R / n Z,
-    and so must their y-extents; a polygon can meet its own translate only
-    if its width or height exceeds n.  Narrow phase: the exact lattice count
-    of `_torus_interiors_intersect` on the candidate pairs alone.
+    which one sweep finds, and so must their y-extents, tested on each pair
+    it finds: two open arcs meet when one starts inside the other.  A
+    polygon can meet its own translate only if its width or height exceeds
+    n.  Narrow phase: the exact lattice count of `_torus_interiors_intersect`
+    on the candidate pairs alone.
     """
     boxes = []
     for pts in points:
@@ -317,8 +271,10 @@ def _self_intersecting(points, n: int) -> bool:
         ys = [y for _, y in pts]
         boxes.append((min(xs), max(xs) - min(xs), min(ys), max(ys) - min(ys)))
     candidates = [(i, i) for i, (_, w, _, h) in enumerate(boxes) if w > n or h > n]
-    x_pairs = _arc_pairs([(x % n, w) for x, w, _, _ in boxes], n)
-    candidates += x_pairs & _arc_pairs([(y % n, h) for _, _, y, h in boxes], n)
+    for i, j in _arc_pairs([(x % n, w) for x, w, _, _ in boxes], n):
+        (_, _, yi, hi), (_, _, yj, hj) = boxes[i], boxes[j]
+        if (yj - yi) % n < hi or (yi - yj) % n < hj:
+            candidates.append((i, j))
     return any(
         _torus_interiors_intersect(points[i], points[j], n, exclude_zero=(i == j))
         for i, j in candidates

@@ -1,15 +1,18 @@
-"""Exact rational lattice geometry on R^2 and the torus T^2 = R^2/Z^2.
+"""Exact planar lattice geometry on R^2 and the torus T^2 = R^2/Z^2.
 
-The primitives here carry ``fractions.Fraction`` coordinates: they are the
-working type of tropical curves and base diagrams.  Dimer polygons and
-Kasteleyn exponents are integer numerators over their own denominators
-(see ``dimer``, ``kasteleyn``); ``convex_hull`` works on integer points.
-There is no floating point anywhere in the core, so every comparison made
-by callers is exact.
+This module is the one home of the planar geometry the toolkit shares:
+the angle order of directions (`angle_cmp`, and `angle_key` built on it),
+the convex hull of integer points, and the count of lattice points inside
+a convex polygon (`interior_lattice_count`, by floor sums).  The integer
+functions take (x, y) pairs, as the dimer pipeline keeps its polygons;
+the types carry ``fractions.Fraction`` coordinates and are the working
+type of tropical curves and base diagrams.  There is no floating point
+anywhere in the core, so every comparison made by callers is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,22 +77,33 @@ class Vec2:
         return f"({self.x}, {self.y})"
 
 
-V = Vec2  # short constructor alias used heavily in tests and the catalog
-
 ORIGIN = Vec2(Fraction(0), Fraction(0))
 
 
-def angle_key(v: Vec2):
-    """Exact sort key of a nonzero vector's counterclockwise angle from the
-    positive x-axis, in [0, 2 pi).
+def angle_cmp(u, v) -> int:
+    """-1, 0 or 1 as the counterclockwise angle of the nonzero vector
+    ``u = (x, y)`` from the positive x-axis, in [0, 2 pi), is less than,
+    equal to or greater than that of ``v``.
 
-    The half-plane comes first (angles [0, pi) before [pi, 2 pi)); inside a
-    half-plane the direction along the x-axis comes first, then minus the
-    cotangent, which increases with the angle.  Vectors on one ray get equal
-    keys.
+    The half-plane decides first (angles [0, pi) before [pi, 2 pi)); inside
+    one half-plane the sign of the cross product does, with no division.
+    Vectors on one ray compare equal.
     """
-    lower = v.y < 0 or (v.y == 0 and v.x < 0)
-    return (lower, v.y != 0, -v.x / v.y if v.y else 0)
+    hu = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+    hv = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+    if hu != hv:
+        return 1 if hu else -1
+    c = u[0] * v[1] - u[1] * v[0]
+    return (c < 0) - (c > 0)
+
+
+_angle_key = functools.cmp_to_key(angle_cmp)
+
+
+def angle_key(v: Vec2):
+    """Sort key of a nonzero vector's counterclockwise angle, by
+    `angle_cmp`."""
+    return _angle_key((v.x, v.y))
 
 
 def reduce_mod_lattice(p: Vec2) -> Vec2:
@@ -205,21 +219,51 @@ def convex_hull(points) -> tuple:
     return tuple(ring)
 
 
-def interior_lattice_points(P: RatPolygon):
-    """All points of Z^2 strictly inside a lattice polygon (bounding-box scan)."""
-    for v in P.vertices:
-        if not v.is_integral():
-            raise ValueError("lattice polygon required")
-    if P.is_degenerate:
-        return []
-    xs = [int(v.x) for v in P.vertices]
-    ys = [int(v.y) for v in P.vertices]
-    found = []
-    for ix in range(min(xs) + 1, max(xs)):
-        for iy in range(min(ys) + 1, max(ys)):
-            if P.contains(Vec2(Fraction(ix), Fraction(iy)), strict=True):
-                found.append((ix, iy))
-    return found
+def _floor_sum(count: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a i + b) / m) over i in range(count), for m > 0, by
+    the Euclid-like recursion: O(log m) steps whatever the size of a and b."""
+    total = 0
+    while count:
+        q, a = divmod(a, m)
+        total += q * (count * (count - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * count
+        top = a * count + b
+        if top < m:
+            break
+        count, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def interior_lattice_count(edges, n: int) -> int:
+    """The number of points of n Z^2 strictly inside the convex polygon with
+    these counterclockwise edges (x0, y0, x1, y1), integers.
+
+    Column n a holds the integers strictly between L(n a) / n and U(n a) / n,
+    where L and U are the lower and upper chains; summed over the columns
+    strictly inside the x-extent that is sum ceil(U / n) - floor(L / n) - 1.
+    Each non-vertical edge gives one floor sum over the columns in its
+    half-open x-range; an upper edge is reflected in the x-axis, since
+    ceil(u) = -floor(-u).  O(edges * log extent), whatever the size of the
+    coordinates.
+    """
+    xmin = min(e[0] for e in edges)
+    xmax = max(e[0] for e in edges)
+    first = xmin // n + 1  # the columns are first <= a < ceil(xmax / n)
+    total = -max(0, -(-xmax // n) - first)
+    for x0, y0, x1, y1 in edges:
+        if x0 > x1:  # an upper edge
+            x0, y0, x1, y1 = x1, -y1, x0, -y0
+        elif x0 == x1:
+            continue
+        lo = max(-(-x0 // n), first)  # the columns x0 <= n a < x1
+        count = -(-x1 // n) - lo
+        if count > 0:
+            dx, dy = x1 - x0, y1 - y0
+            # floor(L(n a) / n) with L(x) = y0 + dy (x - x0) / dx, at a = lo + i
+            total -= _floor_sum(count, n * dx, n * dy, n * dy * lo + y0 * dx - dy * x0)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,9 @@ def render_diagram(diagram) -> str:
     if diagram.boundary is not None:
         points = " ".join(pt(v) for v in diagram.boundary.vertices)
         out.append(f'<polygon points="{points}" fill="none" stroke="#222222" stroke-width="1.5"/>')
-    for cut in diagram.cuts:
-        a = pt(cut.start)
-        b = pt(cut.start + cut.direction.scale(Fraction(3, 2)))
+    for node in diagram.nodes:  # the cut: the eigenray from the node
+        a = pt(node.position)
+        b = pt(node.position + node.eigenray.scale(Fraction(3, 2)))
         out.append(
             f'<line x1="{a.split(",")[0]}" y1="{a.split(",")[1]}" '
             f'x2="{b.split(",")[0]}" y2="{b.split(",")[1]}" '

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import (
-    Rat,
-    RatPolygon,
-    Vec2,
-    interior_lattice_points,
-)
+from .lattice import Rat, RatPolygon, Vec2, interior_lattice_count
 
 
 @dataclass(frozen=True)
@@ -259,4 +254,15 @@ def genus_degree(d: int) -> int:
 
 
 def genus_of(delta: RatPolygon) -> int:
-    return len(interior_lattice_points(delta))
+    """The genus of the curve dual to a convex lattice polygon, in either
+    orientation: its number of interior lattice points, counted by floor
+    sums along its counterclockwise edges."""
+    if not all(v.is_integral() for v in delta.vertices):
+        raise ValueError("lattice polygon required")
+    area2 = delta.area2()
+    if area2 == 0:  # a point, a segment, or collinear vertices
+        return 0
+    ring = [(int(v.x), int(v.y)) for v in delta.vertices]
+    if area2 < 0:
+        ring.reverse()
+    return interior_lattice_count([(*a, *b) for a, b in zip(ring, ring[1:] + ring[:1])], 1)

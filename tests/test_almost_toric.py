@@ -12,7 +12,6 @@ from tropdimer.almost_toric import (
     an_chain_curve,
     build_inner_torus,
     build_outer_torus,
-    catalog,
     curves_equal,
     local_model,
     nodal_trade,
@@ -20,7 +19,8 @@ from tropdimer.almost_toric import (
     trade_all_corners,
     validate_section,
 )
-from tropdimer.catalog import MOMENT_POLYGONS
+from tropdimer.catalog import DEL_PEZZO_FANS, MOMENT_POLYGONS, SEED_FAN, load
+from tropdimer.dimer import validate
 from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2
 from tropdimer.tropical import TropicalPolynomial, check_balancing
 
@@ -133,12 +133,14 @@ def test_an_chain_rejects_nonpositive_length():
 
 
 def test_del_pezzo_catalog_is_consistent():
-    data = catalog()
-    assert data.names == ("CP2", "P1P1", "BL1", "BL2", "BL3")
-    for name in data.names:
-        entry = getattr(data, name)
-        assert len(entry.diagram.nodes) == len(entry.polygon.vertices)
-    assert len(data.X3333) == 4
+    names = ("cp2", "p1p1", "bl1", "bl2", "bl3")
+    assert tuple(MOMENT_POLYGONS) == names
+    assert tuple(DEL_PEZZO_FANS) == names
+    assert tuple(SEED_FAN.values()) == names
+    for polygon in MOMENT_POLYGONS.values():
+        assert len(trade_all_corners(BaseDiagram(polygon)).nodes) == len(polygon.vertices)
+    for seed in SEED_FAN:
+        assert validate(load(seed)).ok
 
 
 # --- charted sections -------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import unimodular_image
 from tropdimer import catalog, dimer
+from tropdimer.arrangement import TorusLine, arrangement_dimer
 from tropdimer.dimer import (
     DualDimer,
     Polytope,
@@ -28,6 +29,17 @@ V = Vec2
 def test_catalog_passes_validation(name):
     report = validate(catalog.build(name))
     assert report.ok, list(report.lines())
+
+
+def test_arrangement_refuses_regions_that_are_no_dimer():
+    # the regions give 10 polytopes with 21 unmatched vertices
+    offsets = (2, 9, 7, 9, 10)
+    lines = [
+        TorusLine(V(dx, dy), Fraction(o, 11))
+        for (dx, dy), o in zip(((-1, 2), (2, 1), (-1, 0), (1, 0), (-1, -3)), offsets)
+    ]
+    with pytest.raises(ValueError, match="valid dual dimer"):
+        arrangement_dimer(lines)
 
 
 def test_honeycomb_is_embedded(honeycomb):
@@ -133,6 +145,16 @@ def test_overlap_across_the_seam_of_the_torus(transpose, left, overlaps):
     d = DualDimer(10, (Polytope("white", square(8, 12)), Polytope("white", square(left, left + 4))))
     assert validate(d).self_intersecting is overlaps
     assert all_pairs_overlap(d) is overlaps
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["lower-first", "higher-first"])
+def test_broad_phase_keeps_a_pair_whichever_starts_lower(swap):
+    # over N = 10, [0, 4]^2 and [2, 6]^2 overlap; the y-extent test must see
+    # it whether the first polygon's extent starts below the second's or not
+    lower = convex_hull([(0, 0), (4, 0), (0, 4), (4, 4)])
+    higher = convex_hull([(2, 2), (6, 2), (2, 6), (6, 6)])
+    pair = (higher, lower) if swap else (lower, higher)
+    assert validate(DualDimer(10, tuple(Polytope("white", p) for p in pair))).self_intersecting
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Every dimer subcommand's output is pinned byte for byte.
+"""Every subcommand's output is pinned byte for byte.
 
 The digests in ``golden_cli.json`` are written by ``scripts/cli_corpus.py``;
 rerun it only when an output is meant to change.
@@ -29,6 +29,7 @@ def test_corpus_covers_every_entry_form_and_command():
         (cli_corpus.IMMERSED_COVERS, cli_corpus.validate_commands()),
     ):
         expected += len(covers) * len(cli_corpus.FORMS) * len(argvs)
+    expected += len(cli_corpus.standalone_commands())
     assert len(GOLDEN) == expected
 
 
@@ -40,5 +41,12 @@ def test_cli_output_matches_golden_digest(name):
     got = cli_corpus.corpus([name])
     want = {k: v for k, v in GOLDEN.items() if k.split(" ", 1)[0].split(":", 1)[1] == name}
     assert want, f"no golden digests for {name}"
+    assert sorted(k for k in want if got.get(k) != want[k]) == []
+    assert got.keys() == want.keys()
+
+
+def test_standalone_output_matches_golden_digest():
+    got = cli_corpus.standalone_corpus()
+    want = {k: v for k, v in GOLDEN.items() if k.startswith("none:")}
     assert sorted(k for k in want if got.get(k) != want[k]) == []
     assert got.keys() == want.keys()

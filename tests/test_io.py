@@ -22,6 +22,11 @@ def test_round_trip_is_bit_identical(name):
     assert serialize_dimer(dimer) == text
 
 
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_builders_reproduce_the_frozen_catalog(name):
+    assert serialize_dimer(catalog.build(name)) == catalog.catalog_text(name)
+
+
 def test_canonicalization_is_idempotent(honeycomb):
     once = canonicalize(honeycomb)
     assert canonicalize(once) == once

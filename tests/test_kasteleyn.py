@@ -315,6 +315,22 @@ def test_newton_polygon_boundary_is_the_zigzag_classes(name):
     assert newton_matches_zigzags(subject(name))
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        f"{name}@{kx}x{ky}" if kx * ky > 1 else name
+        for name in catalog.NAMES
+        for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2))
+    ],
+)
+def test_newton_corner_coefficients_are_units(name):
+    """Every vertex of the Newton polygon of det K carries coefficient +-1:
+    the extremal Boltzmann monomials are each reached by one matching."""
+    det = determinant(kasteleyn_matrix(subject(name)))
+    coefficients = dict(det.terms)
+    assert all(abs(coefficients[v]) == 1 for v in convex_hull(coefficients))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(catalog.NAMES), st.integers(min_value=0, max_value=10**6))
 def test_newton_polygon_boundary_survives_unimodular_change(name, seed):

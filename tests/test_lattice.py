@@ -2,17 +2,18 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropdimer.lattice import (
     RatPolygon,
     UnimodularMap,
     Vec2,
+    angle_cmp,
     angle_key,
     convex_hull,
     dilate,
-    interior_lattice_points,
+    interior_lattice_count,
     unit_triangle,
 )
 
@@ -48,9 +49,43 @@ def test_convex_hull_empty():
         convex_hull([])
 
 
+def integer_edges(points):
+    """The edges (x0, y0, x1, y1) of a polygon given by its integer vertices."""
+    return [(*a, *b) for a, b in zip(points, points[1:] + points[:1])]
+
+
+def interior_points_by_scan(points, n):
+    """The points of n Z^2 strictly inside a convex counterclockwise integer
+    polygon, by a scan of its bounding box: the oracle of
+    `interior_lattice_count`, quadratic in the polygon's size."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    found = []
+    for ix in range(min(xs) // n + 1, -(-max(xs) // n)):
+        for iy in range(min(ys) // n + 1, -(-max(ys) // n)):
+            if all(
+                (x1 - x0) * (n * iy - y0) - (y1 - y0) * (n * ix - x0) > 0
+                for x0, y0, x1, y1 in integer_edges(points)
+            ):
+                found.append((ix, iy))
+    return found
+
+
 def test_interior_lattice_points_of_dilated_triangle():
     tri = dilate(unit_triangle(), 4)
-    assert len(interior_lattice_points(tri)) == 3
+    points = [(int(v.x), int(v.y)) for v in tri.vertices]
+    assert interior_lattice_count(integer_edges(points), 1) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=3, max_size=12),
+    st.integers(min_value=1, max_value=6),
+)
+def test_interior_lattice_count_matches_the_box_scan(points, n):
+    hull = list(convex_hull(points))
+    assume(len(hull) >= 3)
+    assert interior_lattice_count(integer_edges(hull), n) == len(interior_points_by_scan(hull, n))
 
 
 def test_signed_area_sees_orientation():
@@ -72,6 +107,7 @@ def test_angle_key_orders_like_the_cross_product(vs):
         return 0 if c == 0 else (-1 if c > 0 else 1)
 
     assert sorted(vs, key=angle_key) == sorted(vs, key=functools.cmp_to_key(cmp))
+    assert all(angle_cmp((u.x, u.y), (w.x, w.y)) == cmp(u, w) for u in vs for w in vs)
 
 
 def _random_unimodular(data):

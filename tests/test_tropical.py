@@ -86,6 +86,23 @@ def test_genus_of_dilated_triangle_matches_formula():
         assert genus_of(dilate(unit_triangle(), d)) == (d - 1) * (d - 2) // 2
 
 
+def test_genus_of_a_huge_triangle_is_exact():
+    d = 10**6
+    assert genus_of(dilate(unit_triangle(), d)) == (d - 1) * (d - 2) // 2
+
+
+def test_genus_of_reads_a_clockwise_polygon_like_its_reverse():
+    ccw = (V(0, 0), V(4, 0), V(4, 2), V(1, 3))
+    assert genus_of(RatPolygon(ccw[::-1])) == genus_of(RatPolygon(ccw)) == 6  # Pick: 9 - 8 / 2 + 1
+
+
+def test_genus_of_needs_a_lattice_polygon_and_is_zero_when_degenerate():
+    with pytest.raises(ValueError, match="lattice polygon required"):
+        genus_of(dilate(unit_triangle(), Fraction(1, 2)))
+    assert genus_of(RatPolygon((V(0, 0), V(5, 0)))) == 0
+    assert genus_of(RatPolygon((V(0, 0), V(2, 0), V(4, 0)))) == 0
+
+
 def test_curve_edges_demand_primitive_rays():
     with pytest.raises(ValueError):
         CurveEdge(V(0, 0), ray=V(2, 2))
