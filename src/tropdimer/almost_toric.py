@@ -9,6 +9,11 @@ becomes an affine circle.
 
 Curves live in the single ambient chart; cut crossings are implicit.
 Legs attached to nodes must run parallel to the eigenray.
+
+A charted section glues when each overlap difference phi_i - phi_j o T^-1
+is affine with an integral gradient; `validate_section` decides this cell
+by cell, where one term of each function is maximal, with one exact
+half-plane cut (`_cut`), and decides each node germ exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import RatPolygon, UnimodularMap, Vec2, on_segment
-from .tropical import CurveEdge, TropicalCurve, TropicalPolynomial, evaluate
+from .tropical import CurveEdge, TropicalCurve, TropicalPolynomial
 
 
 @dataclass(frozen=True)
@@ -263,9 +268,12 @@ def nodal_trade_exchange(
     Forward from a line through the node (local model): the straight edge
     becomes a trivalent pants vertex pushed off the node plus a thimble
     leg.  Forward from a two-valent cut vertex on the corner side (an
-    outer-torus corner): the vertex moves past the node and picks up a
-    thimble leg.  Both inverses are supported; the thimble is detected by
-    its attachment.
+    outer-torus corner): the vertex moves to q - delta e, past the node q
+    with eigenray e, and picks up a thimble leg.  Both inverses are
+    supported; the thimble is detected by its attachment.  Undoing a vertex
+    exchange puts the vertex at q + delta e: on the outer torus of depth
+    1/2 with nodes at distance 1, delta = 1/2 restores it, and the default
+    delta = 1 lands on the polygon's corner (not admissible).
     """
     node = diagram.nodes[node_index]
     e = node.eigenray
@@ -443,41 +451,6 @@ class ChartedSection:
         return UnimodularMap.identity()
 
 
-def _clip(subject: RatPolygon, clipper: RatPolygon) -> Optional[RatPolygon]:
-    """Exact Sutherland-Hodgman intersection of convex polygons; None when
-    the intersection has empty interior."""
-    pts = list(subject.vertices)
-    for a, b in clipper.edges():
-        if not pts:
-            return None
-        out = []
-        n = b - a
-        inside = [n.cross(p - a) >= 0 for p in pts]  # left of (or on) a->b
-        for k, p in enumerate(pts):
-            q = pts[(k + 1) % len(pts)]
-            pi, qi = inside[k], inside[(k + 1) % len(pts)]
-            if pi:
-                out.append(p)
-            if pi != qi:
-                d = q - p
-                denom = n.cross(d)
-                t = n.cross(a - p) / denom
-                out.append(p + d.scale(t))
-        pts = out
-    dedup = []
-    for p in pts:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if dedup and dedup[0] == dedup[-1]:
-        dedup.pop()
-    if len(dedup) < 3:
-        return None
-    poly = RatPolygon(tuple(dedup))
-    if poly.area2() == 0:
-        return None
-    return poly
-
-
 def _transform_polynomial(phi: TropicalPolynomial, t: UnimodularMap) -> TropicalPolynomial:
     """The pullback along t^{-1}: (result)(x) = phi(t^{-1} x)."""
     inv = t.inverse()
@@ -489,71 +462,35 @@ def _transform_polynomial(phi: TropicalPolynomial, t: UnimodularMap) -> Tropical
     return TropicalPolynomial(tuple(terms), phi.concave)
 
 
-def _tie_lines(phi: TropicalPolynomial):
-    lines = []
-    for i in range(len(phi.terms)):
-        for j in range(i + 1, len(phi.terms)):
-            (a, c), (b, d) = phi.terms[i], phi.terms[j]
-            u = a - b
-            if not u.is_zero():
-                lines.append((u, d - c))  # <u, x> = rhs
-    return lines
+def _cut(points, u: Vec2, r) -> list:
+    """The part of the convex polygon with these vertices where
+    <u, x> >= r: one exact Sutherland-Hodgman step."""
+    out = []
+    for k, p in enumerate(points):
+        q = points[(k + 1) % len(points)]
+        sp, sq = u.dot(p) - r, u.dot(q) - r
+        if sp >= 0:
+            out.append(p)
+        if sp * sq < 0:
+            out.append(p + (q - p).scale(sp / (sp - sq)))
+    return out
 
 
-def _line_intersections(lines, overlap: RatPolygon):
-    pts = set(overlap.vertices)
-    boundary = [((b - a).rot90(), (b - a).rot90().dot(a)) for a, b in overlap.edges()]
-    every = lines + boundary
-    for i in range(len(every)):
-        for j in range(i + 1, len(every)):
-            (u1, r1), (u2, r2) = every[i], every[j]
-            det = u1.cross(u2)
-            if det == 0:
-                continue
-            x = (r1 * u2.y - r2 * u1.y) / det
-            y = (r2 * u1.x - r1 * u2.x) / det
-            p = Vec2(x, y)
-            if overlap.contains(p):
-                pts.add(p)
-    return sorted(pts)
+def _has_interior(points) -> bool:
+    """Nonzero area, in either orientation."""
+    return len(points) >= 3 and RatPolygon(tuple(points)).area2() != 0
 
 
-def _affine_on(samples, values):
-    """Fit g . x + c through the samples and check it matches everywhere;
-    returns the gradient g, or None if the data is not affine."""
-    base_p, base_v = samples[0], values[0]
-    pair = None
-    for i in range(1, len(samples)):
-        for j in range(i + 1, len(samples)):
-            if (samples[i] - base_p).cross(samples[j] - base_p) != 0:
-                pair = (i, j)
-                break
-        if pair:
-            break
-    if pair is None:
-        # all samples collinear: any consistent slope along the line works
-        for i in range(1, len(samples)):
-            d = samples[i] - base_p
-            if not d.is_zero():
-                # values must be affine in the line parameter; check pairwise
-                ref = (values[i] - base_v) / d.dot(d)
-                for j in range(1, len(samples)):
-                    dj = samples[j] - base_p
-                    if values[j] - base_v != ref * d.dot(dj):
-                        return None
-                break
-        return Vec2(0, 0)
-    i, j = pair
-    di, dj = samples[i] - base_p, samples[j] - base_p
-    det = di.cross(dj)
-    vi, vj = values[i] - base_v, values[j] - base_v
-    gx = (vi * dj.y - vj * di.y) / det
-    gy = (vj * di.x - vi * dj.x) / det
-    g = Vec2(gx, gy)
-    for p, v in zip(samples, values):
-        if base_v + g.dot(p - base_p) != v:
-            return None
-    return g
+def _cells(points, phi: TropicalPolynomial):
+    """(cell, gradient of phi there) for each term of phi: the polygon cut
+    by the term's dominance half-planes <a_k - a, x> >= c - c_k."""
+    sign = -1 if phi.concave else 1
+    for ak, ck in phi.terms:
+        cell = points
+        for a, c in phi.terms:
+            if a != ak:
+                cell = _cut(cell, ak - a, c - ck)
+        yield cell, ak.scale(sign)
 
 
 def _covector_fixed(alpha: Vec2, m: UnimodularMap) -> bool:
@@ -579,23 +516,28 @@ def _enters(region: RatPolygon, p: Vec2, ray: Vec2) -> bool:
 
 def validate_section(section: ChartedSection) -> bool:
     charts = section.charts
-    # overlap compatibility: differences affine with integral gradient
+    # overlap compatibility: every cell with interior, where one term of
+    # each function is maximal, gives the same integral gradient difference
     for i in range(len(charts)):
         for j in range(i + 1, len(charts)):
             t = section.transition(i, j)
             moved = RatPolygon(tuple(t.apply(v) for v in charts[j].region.vertices))
             if moved.area2() < 0:
                 moved = RatPolygon(tuple(reversed(moved.vertices)))
-            overlap = _clip(charts[i].region, moved)
-            if overlap is None:
+            overlap = list(charts[i].region.vertices)
+            for a, b in moved.edges():
+                normal = (b - a).rot90()
+                overlap = _cut(overlap, normal, normal.dot(a))
+            if not _has_interior(overlap):
                 continue
-            phi_i = charts[i].phi
             phi_j = _transform_polynomial(charts[j].phi, t)
-            lines = _tie_lines(phi_i) + _tie_lines(phi_j)
-            samples = _line_intersections(lines, overlap)
-            values = [evaluate(phi_i, p) - evaluate(phi_j, p) for p in samples]
-            g = _affine_on(samples, values)
-            if g is None or not g.is_integral():
+            gradients = {
+                g_i - g_j
+                for cell_i, g_i in _cells(overlap, charts[i].phi)
+                for cell, g_j in _cells(cell_i, phi_j)
+                if _has_interior(cell)
+            }
+            if len(gradients) != 1 or not gradients.pop().is_integral():
                 return False
     # node compatibility: the covectors active on each germ of the eigenline
     # at a node that enters a chart's interior must be monodromy-invariant;

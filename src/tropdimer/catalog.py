@@ -25,8 +25,9 @@ DEL_PEZZO_FANS = {
     "bl3": (V(1, 0), V(1, 1), V(0, 1), V(-1, 0), V(-1, -1), V(0, -1)),
 }
 
-# Reflexive moment polygons scaled by 3, counterclockwise; the fan ray for
-# each edge is its inward normal.
+# Reflexive moment polygons scaled by 3, counterclockwise.  As sets, the
+# primitive inward normals of the edges are the DEL_PEZZO_FANS rays for cp2,
+# p1p1 and bl3, and the negated rays for bl1 and bl2.
 MOMENT_POLYGONS = {
     "cp2": RatPolygon((V(-3, -3), V(6, -3), V(-3, 6))),
     "p1p1": RatPolygon((V(3, 3), V(-3, 3), V(-3, -3), V(3, -3))),

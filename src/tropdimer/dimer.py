@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import H1Class, Vec2, angle_cmp, interior_lattice_count
+from .lattice import H1Class, Vec2, angle_cmp, interior_lattice_count, strictly_convex
 from .tropical import TropicalCurve, make_fan
 
 WHITE = "white"
@@ -81,7 +81,7 @@ class DualDimer:
                 raise ValueError("degenerate polytope")
             if any(len(v) != 2 or not all(type(c) is int for c in v) for v in p.vertices):
                 raise ValueError("vertex must be a pair of integer numerators")
-            if not _strictly_convex(p.vertices):
+            if not strictly_convex(p.vertices):
                 raise ValueError("polytope is not strictly convex and counterclockwise")
 
     def indices(self, color: str):
@@ -106,20 +106,6 @@ class DualDimer:
     @functools.cached_property
     def _faces(self):
         return _trace_faces(self)
-
-
-def _strictly_convex(points) -> bool:
-    """Whether every point of an integer polygon lies strictly left of every
-    edge it is not an end of: strictly convex and counterclockwise."""
-    n = len(points)
-    for i in range(n):
-        (ax, ay), (bx, by) = points[i], points[(i + 1) % n]
-        for k in range(n):
-            if k != i and k != (i + 1) % n:
-                cx, cy = points[k]
-                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-                    return False
-    return True
 
 
 def fundamental_lift(points, n: int):

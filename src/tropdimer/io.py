@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, fundamental_lift
-from .lattice import RatPolygon, Vec2
+from .lattice import RatPolygon, Vec2, strictly_convex
 
 SCHEMA = "tropdimer/1"
 DIAGRAM_SCHEMA = "tropdimer-diagram/1"
@@ -182,6 +182,11 @@ def parse_diagram(text: str):
     boundary = None
     if raw_boundary is not None:
         boundary = RatPolygon(tuple(_parse_vec(v) for v in raw_boundary))
+        _require(
+            len(boundary.vertices) >= 3
+            and strictly_convex([(v.x, v.y) for v in boundary.vertices]),
+            "boundary must be a strictly convex counterclockwise polygon",
+        )
     raw_nodes = doc.get("nodes", [])
     _require(isinstance(raw_nodes, list), "nodes must be a list")
     nodes = []

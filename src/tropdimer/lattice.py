@@ -2,12 +2,12 @@
 
 This module is the one home of the planar geometry the toolkit shares:
 the angle order of directions (`angle_cmp`, and `angle_key` built on it),
-the convex hull of integer points, and the count of lattice points inside
-a convex polygon (`interior_lattice_count`, by floor sums).  The integer
-functions take (x, y) pairs, as the dimer pipeline keeps its polygons;
-the types carry ``fractions.Fraction`` coordinates and are the working
-type of tropical curves and base diagrams.  There is no floating point
-anywhere in the core, so every comparison made by callers is exact.
+strict convexity, the convex hull of integer points, and the count of
+lattice points inside a convex polygon (`interior_lattice_count`, by floor
+sums).  These functions take (x, y) pairs, as the dimer pipeline keeps its
+polygons; the types carry ``fractions.Fraction`` coordinates and are the
+working type of tropical curves and base diagrams.  There is no floating
+point anywhere in the core, so every comparison made by callers is exact.
 """
 
 from __future__ import annotations
@@ -184,6 +184,21 @@ class RatPolygon:
 
     def __repr__(self):
         return "Poly[" + ", ".join(repr(v) for v in self.vertices) + "]"
+
+
+def strictly_convex(points) -> bool:
+    """Whether every point of a polygon, given as (x, y) pairs of ints or
+    Fractions, lies strictly left of every edge it is not an end of:
+    strictly convex and counterclockwise."""
+    n = len(points)
+    for i in range(n):
+        (ax, ay), (bx, by) = points[i], points[(i + 1) % n]
+        for k in range(n):
+            if k != i and k != (i + 1) % n:
+                cx, cy = points[k]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+                    return False
+    return True
 
 
 def convex_hull(points) -> tuple:

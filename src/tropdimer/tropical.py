@@ -192,12 +192,8 @@ def nonlinearity_locus(phi: TropicalPolynomial) -> TropicalCurve:
             qw = p0 + d.scale(tw)
             val = max(c + a.dot(qw) for a, c in terms)
             active = sorted(a for a, c in terms if c + a.dot(qw) == val)
-            if ai not in (active[0], active[-1]) or aj not in (active[0], active[-1]):
-                continue  # an inner pair of a longer dual edge
-            if (ai, aj) != (active[0], active[-1]) and (aj, ai) != (active[0], active[-1]):
-                continue
-            if ai != min(ai, aj):
-                continue  # emit each geometric piece once, from its lex-least pair
+            if (ai, aj) != (active[0], active[-1]):
+                continue  # not the two ends of the dual edge: emitted by those
             diff = (active[-1] - active[0]).scale(den)
             mult = math.gcd(abs(int(diff.x)), abs(int(diff.y)))
             if lo is None and hi is None:

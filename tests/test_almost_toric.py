@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropdimer.almost_toric import (
     BaseDiagram,
@@ -21,8 +23,8 @@ from tropdimer.almost_toric import (
 )
 from tropdimer.catalog import DEL_PEZZO_FANS, MOMENT_POLYGONS, SEED_FAN, load
 from tropdimer.dimer import validate
-from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2
-from tropdimer.tropical import TropicalPolynomial, check_balancing
+from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2, convex_hull
+from tropdimer.tropical import TropicalPolynomial, check_balancing, evaluate
 
 V = Vec2
 F = Fraction
@@ -94,6 +96,23 @@ def test_three_exchanges_turn_the_outer_torus_inner(cp2):
     assert curves_equal(curve, build_inner_torus(cp2))
 
 
+@pytest.mark.parametrize(
+    "name,node",
+    [(name, i) for name, poly in MOMENT_POLYGONS.items() for i in range(len(poly.vertices))],
+)
+def test_vertex_exchange_round_trip(name, node):
+    diagram = trade_all_corners(BaseDiagram(MOMENT_POLYGONS[name]))
+    start = build_outer_torus(diagram, F(1, 2))
+    once = nodal_trade_exchange(diagram, start, node)
+    assert admissible(once, diagram)
+    # the vertex sits 1/2 from the node on the corner side
+    assert curves_equal(nodal_trade_exchange(diagram, once, node, delta=F(1, 2)), start)
+    # the default delta = 1 puts it on the corner itself
+    corner = nodal_trade_exchange(diagram, once, node)
+    assert MOMENT_POLYGONS[name].vertices[node] in corner.curve.vertices
+    assert not admissible(corner, diagram)
+
+
 def test_exchange_needs_an_exchange_site():
     diagram, _ = local_model()
     from tropdimer.tropical import CurveEdge, TropicalCurve
@@ -141,6 +160,17 @@ def test_del_pezzo_catalog_is_consistent():
         assert len(trade_all_corners(BaseDiagram(polygon)).nodes) == len(polygon.vertices)
     for seed in SEED_FAN:
         assert validate(load(seed)).ok
+
+
+def test_moment_polygon_edge_normals_against_the_fans():
+    # the primitive inward normal of a counterclockwise edge is its
+    # direction turned a quarter counterclockwise
+    negated = {"bl1", "bl2"}
+    for name, polygon in MOMENT_POLYGONS.items():
+        normals = {(b - a).rot90().primitive() for a, b in polygon.edges()}
+        rays = set(DEL_PEZZO_FANS[name])
+        assert normals == ({-r for r in rays} if name in negated else rays)
+        assert len(normals) == len(polygon.vertices)
 
 
 # --- charted sections -------------------------------------------------------
@@ -198,6 +228,15 @@ def test_overlap_with_fractional_gradient_difference_fails():
     assert not validate_section(ChartedSection(charts))
 
 
+def test_overlap_check_reads_a_clockwise_region_like_its_reverse():
+    base = two_chart_section()
+    first, second = base.charts
+    clockwise = Chart(RatPolygon(tuple(reversed(first.region.vertices))), first.phi)
+    assert validate_section(ChartedSection((clockwise, second)))
+    half = TropicalPolynomial(((V(F(1, 2), 0), F(0)),), False)
+    assert not validate_section(ChartedSection((clockwise, Chart(second.region, half))))
+
+
 def test_section_validity_is_unimodular_invariant():
     base = two_chart_section()
     m = UnimodularMap(1, 1, 0, 1, V(2, -1))
@@ -218,3 +257,195 @@ def _pull(phi, m):
     from tropdimer.almost_toric import _transform_polynomial
 
     return _transform_polynomial(phi, m)
+
+
+# --- the sampling oracle for overlap compatibility --------------------------
+#
+# The earlier overlap check, kept as an independent oracle: clip the two
+# charts, sample the overlap at its vertices and at every crossing of two
+# tie lines (or a tie line and an edge) inside it, and fit one affine
+# function through the values of phi_i - phi_j there.  A piecewise-affine
+# function that is affine at every vertex of its cells is affine on the
+# whole convex overlap, so the verdicts must agree with the cell check.
+
+
+def _clip(subject, clipper):
+    """Exact Sutherland-Hodgman intersection of convex polygons; None when
+    the intersection has empty interior."""
+    pts = list(subject.vertices)
+    for a, b in clipper.edges():
+        out = []
+        n = b - a
+        inside = [n.cross(p - a) >= 0 for p in pts]
+        for k, p in enumerate(pts):
+            q = pts[(k + 1) % len(pts)]
+            pi, qi = inside[k], inside[(k + 1) % len(pts)]
+            if pi:
+                out.append(p)
+            if pi != qi:
+                d = q - p
+                out.append(p + d.scale(n.cross(a - p) / n.cross(d)))
+        pts = out
+    dedup = []
+    for p in pts:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if dedup and dedup[0] == dedup[-1]:
+        dedup.pop()
+    if len(dedup) < 3 or RatPolygon(tuple(dedup)).area2() == 0:
+        return None
+    return RatPolygon(tuple(dedup))
+
+
+def _tie_lines(phi):
+    """(u, r) with <u, x> = r where two terms of phi tie."""
+    return [
+        (a - b, d - c)
+        for k, (a, c) in enumerate(phi.terms)
+        for b, d in phi.terms[k + 1 :]
+    ]
+
+
+def _samples(lines, overlap):
+    pts = set(overlap.vertices)
+    every = lines + [((b - a).rot90(), (b - a).rot90().dot(a)) for a, b in overlap.edges()]
+    for k, (u1, r1) in enumerate(every):
+        for u2, r2 in every[k + 1 :]:
+            det = u1.cross(u2)
+            if det != 0:
+                p = V((r1 * u2.y - r2 * u1.y) / det, (r2 * u1.x - r1 * u2.x) / det)
+                if overlap.contains(p):
+                    pts.add(p)
+    return sorted(pts)
+
+
+def _affine_gradient(samples, values):
+    """The gradient of the affine function through the samples, or None
+    when they fit no affine function.  The samples include the overlap's
+    vertices and the overlap has interior, so they are not all collinear."""
+    p0, v0 = samples[0], values[0]
+    i, j = next(
+        (i, j)
+        for i in range(1, len(samples))
+        for j in range(i + 1, len(samples))
+        if (samples[i] - p0).cross(samples[j] - p0) != 0
+    )
+    di, dj = samples[i] - p0, samples[j] - p0
+    det = di.cross(dj)
+    vi, vj = values[i] - v0, values[j] - v0
+    g = V((vi * dj.y - vj * di.y) / det, (vj * di.x - vi * dj.x) / det)
+    if any(v0 + g.dot(p - p0) != v for p, v in zip(samples, values)):
+        return None
+    return g
+
+
+def sampled_validate_section(section) -> bool:
+    charts = section.charts
+    for i in range(len(charts)):
+        for j in range(i + 1, len(charts)):
+            t = section.transition(i, j)
+            moved = RatPolygon(tuple(t.apply(v) for v in charts[j].region.vertices))
+            if moved.area2() < 0:
+                moved = RatPolygon(tuple(reversed(moved.vertices)))
+            overlap = _clip(charts[i].region, moved)
+            if overlap is None:
+                continue
+            phi_i, phi_j = charts[i].phi, _pull(charts[j].phi, t)
+            samples = _samples(_tie_lines(phi_i) + _tie_lines(phi_j), overlap)
+            values = [evaluate(phi_i, p) - evaluate(phi_j, p) for p in samples]
+            g = _affine_gradient(samples, values)
+            if g is None or not g.is_integral():
+                return False
+    # the node check looks at one chart at a time
+    return all(
+        validate_section(ChartedSection((chart,), (), section.diagram)) for chart in charts
+    )
+
+
+def _affine_plus(phi, g, k):
+    """phi + <g, x> + k."""
+    return TropicalPolynomial(tuple((a + g, c + k) for a, c in phi.terms), phi.concave)
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+halves = st.builds(F, st.integers(-4, 4), st.just(2))
+
+
+@st.composite
+def unimodular_maps(draw):
+    """Products of shears and the reflection in the x-axis, with a rational
+    translation: determinant +1 or -1."""
+    m = UnimodularMap.identity()
+    steps = draw(st.lists(st.tuples(st.sampled_from("xyr"), st.integers(-2, 2)), max_size=3))
+    for op, k in steps:
+        if op == "x":
+            m = UnimodularMap(1, k, 0, 1).compose(m)
+        elif op == "y":
+            m = UnimodularMap(1, 0, k, 1).compose(m)
+        else:
+            m = UnimodularMap(1, 0, 0, -1).compose(m)
+    return UnimodularMap(m.a, m.b, m.c, m.d, V(draw(rationals), draw(rationals)))
+
+
+@st.composite
+def convex_regions(draw):
+    den = draw(st.integers(1, 2))
+    points = draw(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=6)
+    )
+    hull = convex_hull(points)
+    assume(len(hull) >= 3)
+    return RatPolygon(tuple(V(F(x, den), F(y, den)) for x, y in hull))
+
+
+@st.composite
+def charted_sections(draw):
+    """Charts of one global function, each with its own coordinates, an
+    affine change (integral unless drawn otherwise) and sometimes a term
+    altered, so that both verdicts occur."""
+    concave = draw(st.booleans())
+    exponents = draw(st.lists(st.tuples(halves, halves), min_size=1, max_size=4, unique=True))
+    base = TropicalPolynomial(tuple((V(*a), draw(rationals)) for a in exponents), concave)
+    charts, maps = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(unimodular_maps())
+        region = RatPolygon(tuple(m.apply(v) for v in draw(convex_regions()).vertices))
+        if m.det < 0:  # counterclockwise, as the sampler's point test needs
+            region = RatPolygon(tuple(reversed(region.vertices)))
+        slope = halves if draw(st.integers(0, 4)) == 0 else st.integers(-2, 2)
+        phi = _affine_plus(_pull(base, m), V(draw(slope), draw(slope)), draw(rationals))
+        terms = list(phi.terms)
+        change = draw(st.sampled_from(["none", "none", "coefficient", "drop", "add", "flip"]))
+        if change == "coefficient":
+            k = draw(st.integers(0, len(terms) - 1))
+            terms[k] = (terms[k][0], terms[k][1] + draw(rationals))
+        elif change == "drop" and len(terms) > 1:
+            terms.pop(draw(st.integers(0, len(terms) - 1)))
+        elif change == "add":
+            a = V(draw(halves), draw(halves))
+            if all(a != b for b, _ in terms):
+                terms.append((a, draw(rationals)))
+        phi = TropicalPolynomial(tuple(terms), phi.concave != (change == "flip"))
+        charts.append(Chart(region, phi))
+        maps.append(m)
+    # a transition left out is the identity, which rarely fits the charts
+    transitions = tuple(
+        ((i, j), maps[i].compose(maps[j].inverse()))
+        for i in range(len(maps))
+        for j in range(i + 1, len(maps))
+        if draw(st.integers(0, 5))
+    )
+    diagram = None
+    if draw(st.booleans()):
+        rays = st.sampled_from([V(1, 0), V(0, 1), V(1, 1), V(-1, 2), V(0, -1)])
+        node = st.builds(Node, st.builds(V, rationals, rationals), rays, st.integers(1, 2))
+        nodes = draw(st.lists(node, max_size=2))
+        diagram = BaseDiagram(None, tuple(nodes))
+    return ChartedSection(tuple(charts), transitions, diagram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(charted_sections())
+def test_cell_check_agrees_with_the_sampling_oracle(section):
+    assert validate_section(section) == sampled_validate_section(section)
+

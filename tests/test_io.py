@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from tropdimer.io import (
     serialize_diagram,
     serialize_dimer,
 )
+from tropdimer.lattice import Vec2
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)
@@ -147,3 +149,32 @@ def test_parser_never_crashes_unhandled(blob):
         parse_dimer(blob.decode("utf-8", errors="replace"))
     except (json.JSONDecodeError, SchemaError, ValueError):
         pass
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [
+        pytest.param([[0, 0], [0, 4], [4, 0]], id="clockwise"),
+        pytest.param([[0, 0], [4, 0], [1, 1], [0, 4]], id="not-convex"),
+        pytest.param([[0, 0], [2, 0], [4, 0], [0, 4]], id="collinear-corner"),
+        pytest.param([[0, 0], [4, 0]], id="two-points"),
+    ],
+)
+def test_diagram_refuses_a_boundary_that_is_not_a_convex_counterclockwise_polygon(boundary):
+    doc = {
+        "schema": "tropdimer-diagram/1",
+        "boundary": [[[x, 1], [y, 1]] for x, y in boundary],
+        "nodes": [],
+    }
+    with pytest.raises(SchemaError, match="strictly convex counterclockwise polygon"):
+        parse_diagram(json.dumps(doc))
+
+
+def test_diagram_boundary_with_rational_corners_parses():
+    doc = {
+        "schema": "tropdimer-diagram/1",
+        "boundary": [[[0, 1], [0, 1]], [[1, 2], [0, 1]], [[0, 1], [1, 3]]],
+    }
+    assert parse_diagram(json.dumps(doc)).boundary.contains(
+        Vec2(Fraction(1, 8), Fraction(1, 8)), strict=True
+    )

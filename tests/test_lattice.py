@@ -14,6 +14,7 @@ from tropdimer.lattice import (
     convex_hull,
     dilate,
     interior_lattice_count,
+    strictly_convex,
     unit_triangle,
 )
 
@@ -86,6 +87,21 @@ def test_interior_lattice_count_matches_the_box_scan(points, n):
     hull = list(convex_hull(points))
     assume(len(hull) >= 3)
     assert interior_lattice_count(integer_edges(hull), n) == len(interior_points_by_scan(hull, n))
+
+
+@given(st.lists(st.tuples(ints, ints), min_size=3, max_size=8))
+def test_strictly_convex_accepts_hulls_in_integers_and_fractions(points):
+    hull = convex_hull(points)
+    assume(len(hull) >= 3)
+    assert strictly_convex(hull)
+    assert strictly_convex([(Fraction(x, 3), Fraction(y, 3)) for x, y in hull])
+    assert not strictly_convex(hull[::-1])
+
+
+def test_strictly_convex_refuses_a_collinear_corner():
+    half = Fraction(1, 2)
+    assert strictly_convex([(0, 0), (half, 0), (0, half)])
+    assert not strictly_convex([(0, 0), (half, 0), (1, 0), (0, half)])
 
 
 def test_signed_area_sees_orientation():

@@ -3,22 +3,28 @@
 The subjects are the catalog entries and the results of mutating each face
 of the embedded ones; each is checked on random unimodular images.  The
 overlap verdict of `validate` is also checked against the all-pairs brute
-force on them and on the torus covers of the catalog up to 3x3.
+force on them and on the torus covers of the catalog up to 3x3.  Random
+line arrangements with the seeds' directions, which `arrangement_dimer`
+accepts only when `validate` does, must pass every later stage too.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cover, unimodular_image
 from test_dimer import all_pairs_overlap
+from test_kasteleyn import newton_matches_zigzags
 from tropdimer import catalog
+from tropdimer.arrangement import TorusLine, arrangement_dimer
 from tropdimer.dimer import build_graph, dimer_to_tropical_fan, faces, validate, zigzag_paths
 from tropdimer.io import canonicalize, parse_dimer, serialize_dimer
 from tropdimer.kasteleyn import kasteleyn_matrix
-from tropdimer.mutation import exact_assignment, mutate_face
+from tropdimer.lattice import Vec2
+from tropdimer.mutation import exact_assignment, mutate_face, mutation_directions
 from tropdimer.render import LAYERS, render_dimer
 
 
@@ -69,3 +75,31 @@ def test_overlap_verdict_matches_all_pairs_brute_force(label):
     d = SUBJECTS.get(label) or COVERS[label]
     for image in (d, unimodular_image(d, random.Random(label))):
         assert validate(image).self_intersecting == all_pairs_overlap(image)
+
+
+@st.composite
+def arrangements(draw):
+    """The line directions of one seed, with offsets k / den."""
+    seed = draw(st.sampled_from(sorted(catalog.SEED_LINES)))
+    directions = [d for d, _ in catalog.SEED_LINES[seed]]
+    den = draw(st.sampled_from([7, 11, 13, 17, 19]))
+    n = len(directions)
+    offsets = draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n))
+    return [TorusLine(Vec2(*d), Fraction(k, den)) for d, k in zip(directions, offsets)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements())
+def test_every_stage_succeeds_on_an_accepted_line_arrangement(lines):
+    try:
+        d = arrangement_dimer(lines)  # refuses triple points and invalid regions
+    except ValueError:
+        assume(False)
+    assert validate(d).ok
+    classes = sorted((p.cls.a, p.cls.b) for p in zigzag_paths(d))
+    assert classes == sorted((int(line.direction.x), int(line.direction.y)) for line in lines)
+    graph = build_graph(d)
+    assert len(graph.whites) + len(graph.blacks) - len(graph.edges) + len(faces(d)) == 0
+    assert newton_matches_zigzags(d)
+    mutation_directions(d)
+    render_dimer(d, ("edges", "zigzags"))

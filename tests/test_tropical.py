@@ -32,6 +32,29 @@ def test_tropical_line_locus():
     assert check_balancing(curve)
 
 
+def test_conic_locus_has_bounded_edges():
+    # a smooth conic: the unit-triangle subdivision of the degree-2
+    # triangle gives 4 vertices, 3 bounded edges and 6 rays
+    f = tropical_polynomial(
+        {V(0, 0): 0, V(1, 0): 1, V(0, 1): 1, V(2, 0): 0, V(1, 1): 1, V(0, 2): 0}
+    )
+    curve = nonlinearity_locus(f)
+    assert curve.vertices == (V(-1, -1), V(0, 0), V(0, 1), V(1, 0))
+    segments = sorted(tuple(sorted((e.a, e.b))) for e in curve.edges if not e.is_ray)
+    assert segments == [(V(-1, -1), V(0, 0)), (V(0, 0), V(0, 1)), (V(0, 0), V(1, 0))]
+    rays = sorted((e.a, e.ray) for e in curve.edges if e.is_ray)
+    assert rays == [
+        (V(-1, -1), V(-1, 0)),
+        (V(-1, -1), V(0, -1)),
+        (V(0, 1), V(-1, 0)),
+        (V(0, 1), V(1, 1)),
+        (V(1, 0), V(0, -1)),
+        (V(1, 0), V(1, 1)),
+    ]
+    assert all(e.multiplicity == 1 for e in curve.edges)
+    assert check_balancing(curve)
+
+
 def test_dual_functions_agree_on_fans():
     # convex dual of a triangle pairs with the concave dual of its point
     # reflection; that is how the two polytope colors fit together.
