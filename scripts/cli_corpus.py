@@ -2,16 +2,16 @@
 """Golden digests of the dimer subcommands' output.
 
 Runs ``tropdimer.cli.run`` in-process for every dimer subcommand on every
-catalog entry, for ``validate``, ``kasteleyn`` and ``matchings`` on a few
-torus covers of them (larger matrices, and exponents over larger
-denominators), for ``validate`` and ``kasteleyn`` on larger covers
-(n = 15 .. 27), and for ``validate`` alone on covers of the immersed
-entries, once on the canonical document and once on a fixed integer lift
-of each polytope, and for the commands that read no dimer (``atf``,
-``genus``, ``catalog``), and records the sha256 of exit code, stdout and
-stderr per command line into ``tests/golden_cli.json``.  The check is
-``python -m pytest tests/test_golden_cli.py``, which compares the current
-digests against that file.
+catalog entry, for ``validate``, ``kasteleyn``, ``matchings``, ``mutate``
+and ``render`` on a few torus covers of them (larger matrices, faces and
+pictures, and exponents over larger denominators), for ``validate`` and
+``kasteleyn`` on larger covers (n = 15 .. 27), and for ``validate`` alone
+on covers of the immersed entries, once on the canonical document and once
+on a fixed integer lift of each polytope, and for the commands that read
+no dimer (``atf``, ``genus``, ``catalog``), and records the sha256 of exit
+code, stdout and stderr per command line into ``tests/golden_cli.json``.
+The check is ``python -m pytest tests/test_golden_cli.py``, which compares
+the current digests against that file.
 
     PYTHONPATH=src python3 scripts/cli_corpus.py    # rewrite the file
 """
@@ -99,9 +99,11 @@ def validate_commands():
 
 def cover_commands():
     """The argument lists run on the covers: `validate`, `kasteleyn` in
-    every gauge and `matchings`, plain and `--json`."""
+    every gauge, `matchings`, plain and `--json`, `mutate` at face 0 and
+    `render` with both overlays."""
     matchings = [["matchings", "{input}"], ["matchings", "{input}", "--json"]]
-    return validate_commands() + kasteleyn_commands() + matchings
+    drawn = [["mutate", "{input}", "--face", "0"], ["render", "{input}", "--show", "edges,zigzags"]]
+    return validate_commands() + kasteleyn_commands() + matchings + drawn
 
 
 def large_cover_commands():

@@ -504,9 +504,12 @@ def _covector_fixed(alpha: Vec2, m: UnimodularMap) -> bool:
 def _enters(region: RatPolygon, p: Vec2, ray: Vec2) -> bool:
     """Whether p + eps ray lies strictly inside the region for every small
     eps > 0: on each edge inequality the value at p is positive, or it is
-    zero and its derivative along the ray is positive."""
+    zero and its derivative along the ray is positive.  A clockwise region
+    is read like its reverse."""
     if region.is_degenerate:
         return False
+    if region.area2() < 0:
+        region = RatPolygon(tuple(reversed(region.vertices)))
     for a, b in region.edges():
         value = (b - a).cross(p - a)
         if value < 0 or (value == 0 and (b - a).cross(ray) <= 0):

@@ -457,10 +457,10 @@ def _zigzag_paths(dimer: DualDimer):
             cycle.append(cur)
             seen.add(cur)
             cur = successor[cur]
+        # each step ends where the next starts on the torus (the lookup
+        # key), so the sum of the displacements is a multiple of N
         tx = sum(s.end[0] - s.start[0] for s in cycle)
         ty = sum(s.end[1] - s.start[1] for s in cycle)
-        if tx % n or ty % n:
-            raise ValueError("zigzag cycle does not close on the torus")
         paths.append(ZigzagPath(tuple(cycle), H1Class(tx // n, ty // n)))
     return tuple(paths)
 
@@ -569,7 +569,8 @@ def _trace_faces(dimer: DualDimer):
     out = []
     for walk in face_orbits(all_darts, tail, lambda d: (d[0], -d[1]), corner):
         # the sum of the walk's displacements: the centroids cancel, which
-        # leaves sign * (white vertex - black vertex) per edge
+        # leaves sign * (white vertex - black vertex) per edge, two lifts of
+        # one anchor, so a multiple of N
         boundary = []
         edge_indices = []
         orientations = []
@@ -581,8 +582,6 @@ def _trace_faces(dimer: DualDimer):
             boundary.append((e.white, WHITE) if sign > 0 else (e.black, BLACK))
             tx += sign * (e.white_vertex[0] - e.black_vertex[0])
             ty += sign * (e.white_vertex[1] - e.black_vertex[1])
-        if tx % n or ty % n:
-            raise ValueError("face walk does not close on the torus")
         out.append(
             DimerFace(
                 tuple(boundary),

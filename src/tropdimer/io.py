@@ -103,7 +103,7 @@ def canonicalize(dimer: DualDimer) -> DualDimer:
     return DualDimer(dimer.denominator, polytopes)
 
 
-def serialize_dimer(dimer: DualDimer, weights=None) -> str:
+def serialize_dimer(dimer: DualDimer) -> str:
     doc = {
         "schema": SCHEMA,
         "denominator": dimer.denominator,
@@ -112,11 +112,6 @@ def serialize_dimer(dimer: DualDimer, weights=None) -> str:
             for color, points in _canonical_polytopes(dimer)
         ],
     }
-    if weights:
-        doc["weights"] = {
-            key: [weights[key].numerator, weights[key].denominator]
-            for key in sorted(weights)
-        }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 

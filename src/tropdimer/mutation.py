@@ -2,7 +2,7 @@
 
 Mutation removes the polytopes around a zero-weight disk face and replaces
 them by the convex hulls of consistent plane lifts of its white and black
-boundary polytopes.
+boundary polytopes, both read off in one walk around the face.
 
 Mutation directions are the classes of face boundary cycles.  A face
 boundary bounds its own disk on the torus, so its class is taken in the
@@ -44,35 +44,6 @@ def exact_assignment(dimer: DualDimer) -> dict:
     return {e.edge_id: Fraction(1) for e in graph.edges}
 
 
-def cycle_weight(graph, cycle, weights) -> Fraction:
-    """Signed weight of a closed walk: +w on black-to-white traversal,
-    -w on white-to-black.
-
-    ``cycle`` is a sequence of (edge index, orientation) with orientation
-    +1 for white-to-black.  The empty walk weighs 0.
-    """
-    if not cycle:
-        return Fraction(0)
-    # closedness: consecutive darts must chain head to tail
-    def tail(idx, sign):
-        e = graph.edges[idx]
-        return e.white if sign > 0 else e.black
-
-    def head(idx, sign):
-        e = graph.edges[idx]
-        return e.black if sign > 0 else e.white
-
-    m = len(cycle)
-    for k in range(m):
-        if head(*cycle[k]) != tail(*cycle[(k + 1) % m]):
-            raise ValueError("walk is not closed")
-    total = Fraction(0)
-    for idx, sign in cycle:
-        w = edge_weight(weights, graph.edges[idx].edge_id)
-        total += -w if sign > 0 else w
-    return total
-
-
 # ---------------------------------------------------------------------------
 # mutation
 
@@ -84,41 +55,34 @@ class MutationResult:
     replaced_face: DimerFace
 
 
-def _face_polytope_lifts(dimer: DualDimer, face: DimerFace):
-    """Translations (numerator pairs, multiples of N) making the face's
-    boundary polytopes share vertices literally in the plane, walking once
-    around the face."""
-    graph = build_graph(dimer)
-    offsets = []  # (polytope index, translation) per boundary position
-    tx = ty = 0
-    for idx, sign in zip(face.edge_indices, face.orientations):
-        e = graph.edges[idx]
-        offsets.append((e.white if sign > 0 else e.black, (tx, ty)))
-        tx += sign * (e.white_vertex[0] - e.black_vertex[0])
-        ty += sign * (e.white_vertex[1] - e.black_vertex[1])
-    if tx or ty:
-        raise ValueError("face walk does not close in the plane")
-    return offsets
-
-
 def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
-    all_faces = faces(dimer)
-    if face not in all_faces:
+    """Mutate at a face of zero signed weight.
+
+    One walk around the face sums the signed weight (-w on a white-to-black
+    edge, +w back) and moves each boundary polytope by the running
+    translation, the sum of sign * (white vertex - black vertex) so far,
+    which makes consecutive polytopes share their anchor in the plane.
+    """
+    if face not in faces(dimer):
         raise ValueError("face not found")
     graph = build_graph(dimer)
     unknown = unknown_weight_keys(graph, weights)
     if unknown:
         raise ValueError(f"weight for unknown edge {unknown[0]}")
-    if cycle_weight(graph, list(zip(face.edge_indices, face.orientations)), weights) != 0:
-        raise ValueError("face not mutable")
-
-    offsets = _face_polytope_lifts(dimer, face)
-    boundary_indices = {i for i, _ in offsets}
+    total = Fraction(0)
+    boundary_indices = set()
     points = {WHITE: set(), BLACK: set()}
-    for i, (tx, ty) in offsets:
-        points[dimer.polytopes[i].color].update(
-            (x + tx, y + ty) for x, y in dimer.polytopes[i].vertices
-        )
+    tx = ty = 0
+    for idx, sign in zip(face.edge_indices, face.orientations):
+        e = graph.edges[idx]
+        total -= sign * edge_weight(weights, e.edge_id)
+        i, color = (e.white, WHITE) if sign > 0 else (e.black, BLACK)
+        boundary_indices.add(i)
+        points[color].update((x + tx, y + ty) for x, y in dimer.polytopes[i].vertices)
+        tx += sign * (e.white_vertex[0] - e.black_vertex[0])
+        ty += sign * (e.white_vertex[1] - e.black_vertex[1])
+    if total != 0:
+        raise ValueError("face not mutable")
 
     kept = [p for i, p in enumerate(dimer.polytopes) if i not in boundary_indices]
     new_polys = kept + [

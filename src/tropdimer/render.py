@@ -32,18 +32,14 @@ def _xy(x: int, y: int, den: int):
     return _fmt((MARGIN * den + x * SCALE) / den), _fmt(((MARGIN + SCALE) * den - y * SCALE) / den)
 
 
-def _centroid_xy(points, n: int):
-    """Screen coordinates of the vertex centroid of an integer polygon over n."""
-    return _xy(sum(x for x, _ in points), sum(y for _, y in points), n * len(points))
-
-
 def render_dimer(dimer: DualDimer, show=()) -> str:
     """SVG text; ``show`` may contain "edges" and "zigzags".
 
     The picture depends only on the dimer on the torus, not on the stored
     lifts: polygons are drawn at their canonical lifts, each edge from the
-    centroid of its white polygon's canonical lift, and each zigzag as one
-    continuous walk from its start point reduced to the fundamental domain.
+    centroid of its white polygon's canonical lift to the point the edge's
+    displacement away, and each zigzag as one continuous walk from its
+    start point reduced to the fundamental domain.
     """
     size = SCALE + 2 * MARGIN
     out = [
@@ -64,14 +60,17 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
 
     if ("edges" in show or "zigzags" in show) and validate(dimer).ok:
         if "edges" in show:
-            for e in build_graph(dimer).edges:
+            graph = build_graph(dimer)
+            d = graph.denominator
+            for e in graph.edges:
+                # the white lift's centroid over D, and the black centroid
+                # the edge's displacement away from it
                 white = lifts[e.white]
-                x1, y1 = _centroid_xy(white, n)
-                # the black polygon lifted to share the white lift's anchor
-                ax, ay = white[dimer.polytopes[e.white].vertices.index(e.white_vertex)]
-                dx, dy = ax - e.black_vertex[0], ay - e.black_vertex[1]
-                black = [(x + dx, y + dy) for x, y in dimer.polytopes[e.black].vertices]
-                x2, y2 = _centroid_xy(black, n)
+                k = d // (n * len(white))
+                cx, cy = k * sum(x for x, _ in white), k * sum(y for _, y in white)
+                dx, dy = e.displacement
+                x1, y1 = _xy(cx, cy, d)
+                x2, y2 = _xy(cx + dx, cy + dy, d)
                 out.append(
                     f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     'stroke="#888888" stroke-width="0.8"/>'

@@ -7,8 +7,12 @@ settings.register_profile("fast", max_examples=25, deadline=None)
 settings.load_profile("fast")
 
 from tropdimer import catalog
-from tropdimer.dimer import DualDimer, Polytope
+from tropdimer.dimer import DualDimer, Polytope, validate
 from tropdimer.lattice import UnimodularMap
+
+
+# the catalog entries with embedded faces: all but the immersed ones
+EMBEDDED = tuple(name for name in catalog.NAMES if not validate(catalog.build(name)).self_intersecting)
 
 
 def unimodular_image(dimer: DualDimer, rng: random.Random) -> DualDimer:

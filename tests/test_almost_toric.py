@@ -193,6 +193,16 @@ def test_section_with_sheared_covector_fails():
     assert not validate_section(section_with_node(((V(0, 0), F(0)), (V(0, 1), F(0)))))
 
 
+@pytest.mark.parametrize("clockwise", [False, True])
+def test_node_check_reads_a_clockwise_region_like_its_reverse(clockwise):
+    # max(0, x2) on the 4x4 square around the node, in either orientation
+    section = section_with_node(((V(0, 0), F(0)), (V(0, 1), F(0))))
+    (chart,) = section.charts
+    if clockwise:
+        chart = Chart(RatPolygon(tuple(reversed(chart.region.vertices))), chart.phi)
+    assert not validate_section(ChartedSection((chart,), (), section.diagram))
+
+
 def test_node_check_decides_the_germ_in_a_thin_wedge():
     # a wedge with its apex at the node, 1/10000 deep along the eigenray
     # (0, 1): no point node + eps (0, 1) with eps >= 1/4096 lies in it, but

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import unimodular_image
+from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, dimer
 from tropdimer.arrangement import TorusLine, arrangement_dimer
 from tropdimer.dimer import (
@@ -19,7 +19,7 @@ from tropdimer.dimer import (
     zigzag_paths,
 )
 from tropdimer.io import SchemaError, parse_dimer
-from tropdimer.lattice import Vec2, convex_hull
+from tropdimer.lattice import H1Class, Vec2, convex_hull
 from tropdimer.tropical import check_balancing, make_fan
 
 V = Vec2
@@ -304,11 +304,22 @@ def test_honeycomb_has_three_hexagonal_faces(honeycomb):
     assert all(len(f.edge_indices) == 6 for f in fs)
 
 
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_every_face_of_an_embedded_dimer_is_null_homologous(name):
+    # faces() returns only when V - E + F = 0, which on the torus makes
+    # every face a disk, so no face walk drifts by a lattice vector
+    for kx in (1, 2, 3):
+        for ky in (1, 2, 3):
+            d = cover(catalog.build(name), kx, ky)
+            for image in (d, unimodular_image(d, random.Random(kx * 3 + ky))):
+                assert all(f.cls == H1Class(0, 0) for f in faces(image))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(catalog.NAMES), st.integers(min_value=0, max_value=10**6))
 def test_zigzag_classes_sum_to_zero_under_unimodular_change(name, seed):
     d = unimodular_image(catalog.build(name), random.Random(seed))
-    paths = zigzag_paths(d)  # needs no validation; raises if a zigzag does not close
+    paths = zigzag_paths(d)  # needs no validation
     assert sum(p.cls.a for p in paths) == 0
     assert sum(p.cls.b for p in paths) == 0
 

@@ -1,9 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog
-from tropdimer.dimer import dimer_to_tropical_fan, faces, validate
+from tropdimer.dimer import (
+    BLACK,
+    WHITE,
+    DualDimer,
+    Polytope,
+    build_graph,
+    dimer_to_tropical_fan,
+    edge_weight,
+    faces,
+    unknown_weight_keys,
+    validate,
+)
+from tropdimer.lattice import convex_hull
 from tropdimer.mutation import (
     compare_up_to_unimodular,
     euler_characteristic,
@@ -74,3 +90,163 @@ def test_compare_up_to_unimodular_is_direction_sensitive():
 def test_exact_assignment_is_rational_and_positive(honeycomb):
     weights = exact_assignment(honeycomb)
     assert all(isinstance(w, Fraction) and w >= 0 for w in weights.values())
+
+
+# --- the two-walk mutation, kept as an oracle -------------------------------
+#
+# The earlier `mutate_face` walked its face twice: `cycle_weight` checked
+# that consecutive darts chain head to tail and summed the signed weight,
+# and `_face_polytope_lifts` summed the plane translations again and
+# checked that they close.  `mutate_face` now reads the face in one walk.
+
+
+def cycle_weight(graph, cycle, weights) -> Fraction:
+    """Signed weight of a closed walk: +w on black-to-white traversal,
+    -w on white-to-black.
+
+    ``cycle`` is a sequence of (edge index, orientation) with orientation
+    +1 for white-to-black.  The empty walk weighs 0.
+    """
+    if not cycle:
+        return Fraction(0)
+
+    def tail(idx, sign):
+        e = graph.edges[idx]
+        return e.white if sign > 0 else e.black
+
+    def head(idx, sign):
+        e = graph.edges[idx]
+        return e.black if sign > 0 else e.white
+
+    m = len(cycle)
+    for k in range(m):
+        if head(*cycle[k]) != tail(*cycle[(k + 1) % m]):
+            raise ValueError("walk is not closed")
+    total = Fraction(0)
+    for idx, sign in cycle:
+        w = edge_weight(weights, graph.edges[idx].edge_id)
+        total += -w if sign > 0 else w
+    return total
+
+
+def _face_polytope_lifts(dimer, face):
+    """Translations making the face's boundary polytopes share vertices
+    literally in the plane, walking once around the face."""
+    graph = build_graph(dimer)
+    offsets = []  # (polytope index, translation) per boundary position
+    tx = ty = 0
+    for idx, sign in zip(face.edge_indices, face.orientations):
+        e = graph.edges[idx]
+        offsets.append((e.white if sign > 0 else e.black, (tx, ty)))
+        tx += sign * (e.white_vertex[0] - e.black_vertex[0])
+        ty += sign * (e.white_vertex[1] - e.black_vertex[1])
+    if tx or ty:
+        raise ValueError("face walk does not close in the plane")
+    return offsets
+
+
+def two_walk_mutation(dimer, face, weights):
+    """(mutated dimer, immersed) by the two walks above, or the message of
+    the ValueError raised on the way."""
+    try:
+        if face not in faces(dimer):
+            raise ValueError("face not found")
+        graph = build_graph(dimer)
+        unknown = unknown_weight_keys(graph, weights)
+        if unknown:
+            raise ValueError(f"weight for unknown edge {unknown[0]}")
+        walk = list(zip(face.edge_indices, face.orientations))
+        if cycle_weight(graph, walk, weights) != 0:
+            raise ValueError("face not mutable")
+        offsets = _face_polytope_lifts(dimer, face)
+        boundary = {i for i, _ in offsets}
+        points = {WHITE: set(), BLACK: set()}
+        for i, (tx, ty) in offsets:
+            points[dimer.polytopes[i].color].update(
+                (x + tx, y + ty) for x, y in dimer.polytopes[i].vertices
+            )
+        kept = [p for i, p in enumerate(dimer.polytopes) if i not in boundary]
+        hulls = [Polytope(color, convex_hull(points[color])) for color in (WHITE, BLACK)]
+        result = DualDimer(dimer.denominator, tuple(kept + hulls))
+        report = validate(result)
+        if not report.ok:
+            raise ValueError("mutation produced an invalid dimer")
+        return result, report.self_intersecting
+    except ValueError as exc:
+        return str(exc)
+
+
+def one_walk_mutation(dimer, face, weights):
+    """The same outcome from `mutate_face`."""
+    try:
+        result = mutate_face(dimer, face, weights)
+    except ValueError as exc:
+        return str(exc)
+    assert result.replaced_face == face
+    return result.dimer, result.immersed
+
+
+def potential_weights(dimer, potential):
+    """1 + p(white) - p(black) on every edge: the potential cancels around
+    any closed walk and the 1s cancel in pairs, so every face is mutable."""
+    return {
+        e.edge_id: Fraction(1 + potential[e.white] - potential[e.black])
+        for e in build_graph(dimer).edges
+    }
+
+
+@st.composite
+def mutation_cases(draw):
+    """An embedded catalog entry, its 1x2 or 2x2 cover or itself, maybe a
+    unimodular image of it, and potential weights, one of them bumped,
+    dropped or joined by a key that names no edge."""
+    name = draw(st.sampled_from(EMBEDDED))
+    kx, ky = draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]))
+    d = cover(catalog.build(name), kx, ky)
+    if draw(st.booleans()):
+        d = unimodular_image(d, random.Random(draw(st.integers(0, 10**6))))
+    potential = [draw(st.integers(-2, 2)) for _ in d.polytopes]
+    weights = potential_weights(d, potential)
+    change = draw(st.sampled_from(["none", "none", "bump", "drop", "unknown"]))
+    key = draw(st.sampled_from(sorted(weights)))
+    if change == "bump":
+        weights[key] += 1
+    elif change == "drop":
+        del weights[key]
+    elif change == "unknown":
+        weights["w0-b0@bogus"] = Fraction(1)
+    return name, d, weights, change
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutation_cases())
+def test_one_walk_mutation_agrees_with_the_two_walk_oracle(case):
+    name, d, weights, change = case
+    # the faces of the entry itself are foreign to its covers and images
+    for face in faces(d) + faces(catalog.build(name)):
+        got = one_walk_mutation(d, face, weights)
+        assert got == two_walk_mutation(d, face, weights)
+        if change == "none" and face in faces(d):
+            assert got != "face not mutable"
+
+
+def test_bumping_one_edge_makes_exactly_its_faces_not_mutable(honeycomb):
+    weights = potential_weights(honeycomb, [1, -1, 0, 2, 0, 1])
+    edge = build_graph(honeycomb).edges[0]
+    weights[edge.edge_id] += Fraction(1, 2)
+    for face in faces(honeycomb):
+        got = one_walk_mutation(honeycomb, face, weights)
+        assert got == two_walk_mutation(honeycomb, face, weights)
+        assert (got == "face not mutable") == (0 in face.edge_indices)
+
+
+def test_mutation_names_the_first_edge_with_no_weight(honeycomb):
+    graph = build_graph(honeycomb)
+    face = faces(honeycomb)[0]
+    weights = exact_assignment(honeycomb)
+    for idx in reversed(face.edge_indices[1:]):
+        del weights[graph.edges[idx].edge_id]
+    first = graph.edges[face.edge_indices[1]].edge_id
+    with pytest.raises(ValueError, match=f"^no weight for edge {first}$"):
+        mutate_face(honeycomb, face, weights)
+    assert two_walk_mutation(honeycomb, face, weights) == f"no weight for edge {first}"
