@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import importlib.resources
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arrangement import TorusLine, arrangement_dimer
-from .dimer import BLACK, WHITE, DualDimer, Polytope
 from .lattice import RatPolygon, Vec2
+
+if TYPE_CHECKING:
+    from .dimer import DualDimer
 
 V = Vec2
 
@@ -43,6 +45,8 @@ def build_honeycomb() -> DualDimer:
     The polytope order fixes the Kasteleyn row/column order and therefore
     the determinant on the nose: 3 - z1 - z2 - z1^-1*z2^-1.
     """
+    from .dimer import BLACK, WHITE, DualDimer, Polytope
+
     whites = [
         ((0, 0), (2, 1), (1, 2)),
         ((2, 4), (4, 5), (3, 6)),
@@ -59,6 +63,8 @@ def build_honeycomb() -> DualDimer:
 
 def build_pants_min() -> DualDimer:
     """The minimal mirror pair: one triangle of each color."""
+    from .dimer import BLACK, WHITE, DualDimer, Polytope
+
     black = ((1, 0), (0, 1), (-1, -1))
     white = ((-1, 0), (0, -1), (1, 1))
     return DualDimer(2, (Polytope(WHITE, white), Polytope(BLACK, black)))
@@ -101,6 +107,8 @@ SEED_LINES = {
 
 
 def build_seed(name: str) -> DualDimer:
+    from .arrangement import TorusLine, arrangement_dimer
+
     lines = [
         TorusLine(V(dx, dy), Fraction(*off)) for (dx, dy), off in SEED_LINES[name]
     ]

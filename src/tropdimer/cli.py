@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 domain failure (axiom violations, impossible
 operations), 2 usage or parse failure (bad flags, malformed JSON, schema
 violations).  Set TROPDIMER_COLOR=1 for ANSI-colored status lines.
+
+Each subcommand imports only the modules it runs: the branch of `_run`
+that needs a module, or the argument type that checks a value against it,
+imports it.  Every CLI call is a fresh interpreter, which compiles each
+module it imports whenever no bytecode cache is written, so an import at
+module level here would make every subcommand compile all of them.
 """
 
 from __future__ import annotations
@@ -15,33 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import catalog as cat
-from .dimer import (
-    build_graph,
-    dimer_to_tropical_fan,
-    faces,
-    unknown_weight_keys,
-    validate,
-    zigzag_paths,
-)
-from .io import SchemaError, parse_dimer, serialize_dimer, serialize_diagram
-from .kasteleyn import (
-    determinant,
-    enumerate_matchings,
-    format_laurent,
-    gauge_seed,
-    kasteleyn_matrix,
-    make_gauge,
-)
-from .mutation import (
-    compare_up_to_unimodular,
-    euler_characteristic,
-    exact_assignment,
-    mutate_face,
-    mutation_directions,
-    seed_directions,
-)
-from .render import LAYERS, render_diagram, render_dimer
-from .tropical import genus_degree
 
 
 def _color(text: str, code: str) -> str:
@@ -52,6 +31,8 @@ def _color(text: str, code: str) -> str:
 
 def _load_input(source: str):
     """(DualDimer, weights) from `catalog:<name>` or a file path."""
+    from .io import parse_dimer
+
     if source.startswith("catalog:"):
         text = cat.catalog_text(source.split(":", 1)[1])
     else:
@@ -71,6 +52,8 @@ def _emit(text: str, out_path):
 def _layers(text: str) -> tuple:
     """A `--show` value: comma-separated layers, each refused at parse time
     unless `render_dimer` draws it."""
+    from .render import LAYERS
+
     layers = tuple(s for s in text.split(",") if s)
     for layer in layers:
         if layer not in LAYERS:
@@ -97,11 +80,31 @@ def _depth(text: str) -> Fraction:
 
 def _gauge_name(name: str) -> str:
     """A `--gauge` value, refused at parse time unless `make_gauge` knows it."""
+    from .kasteleyn import gauge_seed
+
     try:
         gauge_seed(name)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return name
+
+
+class _Show(argparse.Action):
+    """`render --show`.  Its help lists `render.LAYERS` and is read only when
+    it is printed, so that building the parser does not import `render`."""
+
+    @property
+    def help(self) -> str:
+        from .render import LAYERS
+
+        return "comma-separated layers: " + ",".join(LAYERS)
+
+    @help.setter
+    def help(self, value):
+        pass  # `Action.__init__` assigns `help=None`; the getter above answers
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
 
 
 @functools.lru_cache(maxsize=1)
@@ -132,9 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render")
     p.add_argument("input", type=_source)
-    p.add_argument(
-        "--show", default=(), type=_layers, help="comma-separated layers: " + ",".join(LAYERS)
-    )
+    p.add_argument("--show", default=(), type=_layers, action=_Show)
     p.add_argument("--out")
 
     p = sub.add_parser("catalog")
@@ -191,7 +192,11 @@ def _run_atf(args) -> int:
             diagram = trade_all_corners(diagram)
         else:
             diagram = nodal_trade(diagram, args.corner)
-        _emit(render_diagram(diagram) if args.render else serialize_diagram(diagram), args.out)
+        if args.render:
+            from .render import render_diagram as show
+        else:
+            from .io import serialize_diagram as show
+        _emit(show(diagram), args.out)
         return 0
     if args.atf_command in ("inner", "outer"):
         diagram = trade_all_corners(BaseDiagram(cat.MOMENT_POLYGONS[args.surface]))
@@ -221,6 +226,8 @@ def _run_atf(args) -> int:
 
 def _run(args) -> int:
     if args.command == "genus":
+        from .tropical import genus_degree
+
         print(genus_degree(args.degree))
         return 0
     if args.command == "catalog":
@@ -232,6 +239,15 @@ def _run(args) -> int:
         return 0
     if args.command == "atf":
         return _run_atf(args)
+
+    from .dimer import (
+        build_graph,
+        dimer_to_tropical_fan,
+        faces,
+        unknown_weight_keys,
+        validate,
+        zigzag_paths,
+    )
 
     dimer, weights = _load_input(args.input)
 
@@ -287,12 +303,16 @@ def _run(args) -> int:
         return 0
 
     if args.command == "kasteleyn":
+        from .kasteleyn import determinant, format_laurent, kasteleyn_matrix, make_gauge
+
         graph = build_graph(dimer)
         gauge = make_gauge(graph, args.gauge)
         print(format_laurent(determinant(kasteleyn_matrix(dimer, gauge))))
         return 0
 
     if args.command == "matchings":
+        from .kasteleyn import enumerate_matchings
+
         graph = build_graph(dimer)
         found = enumerate_matchings(graph)
         if args.json:
@@ -302,6 +322,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "mutate":
+        from .io import serialize_dimer
+        from .mutation import exact_assignment, mutate_face
+
         all_faces = faces(dimer)
         if not (0 <= args.face < len(all_faces)):
             raise ValueError("face not found")
@@ -313,11 +336,15 @@ def _run(args) -> int:
         return 0
 
     if args.command == "euler":
+        from .mutation import euler_characteristic
+
         value = euler_characteristic(dimer)
         print(json.dumps({"euler": value}) if args.json else value)
         return 0
 
     if args.command == "directions":
+        from .mutation import mutation_directions
+
         dirs = [(c.a, c.b) for c in mutation_directions(dimer)]
         if args.json:
             print(json.dumps(dirs))
@@ -327,6 +354,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "compare-seed":
+        from .mutation import compare_up_to_unimodular, mutation_directions, seed_directions
+
         want = seed_directions(cat.DEL_PEZZO_FANS[args.fan])
         got = mutation_directions(dimer)
         m = compare_up_to_unimodular(want, got)
@@ -337,6 +366,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "render":
+        from .render import render_dimer
+
         _emit(render_dimer(dimer, args.show), args.out)
         return 0
 
@@ -357,15 +388,14 @@ def run(argv) -> int:
             file=sys.stderr,
         )
         return 2
-    except SchemaError as exc:
-        print(_color(f"error: {exc}", "31"), file=sys.stderr)
-        return 2
-    except (UnicodeDecodeError, FileNotFoundError, IsADirectoryError) as exc:
+    except (UnicodeDecodeError, OSError) as exc:
         print(_color(f"error: {exc}", "31"), file=sys.stderr)
         return 2
     except ValueError as exc:
+        from .io import SchemaError  # loaded already if one was raised
+
         print(_color(f"error: {exc}", "31"), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SchemaError) else 1
 
 
 def main():

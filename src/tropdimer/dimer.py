@@ -36,9 +36,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .lattice import H1Class, Vec2, angle_cmp, interior_lattice_count, strictly_convex
-from .tropical import TropicalCurve, make_fan
+
+if TYPE_CHECKING:
+    from .tropical import TropicalCurve
 
 WHITE = "white"
 BLACK = "black"
@@ -483,6 +486,8 @@ def dimer_to_tropical_fan(dimer: DualDimer) -> TropicalCurve:
     in (1/N)Z^2.  Calibrated so a single mirror-pair dimer reproduces the
     nonlinearity locus of the dual function of its black polygon.
     """
+    from .tropical import make_fan
+
     rays: dict = {}
     for path in zigzag_paths(dimer):
         cls = path.cls

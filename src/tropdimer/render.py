@@ -9,9 +9,12 @@ elements through their anchors; zigzag overlays are polyline groups.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .dimer import BLACK, DualDimer, build_graph, fundamental_lift, validate, zigzag_paths
 from .lattice import Vec2
+
+if TYPE_CHECKING:
+    from .dimer import DualDimer
 
 SCALE = 240
 MARGIN = 24
@@ -41,6 +44,8 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
     displacement away, and each zigzag as one continuous walk from its
     start point reduced to the fundamental domain.
     """
+    from .dimer import BLACK, build_graph, fundamental_lift, validate, zigzag_paths
+
     size = SCALE + 2 * MARGIN
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

@@ -72,6 +72,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys):
+    """A path through a file is refused like a missing one: exit 2, no traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "x")
+    for argv in (["validate", bad], ["render", "catalog:honeycomb", "--out", bad]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "Not a directory" in err
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text('{\n  "schema": ,\n}')

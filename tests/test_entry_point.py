@@ -1,0 +1,78 @@
+"""The `python -m tropdimer.cli` entry point in a fresh interpreter.
+
+Each call prints what an in-process `run` prints, and imports only the
+package modules its subcommand runs: `-X importtime` reports every module
+the child imports on its stderr.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tropdimer.cli import run
+from tropdimer.render import LAYERS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# what every subcommand that reads a dimer loads
+READS_DIMER = {"catalog", "dimer", "io", "lattice"}
+
+CALLS = [
+    (["catalog"], {"catalog", "lattice"}),
+    (["genus", "3"], {"catalog", "lattice", "tropical"}),
+    (["validate", "catalog:honeycomb"], READS_DIMER),
+    (["fan", "catalog:honeycomb"], READS_DIMER | {"tropical"}),
+    (["kasteleyn", "catalog:honeycomb"], READS_DIMER | {"kasteleyn"}),
+    (["mutate", "catalog:honeycomb", "--face", "0"], READS_DIMER | {"mutation"}),
+    (["render", "catalog:honeycomb", "--show", "edges,zigzags"], READS_DIMER | {"render"}),
+    (["atf", "trade", "cp2"], READS_DIMER | {"almost_toric", "tropical"}),
+]
+
+
+def child(*argv):
+    """Exit code, stdout, stderr and the `tropdimer` submodules imported by
+    `python -m tropdimer.cli argv...` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("TROPDIMER_COLOR", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tropdimer.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    modules, err = set(), []
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.startswith("tropdimer."):
+                modules.add(name.removeprefix("tropdimer."))
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "\n".join(err), modules
+
+
+@pytest.mark.parametrize("argv, modules", CALLS, ids=[" ".join(c[0][:2]) for c in CALLS])
+def test_child_matches_run_and_imports_only_its_modules(argv, modules, capsys, monkeypatch):
+    monkeypatch.delenv("TROPDIMER_COLOR", raising=False)
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert child(*argv) == (code, out, "", modules)
+
+
+def test_render_help_lists_every_layer():
+    code, out, _, modules = child("render", "--help")
+    assert code == 0
+    assert all(layer in out for layer in LAYERS)
+    assert modules == {"catalog", "lattice", "render"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kasteleyn", "catalog:honeycomb", "--gauge", "bogus"], "argument --gauge: unknown gauge"),
+    (["render", "catalog:honeycomb", "--show", "edges,bogus"], "argument --show: unknown layer"),
+], ids=["gauge", "show"])
+def test_bad_type_values_are_refused_at_parse_time(argv, message):
+    code, out, err, modules = child(*argv)
+    assert code == 2 and not out
+    assert "usage: tropdimer" in err and message in err
+    assert "io" not in modules  # refused before the input is read
