@@ -19,7 +19,7 @@ half-plane cut (`_cut`), and decides each node germ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -62,8 +62,12 @@ class BaseDiagram:
 
 @dataclass(frozen=True)
 class CurveOnBase:
+    """A curve with some of its edges attached to nodes: ``attachments``
+    holds (edge index, node index) pairs, and a nodal-trade exchange
+    carries each one along with its edge by position."""
+
     curve: TropicalCurve
-    attachments: tuple = ()  # (edge index, node index) pairs
+    attachments: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +75,13 @@ class CurveOnBase:
 
 
 def _corner_data(boundary: RatPolygon, corner_index: int):
+    """(corner, primitive inward direction along the corner's bisector)."""
     verts = boundary.vertices
     n = len(verts)
     c = verts[corner_index]
     u = (verts[(corner_index - 1) % n] - c).primitive()
     v = (verts[(corner_index + 1) % n] - c).primitive()
-    return c, u, v
+    return c, (u + v).primitive()
 
 
 def nodal_trade(diagram: BaseDiagram, corner_index: int, t=1) -> BaseDiagram:
@@ -92,8 +97,7 @@ def nodal_trade(diagram: BaseDiagram, corner_index: int, t=1) -> BaseDiagram:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("trade distance must be positive")
-    corner, u, v = _corner_data(diagram.boundary, corner_index)
-    w = (u + v).primitive()
+    corner, w = _corner_data(diagram.boundary, corner_index)
     node = Node(corner + w.scale(t), -w, 1)
     return BaseDiagram(
         diagram.boundary,
@@ -169,8 +173,7 @@ def _traded_corner_nodes(diagram: BaseDiagram):
 
 def _corner_frame(diagram: BaseDiagram, i: int):
     """(corner, inward direction w, lattice distance to the node)."""
-    corner, u, v = _corner_data(diagram.boundary, i)
-    w = (u + v).primitive()
+    corner, w = _corner_data(diagram.boundary, i)
     node = _traded_corner_nodes(diagram)[i]
     offset = node.position - corner
     t = offset.x / w.x if w.x != 0 else offset.y / w.y
@@ -234,30 +237,39 @@ def local_model():
     return diagram, CurveOnBase(line, ())
 
 
-def _retarget(edges, old: Vec2, new: Vec2):
-    out = []
-    for e in edges:
-        if e.is_ray:
-            out.append(CurveEdge(new, ray=e.ray, multiplicity=e.multiplicity) if e.a == old else e)
-        elif e.a == old:
-            out.append(CurveEdge(new, e.b, multiplicity=e.multiplicity))
-        elif e.b == old:
-            out.append(CurveEdge(e.a, new, multiplicity=e.multiplicity))
-        else:
-            out.append(e)
-    return out
+def _moved(edge: CurveEdge, old: Vec2, new: Vec2) -> CurveEdge:
+    """The edge with its end at ``old``, if it has one, moved to ``new``."""
+    if edge.a == old:
+        return replace(edge, a=new)
+    return replace(edge, b=new) if not edge.is_ray and edge.b == old else edge
 
 
-def _pants_directions(e: Vec2):
-    """The two non-leg germ (direction, length factor) pairs of the
-    exchanged trivalent vertex; together with the eigenray leg they
-    balance: -n + (n - e) + e = 0."""
+def _pants(e: Vec2, m: int) -> list:
+    """The sorted (primitive direction, multiplicity) germs of the two
+    non-leg rays of the exchanged trivalent vertex whose eigenray leg has
+    multiplicity m; with the leg they balance: -n + (n - e) + e = 0."""
     n = Vec2(e.y, -e.x)
-    first = -n
     second = n - e
-    sp = second.primitive()
-    length = math.gcd(abs(int(second.x)), abs(int(second.y)))
-    return (first, 1), (sp, length)
+    return sorted([(-n, m), (second.primitive(), m * math.gcd(int(second.x), int(second.y)))])
+
+
+def _edit(curve: CurveOnBase, drop, old: Vec2, new: Vec2, added=(), leg=None) -> CurveOnBase:
+    """Drop the edges indexed by ``drop``, move the vertex ``old`` to ``new``
+    in the rest, and append the ``added`` edges and then ``leg``, an (edge,
+    node index) pair attached to its node; each attachment follows its edge
+    by position.  Edits that add edges (the line cases) sort and
+    deduplicate the vertices; the others keep their order."""
+    kept = [i for i in range(len(curve.curve.edges)) if i not in drop]
+    position = {i: k for k, i in enumerate(kept)}
+    edges = [_moved(curve.curve.edges[i], old, new) for i in kept] + list(added)
+    attachments = [(position[ei], ni) for ei, ni in curve.attachments if ei in position]
+    if leg is not None:
+        attachments.append((len(edges), leg[1]))
+        edges.append(leg[0])
+    verts = [new if w == old else w for w in curve.curve.vertices]
+    if added:
+        verts = sorted(set(verts))
+    return CurveOnBase(TropicalCurve(tuple(verts), tuple(edges)), tuple(attachments))
 
 
 def nodal_trade_exchange(
@@ -276,97 +288,49 @@ def nodal_trade_exchange(
     delta = 1 lands on the polygon's corner (not admissible).
     """
     node = diagram.nodes[node_index]
-    e = node.eigenray
-    q = node.position
+    e, q = node.eigenray, node.position
     delta = Fraction(delta)
-    attached_here = {ei for ei, ni in curve.attachments if ni == node_index}
-    edges = list(curve.curve.edges)
-    verts = list(curve.curve.vertices)
+    edges, verts = curve.curve.edges, curve.curve.vertices
 
-    # inverse: a vertex carrying a thimble leg to this node
-    for leg_idx in sorted(attached_here):
+    def incident(p):
+        return {i: ed for i, ed in enumerate(edges) if ed.a == p or (not ed.is_ray and ed.b == p)}
+
+    leg_idx = min((ei for ei, ni in curve.attachments if ni == node_index), default=None)
+    if leg_idx is not None:
+        # inverse: the vertex v carrying the first thimble leg to this node
         leg = edges[leg_idx]
         v = leg.a if leg.b == q else leg.b
-        others = [
-            (i, ed)
-            for i, ed in enumerate(edges)
-            if i != leg_idx and (ed.a == v or (not ed.is_ray and ed.b == v))
-        ]
-        (d1, m1), (d2, m2) = _pants_directions(e)
-        pants = sorted([(d1.primitive(), m1 * leg.multiplicity), (d2, m2 * leg.multiplicity)])
-        germs = sorted(
-            (ed.ray, ed.multiplicity) for _, ed in others if ed.is_ray
-        )
-        if len(others) == 2 and germs == pants:
+        others = {i: ed for i, ed in incident(v).items() if i != leg_idx}
+        germs = sorted((ed.ray, ed.multiplicity) for ed in others.values() if ed.is_ray)
+        m = leg.multiplicity
+        if len(others) == 2 and germs == _pants(e, m):
             # undo the line exchange: restore the straight line through the node
-            keep = [ed for i, ed in enumerate(edges) if i != leg_idx and i not in {j for j, _ in others}]
-            m = leg.multiplicity
-            new_edges = keep + [
-                CurveEdge(q, ray=e, multiplicity=m),
-                CurveEdge(q, ray=-e, multiplicity=m),
-            ]
-            new_verts = [w for w in verts if w != v] + [q]
-            new_attach = _reindex_attachments(curve, edges, new_edges, drop={leg_idx})
-            return CurveOnBase(TropicalCurve(tuple(sorted(set(new_verts))), tuple(new_edges)), new_attach)
+            line = (CurveEdge(q, ray=e, multiplicity=m), CurveEdge(q, ray=-e, multiplicity=m))
+            return _edit(curve, {*others, leg_idx}, v, q, line)
         # undo a vertex exchange: move the vertex back to the corner side
-        keep = [ed for i, ed in enumerate(edges) if i != leg_idx]
-        target = q + e.scale(delta)
-        new_edges = _retarget(keep, v, target)
-        new_verts = [target if w == v else w for w in verts]
-        new_attach = _reindex_attachments(curve, edges, new_edges, drop={leg_idx})
-        return CurveOnBase(TropicalCurve(tuple(new_verts), tuple(new_edges)), new_attach)
+        return _edit(curve, {leg_idx}, v, q + e.scale(delta))
 
-    # forward from a vertex at the node itself: the straight-line case
     if q in verts:
-        incident = [
-            (i, ed) for i, ed in enumerate(edges)
-            if ed.a == q or (not ed.is_ray and ed.b == q)
-        ]
-        for _, ed in incident:
-            d = ed.ray if ed.is_ray else (ed.b - ed.a).primitive()
-            if d.cross(e) != 0:
-                raise ValueError("edge not parallel to eigenray")
-        m = incident[0][1].multiplicity
+        # forward from a vertex at the node itself: the straight-line case
+        at_q = incident(q)
+        if any(e.cross(ed.ray if ed.is_ray else ed.b - ed.a) for ed in at_q.values()):
+            raise ValueError("edge not parallel to eigenray")
+        m = at_q[min(at_q)].multiplicity
         v = q - e.scale(delta)
-        keep = [ed for i, ed in enumerate(edges) if i not in {i for i, _ in incident}]
-        (d1, m1), (d2, m2) = _pants_directions(e)
-        new_edges = keep + [
-            CurveEdge(v, ray=d1.primitive(), multiplicity=m1 * m),
-            CurveEdge(v, ray=d2, multiplicity=m2 * m),
-            CurveEdge(v, q, multiplicity=m),
-        ]
-        new_verts = [w for w in verts if w != q] + [v]
-        new_attach = _reindex_attachments(curve, edges, new_edges, drop=set())
-        new_attach = new_attach + ((len(new_edges) - 1, node_index),)
-        return CurveOnBase(TropicalCurve(tuple(sorted(set(new_verts))), tuple(new_edges)), new_attach)
+        pants = [CurveEdge(v, ray=d, multiplicity=k) for d, k in _pants(e, m)]
+        return _edit(curve, at_q, q, v, pants, (CurveEdge(v, q, multiplicity=m), node_index))
 
     # forward from a cut vertex on the corner side of the node
     for v in verts:
         offset = v - q
         if offset.cross(e) == 0 and offset.dot(e) > 0:
             target = q - e.scale(delta)
-            new_edges = _retarget(edges, v, target)
-            new_edges.append(CurveEdge(target, q))
-            new_verts = [target if w == v else w for w in verts]
-            new_attach = _reindex_attachments(curve, edges, new_edges, drop=set())
-            new_attach = new_attach + ((len(new_edges) - 1, node_index),)
-            return CurveOnBase(TropicalCurve(tuple(new_verts), tuple(new_edges)), new_attach)
+            return _edit(curve, (), v, target, leg=(CurveEdge(target, q), node_index))
 
     # nothing at the node: any edge crossing the node is transverse
     if any(_edge_touches(ed, q) for ed in edges):
         raise ValueError("edge not parallel to eigenray")
     raise ValueError("no exchange site at this node")
-
-
-def _reindex_attachments(curve: CurveOnBase, old_edges, new_edges, drop):
-    """Carry attachments over to the new edge list (matching by value)."""
-    out = []
-    for ei, ni in curve.attachments:
-        if ei in drop:
-            continue
-        target = old_edges[ei]
-        out.append((new_edges.index(target), ni))
-    return tuple(out)
 
 
 def curve_key(curve: CurveOnBase):

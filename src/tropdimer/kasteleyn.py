@@ -26,13 +26,17 @@ from .dimer import DimerGraph, DualDimer, build_graph, edge_weight, faces, valid
 @dataclass(frozen=True)
 class LaurentPolynomial:
     """A Laurent polynomial in z1, z2 whose exponents are integer pairs
-    (x, y) standing for (x/D, y/D), D = ``denominator``."""
+    (x, y) standing for (x/D, y/D), D = ``denominator``.  The constructor
+    sums the coefficients of equal exponents and drops the zeros."""
 
     terms: tuple  # sorted tuple of (exponent, coefficient), no zeros
     denominator: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(sorted((a, c) for a, c in self.terms if c != 0)))
+        acc: dict = {}
+        for a, c in self.terms:
+            acc[a] = acc.get(a, 0) + c
+        object.__setattr__(self, "terms", tuple(sorted((a, c) for a, c in acc.items() if c != 0)))
 
     @property
     def is_zero(self) -> bool:
@@ -45,11 +49,7 @@ class LaurentPolynomial:
         return self.denominator
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        den = self._over(other)
-        acc = dict(self.terms)
-        for a, c in other.terms:
-            acc[a] = acc.get(a, 0) + c
-        return LaurentPolynomial(tuple(acc.items()), den)
+        return LaurentPolynomial(self.terms + other.terms, self._over(other))
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial(tuple((a, -c) for a, c in self.terms), self.denominator)
@@ -58,13 +58,10 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        den = self._over(other)
-        acc: dict = {}
-        for (ax, ay), c in self.terms:
-            for (bx, by), d in other.terms:
-                key = (ax + bx, ay + by)
-                acc[key] = acc.get(key, 0) + c * d
-        return LaurentPolynomial(tuple(acc.items()), den)
+        products = (
+            ((ax + bx, ay + by), c * d) for (ax, ay), c in self.terms for (bx, by), d in other.terms
+        )
+        return LaurentPolynomial(products, self._over(other))
 
     def normalized(self) -> "LaurentPolynomial":
         """Shift exponents so the componentwise minimum is (0,0).
@@ -219,11 +216,11 @@ class KasteleynMatrix:
 
 def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
     graph = build_graph(dimer)
-    zero = LaurentPolynomial((), graph.denominator)
-    grid: dict = {}
+    cells: dict = {}
     for e, sign in zip(graph.edges, kasteleyn_signs(dimer)):
-        key = (e.white, e.black)
-        grid[key] = grid.get(key, zero) + edge_monomial(graph, e, gauge, sign)
+        cells.setdefault((e.white, e.black), []).extend(edge_monomial(graph, e, gauge, sign).terms)
+    grid = {key: LaurentPolynomial(terms, graph.denominator) for key, terms in cells.items()}
+    zero = LaurentPolynomial((), graph.denominator)
     entries = tuple(grid.get((w, b), zero) for w in graph.whites for b in graph.blacks)
     return KasteleynMatrix(graph.whites, graph.blacks, entries, graph.denominator)
 

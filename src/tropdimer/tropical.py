@@ -39,10 +39,6 @@ class TropicalPolynomial:
         object.__setattr__(self, "terms", items)
 
 
-def tropical_polynomial(term_map, concave: bool = False) -> TropicalPolynomial:
-    return TropicalPolynomial(tuple(term_map.items() if isinstance(term_map, dict) else term_map), concave)
-
-
 def evaluate(phi: TropicalPolynomial, q: Vec2) -> Rat:
     m = max(c + a.dot(q) for a, c in phi.terms)
     return -m if phi.concave else m

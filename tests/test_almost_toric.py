@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,12 @@ from tropdimer.almost_toric import (
     ChartedSection,
     CurveOnBase,
     Node,
+    _edge_touches,
     admissible,
     an_chain_curve,
     build_inner_torus,
     build_outer_torus,
+    curve_key,
     curves_equal,
     local_model,
     nodal_trade,
@@ -24,7 +27,14 @@ from tropdimer.almost_toric import (
 from tropdimer.catalog import DEL_PEZZO_FANS, MOMENT_POLYGONS, SEED_FAN, load
 from tropdimer.dimer import validate
 from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2, convex_hull
-from tropdimer.tropical import TropicalPolynomial, check_balancing, evaluate
+from tropdimer.mutation import compare_up_to_unimodular, seed_directions
+from tropdimer.tropical import (
+    CurveEdge,
+    TropicalCurve,
+    TropicalPolynomial,
+    check_balancing,
+    evaluate,
+)
 
 V = Vec2
 F = Fraction
@@ -115,8 +125,6 @@ def test_vertex_exchange_round_trip(name, node):
 
 def test_exchange_needs_an_exchange_site():
     diagram, _ = local_model()
-    from tropdimer.tropical import CurveEdge, TropicalCurve
-
     far = CurveOnBase(
         TropicalCurve((V(5, 5),), (CurveEdge(V(5, 5), ray=V(0, 1)), CurveEdge(V(5, 5), ray=V(0, -1)))),
         (),
@@ -127,8 +135,6 @@ def test_exchange_needs_an_exchange_site():
 
 def test_exchange_rejects_transverse_edges_at_the_node():
     diagram, _ = local_model()
-    from tropdimer.tropical import CurveEdge, TropicalCurve
-
     q = diagram.nodes[0].position
     crossing = CurveOnBase(
         TropicalCurve((q,), (CurveEdge(q, ray=V(1, 0)), CurveEdge(q, ray=V(-1, 0)))),
@@ -136,6 +142,191 @@ def test_exchange_rejects_transverse_edges_at_the_node():
     )
     with pytest.raises(ValueError, match="not parallel to eigenray"):
         nodal_trade_exchange(diagram, crossing, 0)
+
+
+def test_an_chain_exchanged_twice_at_one_node_carries_the_moved_leg():
+    # the first exchange undoes node 0's leg and moves its vertex onto node
+    # 1; the second moves that vertex, and node 1's leg with it, past node 0
+    diagram, curve = an_chain_curve(2)
+    for _ in range(2):
+        curve = nodal_trade_exchange(diagram, curve, 0)
+    assert len(curve.curve.edges) == 9
+    assert sorted(ni for _, ni in curve.attachments) == [0, 1]
+    assert not admissible(curve, diagram)
+
+
+# --- the value-matching oracle for the exchange ------------------------------
+#
+# The earlier exchange, kept as an independent oracle: it assembles each
+# case by hand and re-finds every attachment by value with ``list.index``,
+# which raises a bare "is not in list" error once an attached edge has
+# moved.  Wherever it succeeds, or refuses with a named error, the
+# exchange must agree with it.
+
+
+def _oracle_retarget(edges, old, new):
+    out = []
+    for e in edges:
+        if e.is_ray:
+            out.append(CurveEdge(new, ray=e.ray, multiplicity=e.multiplicity) if e.a == old else e)
+        elif e.a == old:
+            out.append(CurveEdge(new, e.b, multiplicity=e.multiplicity))
+        elif e.b == old:
+            out.append(CurveEdge(e.a, new, multiplicity=e.multiplicity))
+        else:
+            out.append(e)
+    return out
+
+
+def _oracle_pants_directions(e):
+    n = V(e.y, -e.x)
+    second = n - e
+    length = math.gcd(abs(int(second.x)), abs(int(second.y)))
+    return (-n, 1), (second.primitive(), length)
+
+
+def _oracle_reindex_attachments(curve, old_edges, new_edges, drop):
+    return tuple(
+        (new_edges.index(old_edges[ei]), ni) for ei, ni in curve.attachments if ei not in drop
+    )
+
+
+def oracle_exchange(diagram, curve, node_index, delta=1):
+    node = diagram.nodes[node_index]
+    e = node.eigenray
+    q = node.position
+    delta = F(delta)
+    attached_here = {ei for ei, ni in curve.attachments if ni == node_index}
+    edges = list(curve.curve.edges)
+    verts = list(curve.curve.vertices)
+    for leg_idx in sorted(attached_here):
+        leg = edges[leg_idx]
+        v = leg.a if leg.b == q else leg.b
+        others = [
+            (i, ed)
+            for i, ed in enumerate(edges)
+            if i != leg_idx and (ed.a == v or (not ed.is_ray and ed.b == v))
+        ]
+        (d1, m1), (d2, m2) = _oracle_pants_directions(e)
+        pants = sorted([(d1.primitive(), m1 * leg.multiplicity), (d2, m2 * leg.multiplicity)])
+        germs = sorted((ed.ray, ed.multiplicity) for _, ed in others if ed.is_ray)
+        if len(others) == 2 and germs == pants:
+            dropped = {j for j, _ in others}
+            keep = [ed for i, ed in enumerate(edges) if i != leg_idx and i not in dropped]
+            m = leg.multiplicity
+            new_edges = keep + [
+                CurveEdge(q, ray=e, multiplicity=m),
+                CurveEdge(q, ray=-e, multiplicity=m),
+            ]
+            new_verts = [w for w in verts if w != v] + [q]
+            new_attach = _oracle_reindex_attachments(curve, edges, new_edges, {leg_idx})
+            return CurveOnBase(
+                TropicalCurve(tuple(sorted(set(new_verts))), tuple(new_edges)), new_attach
+            )
+        keep = [ed for i, ed in enumerate(edges) if i != leg_idx]
+        target = q + e.scale(delta)
+        new_edges = _oracle_retarget(keep, v, target)
+        new_verts = [target if w == v else w for w in verts]
+        new_attach = _oracle_reindex_attachments(curve, edges, new_edges, {leg_idx})
+        return CurveOnBase(TropicalCurve(tuple(new_verts), tuple(new_edges)), new_attach)
+    if q in verts:
+        incident = [
+            (i, ed) for i, ed in enumerate(edges) if ed.a == q or (not ed.is_ray and ed.b == q)
+        ]
+        for _, ed in incident:
+            d = ed.ray if ed.is_ray else (ed.b - ed.a).primitive()
+            if d.cross(e) != 0:
+                raise ValueError("edge not parallel to eigenray")
+        m = incident[0][1].multiplicity
+        v = q - e.scale(delta)
+        dropped = {i for i, _ in incident}
+        keep = [ed for i, ed in enumerate(edges) if i not in dropped]
+        (d1, m1), (d2, m2) = _oracle_pants_directions(e)
+        new_edges = keep + [
+            CurveEdge(v, ray=d1.primitive(), multiplicity=m1 * m),
+            CurveEdge(v, ray=d2, multiplicity=m2 * m),
+            CurveEdge(v, q, multiplicity=m),
+        ]
+        new_verts = [w for w in verts if w != q] + [v]
+        new_attach = _oracle_reindex_attachments(curve, edges, new_edges, set())
+        new_attach = new_attach + ((len(new_edges) - 1, node_index),)
+        return CurveOnBase(
+            TropicalCurve(tuple(sorted(set(new_verts))), tuple(new_edges)), new_attach
+        )
+    for v in verts:
+        offset = v - q
+        if offset.cross(e) == 0 and offset.dot(e) > 0:
+            target = q - e.scale(delta)
+            new_edges = _oracle_retarget(edges, v, target)
+            new_edges.append(CurveEdge(target, q))
+            new_verts = [target if w == v else w for w in verts]
+            new_attach = _oracle_reindex_attachments(curve, edges, new_edges, set())
+            new_attach = new_attach + ((len(new_edges) - 1, node_index),)
+            return CurveOnBase(TropicalCurve(tuple(new_verts), tuple(new_edges)), new_attach)
+    if any(_edge_touches(ed, q) for ed in edges):
+        raise ValueError("edge not parallel to eigenray")
+    raise ValueError("no exchange site at this node")
+
+
+@st.composite
+def exchange_sequences(draw):
+    """A start curve (an outer or inner torus of a surface, the local
+    model, or an A_1..A_4 chain) and exchanges at random nodes and
+    distances."""
+    start = draw(st.sampled_from(["outer", "inner", "local", "chain"]))
+    if start in ("outer", "inner"):
+        polygon = MOMENT_POLYGONS[draw(st.sampled_from(list(MOMENT_POLYGONS)))]
+        diagram = trade_all_corners(BaseDiagram(polygon))
+        if start == "outer":
+            curve = build_outer_torus(diagram, draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3)])))
+        else:
+            curve = build_inner_torus(diagram)
+    elif start == "local":
+        diagram, curve = local_model()
+    else:
+        diagram, curve = an_chain_curve(draw(st.integers(1, 4)))
+    step = st.tuples(
+        st.integers(0, len(diagram.nodes) - 1), st.sampled_from([1, F(1, 2), F(1, 3), 2])
+    )
+    return diagram, curve, draw(st.lists(step, max_size=8))
+
+
+def exchange_sequence_agrees(diagram, curve, steps) -> str:
+    """Run the exchange and the oracle side by side, each on its own
+    results; 'ok', 'refused' (the same named error) or 'oracle crashed'."""
+    ours = theirs = curve
+    for node, delta in steps:
+        try:
+            theirs = oracle_exchange(diagram, theirs, node, delta)
+        except ValueError as err:
+            if str(err).endswith("is not in list"):
+                return "oracle crashed"
+            with pytest.raises(ValueError) as refusal:
+                nodal_trade_exchange(diagram, ours, node, delta)
+            assert str(refusal.value) == str(err)
+            return "refused"
+        ours = nodal_trade_exchange(diagram, ours, node, delta)
+        assert curve_key(ours) == curve_key(theirs)
+        assert ours.curve.vertices == theirs.curve.vertices
+        assert len(ours.curve.edges) == len(theirs.curve.edges)
+        assert len(ours.attachments) == len(theirs.attachments)
+    return "ok"
+
+
+@settings(max_examples=300, deadline=None)
+@given(exchange_sequences())
+def test_exchange_agrees_with_the_value_matching_oracle(case):
+    exchange_sequence_agrees(*case)
+
+
+def test_the_oracle_crashes_where_the_exchange_carries_a_moved_leg(cp2):
+    # the cp2 outer torus at depth 1/2, exchanged at nodes 0, 1, 0
+    curve = build_outer_torus(cp2, F(1, 2))
+    steps = [(0, 2), (1, 2), (0, 1)]
+    assert exchange_sequence_agrees(cp2, curve, steps) == "oracle crashed"
+    for node, delta in steps:
+        curve = nodal_trade_exchange(cp2, curve, node, delta)
+    assert [ni for _, ni in curve.attachments] == [1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -171,6 +362,32 @@ def test_moment_polygon_edge_normals_against_the_fans():
         rays = set(DEL_PEZZO_FANS[name])
         assert normals == ({-r for r in rays} if name in negated else rays)
         assert len(normals) == len(polygon.vertices)
+
+
+@pytest.mark.parametrize(
+    "name,d,reversed_trace",
+    [("cp2", 9, -52), ("p1p1", 8, 2), ("bl1", 8, -14), ("bl2", 7, -4), ("bl3", 6, -2)],
+)
+def test_monodromy_at_infinity(name, d, reversed_trace):
+    # the node monodromies composed in the order the trades create the
+    # nodes give the shear [[1, 0], [-d, 1]], with #nodes + d = 12: for cp2
+    # an I_9 fibre and three I_1 fibres.  The product depends on the order;
+    # reversed it is another matrix, parabolic too for p1p1
+    diagram = trade_all_corners(BaseDiagram(MOMENT_POLYGONS[name]))
+    m = backward = UnimodularMap.identity()
+    for node in diagram.nodes:
+        m = node.monodromy().compose(m)
+        backward = backward.compose(node.monodromy())
+    assert m == UnimodularMap(1, 0, -d, 1)
+    assert len(diagram.nodes) + d == 12
+    assert backward.a + backward.d == reversed_trace
+
+
+@pytest.mark.parametrize("name", list(MOMENT_POLYGONS))
+def test_node_eigenrays_match_the_seed_directions(name):
+    diagram = trade_all_corners(BaseDiagram(MOMENT_POLYGONS[name]))
+    rays = [(int(node.eigenray.x), int(node.eigenray.y)) for node in diagram.nodes]
+    assert compare_up_to_unimodular(rays, seed_directions(DEL_PEZZO_FANS[name])) is not None
 
 
 # --- charted sections -------------------------------------------------------

@@ -136,6 +136,15 @@ def test_format_constant_first_then_lex_descending():
     assert format_laurent(LaurentPolynomial(())) == "0"
 
 
+def test_constructor_merges_equal_exponents():
+    cancelled = LaurentPolynomial((((0, 0), 1), ((0, 0), -1)))
+    assert cancelled.is_zero
+    assert format_laurent(cancelled) == "0"
+    doubled = LaurentPolynomial((((1, 0), 1), ((1, 0), 1)))
+    assert doubled == monomial((1, 0), 2)
+    assert format_laurent(doubled) == "2*z1"
+
+
 def test_honeycomb_partition_function(honeycomb):
     det = determinant(kasteleyn_matrix(honeycomb))
     assert format_laurent(det) == "3 - z1 - z2 - z1^-1*z2^-1"

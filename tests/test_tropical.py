@@ -6,6 +6,7 @@ from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2, dilate, unit_tria
 from tropdimer.tropical import (
     CurveEdge,
     TropicalCurve,
+    TropicalPolynomial,
     check_balancing,
     dual_function,
     fan_equal,
@@ -13,7 +14,6 @@ from tropdimer.tropical import (
     genus_of,
     make_fan,
     nonlinearity_locus,
-    tropical_polynomial,
 )
 
 V = Vec2
@@ -25,7 +25,7 @@ def line_fan():
 
 def test_tropical_line_locus():
     # max(x, y, 0): three rays from the origin.
-    f = tropical_polynomial({V(1, 0): 0, V(0, 1): 0, V(0, 0): 0}, "convex")
+    f = TropicalPolynomial({V(1, 0): 0, V(0, 1): 0, V(0, 0): 0})
     curve = nonlinearity_locus(f)
     assert len(curve.vertices) == 1 and curve.vertices[0] == V(0, 0)
     assert fan_equal(curve, line_fan())
@@ -35,7 +35,7 @@ def test_tropical_line_locus():
 def test_conic_locus_has_bounded_edges():
     # a smooth conic: the unit-triangle subdivision of the degree-2
     # triangle gives 4 vertices, 3 bounded edges and 6 rays
-    f = tropical_polynomial(
+    f = TropicalPolynomial(
         {V(0, 0): 0, V(1, 0): 1, V(0, 1): 1, V(2, 0): 0, V(1, 1): 1, V(0, 2): 0}
     )
     curve = nonlinearity_locus(f)
@@ -67,7 +67,7 @@ def test_dual_functions_agree_on_fans():
 
 def test_edge_multiplicity_from_dual_length():
     # max(2x, 0) breaks along the y-axis with multiplicity 2.
-    f = tropical_polynomial({V(2, 0): 0, V(0, 0): 0}, "convex")
+    f = TropicalPolynomial({V(2, 0): 0, V(0, 0): 0})
     curve = nonlinearity_locus(f)
     assert sorted(e.multiplicity for e in curve.edges) == [2, 2]
 
@@ -132,7 +132,7 @@ def test_curve_edges_demand_primitive_rays():
 
 
 def test_rational_vertex_positions_survive_exactly():
-    f = tropical_polynomial({V(1, 0): Fraction(1, 3), V(0, 0): 0}, "convex")
+    f = TropicalPolynomial({V(1, 0): Fraction(1, 3), V(0, 0): 0})
     curve = nonlinearity_locus(f)
     xs = {p.x for e in curve.edges for p in (e.a,)}
     assert xs == {Fraction(-1, 3)}
