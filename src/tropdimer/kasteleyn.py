@@ -242,19 +242,19 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
        every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2); primes
        below 2^61 are taken from 2^61 - 1 down until their product exceeds
        twice that.
-    4. For each prime, det mod p on the (W1+1) x (W2+1) grid of points
-       (z1, z2) = (1..W1+1, 1..W2+1), W = box width, by sparse elimination.
+    4. For each prime, det mod p at the nodes of a (W1+1) x (W2+1) grid,
+       W = box width, drawn per prime, by one sparse elimination; a prime
+       whose nodes no single pivot order serves is skipped.
     5. Interpolation along z1 and then z2, and the Chinese remainder
        theorem to balanced integers.
 
     Entry coefficients must be integers.  The cost is four sparse
     assignment problems, O(n e log n) for e nonzero entries, plus per prime
-    (W1+1)(W2+1) eliminations of an n x n matrix, O(n^3) at worst and far
-    less on the sparse Kasteleyn matrices of torus graphs, and the
+    one elimination, O(n^3) steps on vectors of (W1+1)(W2+1) values at worst
+    and far fewer on the sparse Kasteleyn matrices of torus graphs, and the
     interpolation, O(W1 W2 (W1 + W2)).  A non-square matrix, or one with no
-    transversal, gives the zero polynomial, which is the partition function
-    of a graph with no perfect matching: the `kasteleyn` command prints it
-    as `0`.
+    transversal, gives the zero polynomial (no perfect matching), which the
+    `kasteleyn` command prints as `0`.
     """
     n, den = len(m.rows), m.denominator
     zero = LaurentPolynomial((), den)
@@ -273,15 +273,16 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     bound2 = 1
     for row in rows:
         bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
-    xs = {x for row in rows for ts in row.values() for x, _, _ in ts} | {-x0}
-    ys = {y for row in rows for ts in row.values() for _, y, _ in ts} | {-y0}
+    if rows:  # z^(-x0, -y0) times row 0: a polynomial of degree (W1, W2), W = box width
+        rows[0] = {j: [(x - x0, y - y0, c) for x, y, c in ts] for j, ts in rows[0].items()}
     coeffs, modulus = [[0] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)], 1
     for p in _primes():
-        za = [{x: pow(a, x, p) for x in xs} for a in range(1, x1 - x0 + 2)]
-        zb = [{y: pow(b, y, p) for y in ys} for b in range(1, y1 - y0 + 2)]
-        grid = [[_det_mod(rows, pa, pb, p) * pa[-x0] * pb[-y0] % p for pa in za] for pb in zb]
-        in_z1 = [_interpolate(values, p) for values in grid]  # [b][kx]
-        residues = [_interpolate(column, p) for column in zip(*in_z1)]  # [kx][ky]
+        a, b = _nodes(p, x1 - x0 + 1, y1 - y0 + 1)
+        values = _det_mod(rows, a, b, p)
+        if values is None:  # no pivot order serves every node: the next prime draws new ones
+            continue
+        in_z1 = _interpolate([values[k:k + len(a)] for k in range(0, len(values), len(a))], a, p)
+        residues = _interpolate(zip(*in_z1), b, p)  # [kx][ky]
         step = pow(modulus, -1, p)
         coeffs = [[c + modulus * ((r - c) * step % p) for c, r in zip(cs, rs)]
                   for cs, rs in zip(coeffs, residues)]
@@ -407,82 +408,90 @@ def _primes():
         p -= 2
 
 
-def _det_mod(rows, pa: dict, pb: dict, p: int) -> int:
-    """det mod p of the gauged matrix at (z1, z2) = (a, b), given the powers
-    ``pa[x]`` = a^x and ``pb[y]`` = b^y mod p of its exponents.
+def _nodes(p: int, *counts) -> list:
+    """Per axis, the nodes (z + k) * t mod p for k < count, z < p / 2 and t
+    drawn from random.Random(p): an arithmetic progression of nonzero nodes."""
+    rng = random.Random(p)
+    draws = [(rng.randrange(1, p // 2), rng.randrange(1, p)) for _ in counts]
+    return [[(z + k) * t % p for k in range(count)] for (z, t), count in zip(draws, counts)]
 
-    Gaussian elimination on sparse dict rows: each step pivots on the
-    remaining row with the fewest entries, at its column held by the fewest
-    remaining rows, and the determinant is the product of the pivots times
-    the sign of the permutation they form.
-    """
-    n = len(rows)
-    left = []
-    holders = [set() for _ in range(n)]  # column -> remaining rows with an entry there
+
+def _inverses(values: list, p: int) -> list:
+    """The inverses mod p of nonzero values with one pow: Montgomery's batch inversion."""
+    acc = 1
+    before = [1] + [acc := acc * v % p for v in values[:-1]]
+    acc = pow(acc * values[-1] % p, -1, p)
+    upto = [acc] + [acc := acc * v % p for v in values[:0:-1]]
+    return [u * w % p for u, w in zip(before, reversed(upto))]
+
+
+def _det_mod(rows, a: list, b: list, p: int):
+    """det mod p of the gauged matrix at each node (z1, z2) = (a[k], b[l]),
+    indexed l * len(a) + k, or None when no pivot order serves every node:
+    one elimination on sparse rows of per-node values, an entry zero at every
+    node dropped.  Each step takes the remaining row with the fewest entries
+    (none: det is zero) and, among its entries nonzero at every node, the
+    column held by the fewest remaining rows."""
+    pairs = {(x, y) for row in rows for ts in row.values() for x, y, _ in ts}
+    za, zb = ({e: [pow(z, abs(e), p) for z in (nodes if e >= 0 else inverse)]
+               for e in {pair[k] for pair in pairs}}
+              for k, nodes, inverse in ((0, a, _inverses(a, p)), (1, b, _inverses(b, p))))
+    powers = {(x, y): [v * u % p for v in zb[y] for u in za[x]] for x, y in pairs}
+    left, holders = {}, [set() for _ in rows]  # column -> remaining rows with an entry there
     for i, row in enumerate(rows):
-        values = {}
-        for j, terms in row.items():
-            value = sum(c * pa[x] * pb[y] for x, y, c in terms) % p
-            if value:
-                values[j] = value
+        left[i] = {}
+        for j, ((x, y, c), *more) in row.items():
+            value = [c * z % p for z in powers[x, y]]
+            for x, y, c in more:
+                value = [(s + c * z) % p for s, z in zip(value, powers[x, y])]
+            if any(value):
+                left[i][j] = value
                 holders[j].add(i)
-        left.append(values)
-    remaining = set(range(n))
-    perm = [0] * n
-    det = 1
-    while remaining:
-        i = min(remaining, key=lambda r: len(left[r]))
-        row = left[i]
+    perm, det, zeros = [0] * len(rows), [1] * len(a) * len(b), [0] * len(a) * len(b)
+    while left:
+        i = min(left, key=lambda r: len(left[r]))
+        row = left.pop(i)
         if not row:
-            return 0
-        j = min(row, key=lambda c: len(holders[c]))
-        remaining.discard(i)
+            return zeros
+        j = min((c for c, v in row.items() if all(v)), key=lambda c: len(holders[c]), default=None)
+        if j is None:
+            return None
         for c in row:
             holders[c].discard(i)
-        perm[i] = j
-        pivot = row.pop(j)
-        det = det * pivot % p
-        inverse = pow(pivot, -1, p)
+        perm[i], pivot = j, row.pop(j)
+        det = [d * v % p for d, v in zip(det, pivot)]
+        inverse = _inverses(pivot, p)
         for r in holders[j]:
             target = left[r]
-            f = target.pop(j) * inverse % p
+            f = [v * w % p for v, w in zip(target.pop(j), inverse)]
             for c, value in row.items():
-                w = (target.get(c, 0) - f * value) % p
-                if w:
-                    if c not in target:
-                        holders[c].add(r)
+                w = [(o - g * v) % p for o, g, v in zip(target.get(c, zeros), f, value)]
+                if any(w):
                     target[c] = w
+                    holders[c].add(r)
                 else:
-                    del target[c]
+                    target.pop(c, None)
                     holders[c].discard(r)
-        holders[j] = set()
-    seen = [False] * n
-    for start in range(n):  # a cycle of length k is k - 1 transpositions
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            if k != start:
-                det = -det
-    return det % p
+    sign = (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
+    return [sign * d % p for d in det]
 
 
-def _interpolate(values, p: int) -> list:
-    """The coefficients, lowest degree first, of the polynomial of degree
-    below len(values) that takes values[k] at k + 1, mod p: Newton's divided
-    differences, then the Newton form expanded."""
-    c = list(values)
-    k = len(c)
-    for j in range(1, k):
-        inverse = pow(j, -1, p)
-        for i in range(k - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inverse % p
-    poly = [0] * k
-    for i in range(k - 1, -1, -1):  # poly = poly * (z - (i + 1)) + c[i]
-        for t in range(k - 1, 0, -1):
-            poly[t] = (poly[t - 1] - (i + 1) * poly[t]) % p
-        poly[0] = (c[i] - (i + 1) * poly[0]) % p
-    return poly
+def _interpolate(rows, nodes: list, p: int) -> list:
+    """For each row of values at the nodes, the coefficients, lowest degree
+    first, of the polynomial of degree below len(nodes) through them, mod p,
+    the nodes an arithmetic progression: Newton's divided differences, then
+    the Newton form expanded."""
+    k = len(nodes)
+    inverses = [pow(j * (nodes[1] - nodes[0]), -1, p) for j in range(1, k)]  # 1 / (j node steps)
+    out = []
+    for c in map(list, rows):
+        for j, inverse in enumerate(inverses, 1):
+            c[j:] = [(u - v) * inverse % p for u, v in zip(c[j:], c[j - 1:-1])]
+        poly = []
+        for i in range(k - 1, -1, -1):  # poly = poly * (z - nodes[i]) + c[i]
+            poly = [(u - nodes[i] * v) % p for u, v in zip([c[i]] + poly, poly + [0])]
+        out.append(poly)
+    return out
 
 
 # ---------------------------------------------------------------------------

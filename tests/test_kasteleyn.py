@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cover, unimodular_image
-from tropdimer import catalog
+from tropdimer import catalog, kasteleyn
 from tropdimer.dimer import build_graph, zigzag_paths
 from tropdimer.kasteleyn import (
     KasteleynMatrix,
@@ -24,6 +24,7 @@ from tropdimer.kasteleyn import (
     novikov_necessary_condition,
 )
 from tropdimer.lattice import convex_hull
+from tropdimer.mutation import compare_up_to_unimodular, mutation_directions
 
 SQUARE_NAMES = [
     n
@@ -246,6 +247,68 @@ def test_determinant_lifts_large_coefficients():
     assert max(abs(c) for _, c in det.terms) > 2**200
 
 
+# entries that vanish on z1 = 1, on z1 = z2 and on z2 = 1
+VANISHING = [
+    (((0, 0), 1), ((1, 0), -1)),
+    (((1, 0), 1), ((0, 1), -1)),
+    (((0, 0), 2), ((0, -1), -2)),
+]
+TERM = st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.sampled_from([1, -1, 2, -2]))
+ENTRY = st.one_of(
+    st.just(()), st.sampled_from(VANISHING), st.lists(TERM, min_size=1, max_size=3).map(tuple)
+)
+Z1_MINUS_1 = LaurentPolynomial((((1, 0), 1), ((0, 0), -1)))
+# factors for a row copied into another one: the copy makes det identically zero
+FACTORS = [monomial((0, 0)), Z1_MINUS_1, monomial((0, 1), -2)]
+
+
+@st.composite
+def sparse_matrices(draw) -> KasteleynMatrix:
+    """A random sparse n x n matrix, n <= 5, with at times row i multiplied
+    by z1 - 1 and a multiple of row i copied into row j."""
+    n = draw(st.integers(1, 5))
+    rows = [[LaurentPolynomial(draw(ENTRY)) for _ in range(n)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        rows[i] = [e * Z1_MINUS_1 for e in rows[i]]
+    if i != j and draw(st.booleans()):
+        factor = draw(st.sampled_from(FACTORS))
+        rows[j] = [e * factor for e in rows[i]]
+    return KasteleynMatrix(tuple(range(n)), tuple(range(n)), tuple(sum(rows, [])), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_determinant_is_leibniz_sum_on_random_sparse_matrices(m):
+    assert determinant(m) == leibniz_determinant(m)
+
+
+def test_a_prime_whose_nodes_share_no_pivot_order_is_skipped(monkeypatch, honeycomb):
+    """On the nodes 1, 2, ... of both axes, the entries that the first pivot
+    of the honeycomb matrix leaves, differences of monomials, vanish at some
+    nodes and not at others, so no pivot order serves them all: that prime
+    gives no residue and the next one draws its own nodes."""
+    primes, draw = [], kasteleyn._nodes
+
+    def nodes(p, *counts):
+        primes.append(p)
+        return [list(range(1, c + 1)) for c in counts] if len(primes) == 1 else draw(p, *counts)
+
+    monkeypatch.setattr(kasteleyn, "_nodes", nodes)
+    assert format_laurent(determinant(kasteleyn_matrix(honeycomb))) == "3 - z1 - z2 - z1^-1*z2^-1"
+    assert len(primes) == 2
+
+
+def test_one_elimination_per_prime(monkeypatch):
+    """honeycomb 2x3 has a 7 x 5 grid of nodes, and one elimination serves
+    all 35 of them."""
+    calls, nodes, det_mod = [], kasteleyn._nodes, kasteleyn._det_mod
+    monkeypatch.setattr(kasteleyn, "_nodes", lambda *args: calls.append("nodes") or nodes(*args))
+    monkeypatch.setattr(kasteleyn, "_det_mod", lambda *args: calls.append("det") or det_mod(*args))
+    assert not determinant(kasteleyn_matrix(subject("honeycomb@2x3"))).is_zero
+    assert calls and calls == ["nodes", "det"] * (len(calls) // 2)
+
+
 def sign_twist_product(base: LaurentPolynomial) -> dict:
     """``rational_terms`` of prod P(s1 z1^(1/2), s2 z2^(1/2)) over s in
     {+1,-1}^2, normalized, for P the normalized ``base``."""
@@ -322,6 +385,16 @@ NEWTON_NAMES = [
 @pytest.mark.parametrize("name", NEWTON_NAMES)
 def test_newton_polygon_boundary_is_the_zigzag_classes(name):
     assert newton_matches_zigzags(subject(name))
+
+
+@pytest.mark.parametrize("name", ("honeycomb",) + catalog.SEED_NAMES)
+def test_face_classes_map_onto_the_newton_polygon_edges(name):
+    """Faces are walls: one unimodular map sends the face classes of the
+    dimer onto the primitive edge vectors of the Newton polygon of its
+    partition function, each edge once per unit of lattice length."""
+    dimer = catalog.build(name)
+    edges = newton_boundary(determinant(kasteleyn_matrix(dimer)))
+    assert compare_up_to_unimodular(mutation_directions(dimer), edges) is not None
 
 
 @pytest.mark.parametrize(
