@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimer import BLACK, WHITE, DualDimer, Polytope, face_orbits, validate
-from .lattice import RatPolygon, Vec2, angle_key, reduce_mod_lattice
+from .dimer import BLACK, WHITE, DualDimer, Polytope, orbits, validate
+from .lattice import Vec2, angle_key, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def _egcd(a: int, b: int):
 
 
 def _crossings(lines):
-    """All pairwise intersection points, as torus points, with the set of
-    (line index, parameter t in [0,1)) passages through each."""
+    """The passages of each line through the pairwise intersection points:
+    line index -> sorted (parameter t in [0,1), torus point)."""
     points = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -90,7 +90,7 @@ def _crossings(lines):
             passages.setdefault(i, []).append((s, t))
     for i in passages:
         passages[i].sort()
-    return points, passages
+    return passages
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ def _darts(lines, passages):
     for i, stops in passages.items():
         line = lines[i]
         base = line.base_point()
-        if len(stops) < 1:
-            raise ValueError("a line misses every crossing; add directions")
         m = len(stops)
         for k in range(m):
             s0, _ = stops[k]
@@ -121,18 +119,27 @@ def _darts(lines, passages):
     return out
 
 
-def _trace_regions(darts):
-    """Orbits of the arrangement's face permutation; each orbit is a closed
-    boundary walk, lifted consistently to the plane."""
-    # the reverse dart is the unique one on the same line leaving the end
-    # point in the opposite traversal sense
+def face_orbits(darts):
+    """Orbits of the arrangement's face permutation: closed boundary walks,
+    lifted consistently to the plane, in the order of their first dart in
+    ``darts``.
+
+    The darts leaving a crossing are ringed in counterclockwise order (the
+    rotation system), and a dart is followed by the one after its reverse
+    in the ring at its head, so each walk keeps its region on its right.
+    The reverse dart is the unique one on the same line leaving the end
+    point in the opposite traversal sense.
+    """
     by_key = {(d.line, reduce_mod_lattice(d.start), d.forward): d for d in darts}
-    return face_orbits(
-        darts,
-        tail=lambda d: reduce_mod_lattice(d.start),
-        reverse=lambda d: by_key[(d.line, reduce_mod_lattice(d.end), not d.forward)],
-        order=lambda d: angle_key(d.end - d.start),
-    )
+    rings: dict = {}
+    for d in darts:
+        rings.setdefault(reduce_mod_lattice(d.start), []).append(d)
+    after = {}
+    for ring in rings.values():
+        ring.sort(key=lambda d: angle_key(d.end - d.start))
+        for k, d in enumerate(ring):
+            after[d] = ring[(k + 1) % len(ring)]
+    return orbits(darts, lambda d: after[by_key[d.line, reduce_mod_lattice(d.end), not d.forward]])
 
 
 def _unroll(walk):
@@ -157,20 +164,16 @@ def arrangement_dimer(lines) -> DualDimer:
     dirs = {(l.direction, l.offset) for l in lines}
     if len(dirs) != len(lines):
         raise ValueError("repeated line")
-    _, passages = _crossings(lines)
+    passages = _crossings(lines)
     if len(passages) != len(lines):
         raise ValueError("a line misses every crossing; add directions")
-    darts = _darts(lines, passages)
-    walks = _trace_regions(darts)
-
     regions = []  # (color, rational corners)
-    for walk in walks:
+    for walk in face_orbits(_darts(lines, passages)):
+        # each walk keeps its region on its right: reversed, counterclockwise
+        walk = [_Dart(d.line, d.end, d.start, not d.forward) for d in reversed(walk)]
         pts = _unroll(walk)
         if pts is None:
             raise ValueError("arrangement region is not a disk")
-        if RatPolygon(tuple(pts)).area2() < 0:
-            walk = [_Dart(d.line, d.end, d.start, not d.forward) for d in reversed(walk)]
-            pts = _unroll(walk)
         senses = {d.forward for d in walk}
         if len(senses) != 1:
             continue  # mixed region: a dimer face, not a polytope

@@ -19,6 +19,12 @@ direction.  The edge displacements (hence the Kasteleyn exponents) are
 integer pairs over the graph's denominator D = N * lcm of the polygons'
 vertex counts, that of every vertex centroid; only the fan is rational.
 
+Zigzags and faces are the `orbits` of step maps on darts that index
+polygon vertices.  A zigzag dart (polytope, start index, end index) is
+keyed by its torus point and its direction, read from each dimer's one
+table of edge directions, which validation's germ test reads too; a face
+walk turns at each polytope to its next vertex and sorts no rotation ring.
+
 Validation also asks whether two polygon interiors meet on T^2, which
 separates embedded dimers from immersed ones.  A broad phase sweeps the
 polygons' x-extents around the circle R / N Z and tests the y-extents of
@@ -93,6 +99,14 @@ class DualDimer:
     @functools.cached_property
     def _vertex_maps(self):
         return {color: _vertex_map(self, color) for color in (WHITE, BLACK)}
+
+    @functools.cached_property
+    def _directions(self):
+        """Per polygon, the primitive direction of each edge k -> k + 1."""
+        return tuple(
+            tuple(_primitive(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]))
+            for vs in (p.vertices for p in self.polytopes)
+        )
 
     @functools.cached_property
     def _report(self):
@@ -171,12 +185,11 @@ def _vertex_map(dimer: DualDimer, color: str):
     return out, clashes
 
 
-def _germs(points, k: int):
-    """Primitive directions of the two polygon edges leaving vertex k."""
-    x, y = points[k]
-    return frozenset(
-        _primitive(px - x, py - y) for px, py in (points[(k + 1) % len(points)], points[k - 1])
-    )
+def _germs(directions, k: int):
+    """Primitive directions of the two polygon edges leaving vertex k, read
+    from the polygon's row of `DualDimer._directions`."""
+    (ax, ay), (bx, by) = directions[k], directions[k - 1]
+    return frozenset(((ax, ay), (-bx, -by)))
 
 
 def _minkowski_difference(p, q):
@@ -289,13 +302,14 @@ def _validate(dimer: DualDimer) -> ValidationReport:
     matching_ok = not mismatch
 
     points = [p.vertices for p in dimer.polytopes]
+    directions = dimer._directions
     germ_offenders = []
     if matching_ok and distinct_ok:
         for t in white_map:
             wi, wk = white_map[t]
             bi, bk = black_map[t]
-            wg = _germs(points[wi], wk)
-            bg = _germs(points[bi], bk)
+            wg = _germs(directions[wi], wk)
+            bg = _germs(directions[bi], bk)
             if frozenset((-gx, -gy) for gx, gy in wg) != bg:
                 germ_offenders.append(t)
     germs_ok = matching_ok and distinct_ok and not germ_offenders
@@ -404,22 +418,21 @@ class ZigzagPath:
     cls: H1Class
 
 
-def _directed_boundary(dimer: DualDimer):
-    """Directed polygon edges: black traversed counterclockwise, white clockwise.
-
-    This orientation is the boundary of the 2-chain (sum of black polygons
-    minus sum of white polygons); matched germs then concatenate head to
-    tail, which is what makes zigzag classes sum to zero.
-    """
-    darts = []
-    for i, p in enumerate(dimer.polytopes):
-        verts = p.vertices
-        if p.color == WHITE:
-            verts = tuple(reversed(verts))
-        n = len(verts)
-        for k in range(n):
-            darts.append(ZigzagStep(i, verts[k], verts[(k + 1) % n]))
-    return darts
+def orbits(darts, step):
+    """The orbits of the map ``step`` on ``darts``: lists in walk order, in
+    the order of their first dart in ``darts``.  A walk stops at a dart it
+    has already seen, so it ends whether or not ``step`` is a permutation."""
+    seen = set()
+    out = []
+    for cur in darts:
+        orbit = []
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = step(cur)
+        if orbit:
+            out.append(orbit)
+    return out
 
 
 def zigzag_paths(dimer: DualDimer):
@@ -428,43 +441,37 @@ def zigzag_paths(dimer: DualDimer):
 
 
 def _zigzag_paths(dimer: DualDimer):
+    """Darts run black polygons counterclockwise and white ones clockwise:
+    the boundary of the 2-chain (black polygons minus white ones), so matched
+    germs concatenate head to tail and the zigzag classes sum to zero."""
     n = dimer.denominator
-    darts = _directed_boundary(dimer)
+    points = [p.vertices for p in dimer.polytopes]
+    keys = {}  # dart -> (torus point, direction) of its start and of its end
+    for i, p in enumerate(dimer.polytopes):
+        for k, (dx, dy) in enumerate(dimer._directions[i]):
+            s, e = k, (k + 1) % len(p.vertices)
+            if p.color == WHITE:
+                s, e, dx, dy = e, s, -dx, -dy
+            (sx, sy), (ex, ey) = points[i][s], points[i][e]
+            keys[i, s, e] = ((sx % n, sy % n, dx, dy), (ex % n, ey % n, dx, dy))
 
-    def key(point, dart):  # a dart's torus point and primitive direction
-        return (point[0] % n, point[1] % n, _primitive(*dart.displacement))
+    lookup = {start: d for d, (start, _) in keys.items()}
+    if len(lookup) < len(keys):
+        raise ValueError("ambiguous zigzag continuation")
+    successor = {d: lookup.get(end) for d, (_, end) in keys.items()}
+    colors = [p.color for p in dimer.polytopes]
+    if any(nxt is None or colors[nxt[0]] == colors[d[0]] for d, nxt in successor.items()):
+        raise ValueError("zigzag continuation missing; dimer is not valid")
 
-    lookup = {}
-    for d in darts:
-        if key(d.start, d) in lookup:
-            raise ValueError("ambiguous zigzag continuation")
-        lookup[key(d.start, d)] = d
-
-    colors = {i: p.color for i, p in enumerate(dimer.polytopes)}
-    successor = {}
-    for d in darts:
-        nxt = lookup.get(key(d.end, d))
-        if nxt is None or colors[nxt.polytope] == colors[d.polytope]:
-            raise ValueError("zigzag continuation missing; dimer is not valid")
-        successor[d] = nxt
-
-    seen = set()
     paths = []
-    for d in sorted(darts, key=lambda s: (s.polytope, s.start, s.end)):
-        if d in seen:
-            continue
-        cycle = [d]
-        seen.add(d)
-        cur = successor[d]
-        while cur != d:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = successor[cur]
+    darts = sorted(keys, key=lambda d: (d[0], points[d[0]][d[1]]))
+    for cycle in orbits(darts, successor.__getitem__):
+        steps = tuple(ZigzagStep(i, points[i][s], points[i][e]) for i, s, e in cycle)
         # each step ends where the next starts on the torus (the lookup
         # key), so the sum of the displacements is a multiple of N
-        tx = sum(s.end[0] - s.start[0] for s in cycle)
-        ty = sum(s.end[1] - s.start[1] for s in cycle)
-        paths.append(ZigzagPath(tuple(cycle), H1Class(tx // n, ty // n)))
+        tx = sum(s.end[0] - s.start[0] for s in steps)
+        ty = sum(s.end[1] - s.start[1] for s in steps)
+        paths.append(ZigzagPath(steps, H1Class(tx // n, ty // n)))
     return tuple(paths)
 
 
@@ -510,46 +517,13 @@ class DimerFace:
     cls: H1Class
 
 
-def face_orbits(darts, tail, reverse, order):
-    """Orbits of the face permutation of a graph embedded in an oriented
-    surface: lists of darts in walk order, in the order of their first dart
-    in ``darts``.
-
-    ``tail(d)`` is the vertex dart ``d`` leaves, ``reverse(d)`` the dart of
-    the same edge traversed backwards, and the sort key ``order(d)`` puts
-    the darts leaving a vertex in counterclockwise cyclic order (the
-    rotation system).  A dart is followed by the one after its reverse in
-    the rotation at its head.
-    """
-    rings: dict = {}
-    for d in darts:
-        rings.setdefault(tail(d), []).append(d)
-    after = {}
-    for ring in rings.values():
-        ring.sort(key=order)
-        for k, d in enumerate(ring):
-            after[d] = ring[(k + 1) % len(ring)]
-
-    seen = set()
-    orbits = []
-    for start in darts:
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = after[reverse(cur)]
-        orbits.append(orbit)
-    return orbits
-
-
 def faces(dimer: DualDimer):
     return dimer._faces
 
 
 def _trace_faces(dimer: DualDimer):
+    """Darts are (edge index, +1 white -> black or -1 back).  Every vertex of
+    a valid dimer's polytope is an anchor, listed in rotation order."""
     report = validate(dimer)
     if not report.ok:
         raise ValueError("dimer fails validation")
@@ -557,47 +531,32 @@ def _trace_faces(dimer: DualDimer):
         raise ValueError("faces undefined for immersed dimer")
     graph = build_graph(dimer)
     n = dimer.denominator
-    corners = {color: dimer._vertex_maps[color][0] for color in (WHITE, BLACK)}
+    white_map, _ = dimer._vertex_maps[WHITE]
+    black_map, _ = dimer._vertex_maps[BLACK]
+    ends = [(white_map[e.anchor], black_map[e.anchor]) for e in graph.edges]
+    edge_at = {end: idx for idx, pair in enumerate(ends) for end in pair}
 
-    # darts (edge index, +1 white -> black or -1 back), rotated at each
-    # polytope in the order of its anchors around the convex polygon, which
-    # is the counterclockwise order of its vertex indices
-    def tail(dart):
-        e = graph.edges[dart[0]]
-        return e.white if dart[1] > 0 else e.black
-
-    def corner(dart):
-        anchor = graph.edges[dart[0]].anchor
-        return corners[WHITE if dart[1] > 0 else BLACK][anchor][1]
+    def step(dart):
+        i, k = ends[dart[0]][dart[1] > 0]  # (polytope, vertex index) of the head
+        return (edge_at[i, (k + 1) % len(dimer.polytopes[i].vertices)], -dart[1])
 
     all_darts = [(i, s) for i in range(len(graph.edges)) for s in (+1, -1)]
     out = []
-    for walk in face_orbits(all_darts, tail, lambda d: (d[0], -d[1]), corner):
+    for walk in orbits(all_darts, step):
         # the sum of the walk's displacements: the centroids cancel, which
         # leaves sign * (white vertex - black vertex) per edge, two lifts of
         # one anchor, so a multiple of N
         boundary = []
-        edge_indices = []
-        orientations = []
         tx = ty = 0
         for idx, sign in walk:
             e = graph.edges[idx]
-            edge_indices.append(idx)
-            orientations.append(sign)
             boundary.append((e.white, WHITE) if sign > 0 else (e.black, BLACK))
             tx += sign * (e.white_vertex[0] - e.black_vertex[0])
             ty += sign * (e.white_vertex[1] - e.black_vertex[1])
-        out.append(
-            DimerFace(
-                tuple(boundary),
-                tuple(edge_indices),
-                tuple(orientations),
-                H1Class(tx // n, ty // n),
-            )
-        )
+        edge_indices, orientations = zip(*walk)
+        cls = H1Class(tx // n, ty // n)
+        out.append(DimerFace(tuple(boundary), edge_indices, orientations, cls))
     # torus sanity: V - E + F = 0
-    v_count = len(dimer.polytopes)
-    e_count = len(graph.edges)
-    if v_count - e_count + len(out) != 0:
+    if len(dimer.polytopes) - len(graph.edges) + len(out) != 0:
         raise ValueError("embedding does not close up to a torus")
     return tuple(out)

@@ -189,16 +189,23 @@ class RatPolygon:
 def strictly_convex(points) -> bool:
     """Whether every point of a polygon, given as (x, y) pairs of ints or
     Fractions, lies strictly left of every edge it is not an end of:
-    strictly convex and counterclockwise."""
-    n = len(points)
-    for i in range(n):
-        (ax, ay), (bx, by) = points[i], points[(i + 1) % n]
-        for k in range(n):
-            if k != i and k != (i + 1) % n:
-                cx, cy = points[k]
-                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-                    return False
-    return True
+    strictly convex and counterclockwise (vacuously so below 3 points).
+
+    One pass: every turn is a strict left turn, and the edge directions
+    wrap once around the circle in `angle_cmp` order (a star polygon, from
+    5 vertices on, turns left throughout but wraps more than once)."""
+    if len(points) < 3:
+        return True
+    (px, py), (ax, ay) = points[-2], points[-1]
+    ux, uy = ax - px, ay - py
+    wraps = 0
+    for bx, by in points:
+        vx, vy = bx - ax, by - ay
+        if ux * vy - uy * vx <= 0:
+            return False
+        wraps += angle_cmp((ux, uy), (vx, vy)) > 0
+        ax, ay, ux, uy = bx, by, vx, vy
+    return wraps == 1
 
 
 def convex_hull(points) -> tuple:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from tropdimer.arrangement import TorusLine, arrangement_dimer
 from tropdimer.dimer import (
     DualDimer,
     Polytope,
+    ZigzagStep,
     build_graph,
     dimer_to_tropical_fan,
     faces,
@@ -329,3 +331,135 @@ def test_zigzag_classes_sum_to_zero_under_unimodular_change(name, seed):
 def test_fan_balancing_survives_unimodular_change(seed):
     d = unimodular_image(catalog.build("honeycomb"), random.Random(seed))
     assert check_balancing(dimer_to_tropical_fan(d))
+
+
+def zigzags_by_boundary_walk(d: DualDimer):
+    """The earlier zigzag tracer, kept as the oracle of `zigzag_paths`: step
+    darts along the polygon boundaries (black counterclockwise, white
+    clockwise) keyed by their torus point and a primitive direction
+    recomputed per dart, each cycle followed until it returns to its first
+    dart; as (steps, class) pairs.  None when the successor map is not a
+    permutation, where that walk would not end."""
+    n = d.denominator
+    darts = []
+    for i, p in enumerate(d.polytopes):
+        verts = p.vertices if p.color == "black" else tuple(reversed(p.vertices))
+        for k in range(len(verts)):
+            darts.append(ZigzagStep(i, verts[k], verts[(k + 1) % len(verts)]))
+
+    def key(point, dart):
+        dx, dy = dart.displacement
+        g = math.gcd(dx, dy)
+        return (point[0] % n, point[1] % n, dx // g, dy // g)
+
+    lookup = {}
+    for s in darts:
+        if key(s.start, s) in lookup:
+            raise ValueError("ambiguous zigzag continuation")
+        lookup[key(s.start, s)] = s
+    successor = {}
+    for s in darts:
+        nxt = lookup.get(key(s.end, s))
+        if nxt is None or d.polytopes[nxt.polytope].color == d.polytopes[s.polytope].color:
+            raise ValueError("zigzag continuation missing; dimer is not valid")
+        successor[s] = nxt
+    if len(set(successor.values())) < len(darts):
+        return None
+    seen = set()
+    paths = []
+    for s in sorted(darts, key=lambda s: (s.polytope, s.start, s.end)):
+        if s in seen:
+            continue
+        cycle = [s]
+        seen.add(s)
+        cur = successor[s]
+        while cur != s:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = successor[cur]
+        tx = sum(c.end[0] - c.start[0] for c in cycle)
+        ty = sum(c.end[1] - c.start[1] for c in cycle)
+        paths.append((tuple(cycle), H1Class(tx // n, ty // n)))
+    return paths
+
+
+def faces_by_rotation_rings(d: DualDimer):
+    """The earlier face tracer, kept as the oracle of `faces`: the darts
+    (edge index, +1 white -> black or -1 back) leaving each polytope sorted
+    into a ring by the vertex index of their anchor, and each dart followed
+    by the one after its reverse in the ring at its head; as lists of
+    darts."""
+    graph = build_graph(d)
+    n = d.denominator
+
+    def corner(i, anchor):
+        return next(
+            k for k, (x, y) in enumerate(d.polytopes[i].vertices) if (x % n, y % n) == anchor
+        )
+
+    darts = [(idx, s) for idx in range(len(graph.edges)) for s in (1, -1)]
+    rings = {}
+    for idx, s in darts:
+        e = graph.edges[idx]
+        rings.setdefault(e.white if s > 0 else e.black, []).append((idx, s))
+    after = {}
+    for i, ring in rings.items():
+        ring.sort(key=lambda dart: corner(i, graph.edges[dart[0]].anchor))
+        for k, dart in enumerate(ring):
+            after[dart] = ring[(k + 1) % len(ring)]
+    seen = set()
+    walks = []
+    for start in darts:
+        if start in seen:
+            continue
+        walk = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            cur = after[cur[0], -cur[1]]
+        walks.append(walk)
+    return walks
+
+
+@st.composite
+def small_dimers(draw):
+    """One to six random triangles or quadrilaterals of either color over
+    N <= 3 with coordinates in [-3, 3]; most fail the axioms."""
+    coord = st.integers(min_value=-3, max_value=3)
+    polytopes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=4, unique=True))
+        hull = convex_hull(points)
+        assume(len(hull) >= 3)
+        polytopes.append(Polytope(draw(st.sampled_from(("white", "black"))), hull))
+    return DualDimer(draw(st.integers(min_value=1, max_value=3)), tuple(polytopes))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_dimers())
+def test_zigzags_match_the_boundary_walk_oracle(d):
+    # the same steps and classes, or the same refusal: the only pin on the
+    # refusals, as every dimer of the CLI corpus is valid
+    try:
+        expected = zigzags_by_boundary_walk(d)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as got:
+            zigzag_paths(d)
+        assert str(got.value) == str(refusal)
+        return
+    assume(expected is not None)
+    assert [(p.steps, p.cls) for p in zigzag_paths(d)] == expected
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_walks_match_the_earlier_tracers_on_covers(name):
+    for kx in (1, 2, 3):
+        for ky in (1, 2, 3):
+            d = cover(catalog.build(name), kx, ky)
+            for image in (d, unimodular_image(d, random.Random(kx * 3 + ky))):
+                paths = [(p.steps, p.cls) for p in zigzag_paths(image)]
+                assert paths == zigzags_by_boundary_walk(image)
+                if name in EMBEDDED:
+                    walks = [list(zip(f.edge_indices, f.orientations)) for f in faces(image)]
+                    assert walks == faces_by_rotation_rings(image)

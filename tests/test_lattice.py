@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,57 @@ def test_strictly_convex_refuses_a_collinear_corner():
     half = Fraction(1, 2)
     assert strictly_convex([(0, 0), (half, 0), (0, half)])
     assert not strictly_convex([(0, 0), (half, 0), (1, 0), (0, half)])
+
+
+def strictly_convex_by_pairs(points) -> bool:
+    """The earlier O(k^2) test, kept as the oracle of `strictly_convex`:
+    every point strictly left of every edge it is not an end of."""
+    n = len(points)
+    for i in range(n):
+        (ax, ay), (bx, by) = points[i], points[(i + 1) % n]
+        for k in range(n):
+            if k != i and k != (i + 1) % n:
+                cx, cy = points[k]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+                    return False
+    return True
+
+
+@st.composite
+def polygon_candidates(draw):
+    """1 to 9 points: random ones, or the vertices of a hull read with a
+    step w from a random start (a star polygon {k/w} when w is prime to k),
+    in ints or in Fractions."""
+    points = draw(st.lists(st.tuples(ints, ints), min_size=1, max_size=9))
+    hull = convex_hull(points)
+    if len(hull) >= 3 and draw(st.booleans()):
+        k = len(hull)
+        w, start = draw(st.integers(1, k - 1)), draw(st.integers(0, k - 1))
+        points = [hull[(start + i * w) % k] for i in range(k)]
+    if draw(st.booleans()):
+        points = [(Fraction(x, 3), Fraction(y, 3)) for x, y in points]
+    return points
+
+
+@settings(max_examples=500, deadline=None)
+@given(polygon_candidates())
+def test_strictly_convex_agrees_with_the_pairwise_oracle(points):
+    assert strictly_convex(points) == strictly_convex_by_pairs(points)
+
+
+@pytest.mark.parametrize("k", range(3, 14))
+def test_strictly_convex_refuses_star_polygons(k):
+    # k points in convex position, read with every step w prime to k: only
+    # w = 1 is the convex polygon, w = k - 1 the same one clockwise
+    ring = [
+        (round(1000 * math.cos(2 * math.pi * i / k)), round(1000 * math.sin(2 * math.pi * i / k)))
+        for i in range(k)
+    ]
+    for w in range(1, k):
+        if math.gcd(k, w) == 1:
+            star = [ring[i * w % k] for i in range(k)]
+            for points in (star, [(Fraction(x, 7), Fraction(y, 7)) for x, y in star]):
+                assert strictly_convex(points) is strictly_convex_by_pairs(points) is (w == 1)
 
 
 def test_signed_area_sees_orientation():
