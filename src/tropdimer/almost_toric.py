@@ -19,25 +19,33 @@ half-plane cut (`_cut`), and decides each node germ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .lattice import RatPolygon, UnimodularMap, Vec2, on_segment
 from .tropical import CurveEdge, TropicalCurve, TropicalPolynomial
 
 
-@dataclass(frozen=True)
 class Node:
-    position: Vec2
-    eigenray: Vec2  # primitive integer direction
-    multiplicity: int = 1
+    """A node at ``position`` whose eigenray is a primitive integer
+    direction."""
 
-    def __post_init__(self):
-        if not self.eigenray.is_integral() or self.eigenray.primitive() != self.eigenray:
+    __slots__ = ("position", "eigenray", "multiplicity")
+
+    def __init__(self, position: Vec2, eigenray: Vec2, multiplicity: int = 1):
+        if not eigenray.is_integral() or eigenray.primitive() != eigenray:
             raise ValueError("eigenray must be a primitive integer vector")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
+        self.position, self.eigenray, self.multiplicity = position, eigenray, multiplicity
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.position, self.eigenray, self.multiplicity) == (
+            other.position, other.eigenray, other.multiplicity)
+
+    def __hash__(self):
+        return hash((self.position, self.eigenray, self.multiplicity))
 
     def monodromy(self) -> UnimodularMap:
         """The k-fold shear fixing the eigenline through the node:
@@ -53,21 +61,42 @@ class Node:
         return UnimodularMap(a, b, c, d, self.position - linear.apply_vector(self.position))
 
 
-@dataclass(frozen=True)
 class BaseDiagram:
-    boundary: Optional[RatPolygon]  # None = the whole plane
-    nodes: tuple = ()
-    traded: tuple = ()  # (corner index, node index) pairs
+    """A ``boundary`` polygon (None for the whole plane), its nodes, and
+    the traded corners as (corner index, node index) pairs."""
+
+    __slots__ = ("boundary", "nodes", "traded")
+
+    def __init__(self, boundary: RatPolygon | None, nodes: tuple = (), traded: tuple = ()):
+        self.boundary, self.nodes, self.traded = boundary, nodes, traded
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.boundary, self.nodes, self.traded) == (
+            other.boundary, other.nodes, other.traded)
+
+    def __hash__(self):
+        return hash((self.boundary, self.nodes, self.traded))
 
 
-@dataclass(frozen=True)
 class CurveOnBase:
     """A curve with some of its edges attached to nodes: ``attachments``
     holds (edge index, node index) pairs, and a nodal-trade exchange
     carries each one along with its edge by position."""
 
-    curve: TropicalCurve
-    attachments: tuple = ()
+    __slots__ = ("curve", "attachments")
+
+    def __init__(self, curve: TropicalCurve, attachments: tuple = ()):
+        self.curve, self.attachments = curve, attachments
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curve, self.attachments) == (other.curve, other.attachments)
+
+    def __hash__(self):
+        return hash((self.curve, self.attachments))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +269,10 @@ def local_model():
 def _moved(edge: CurveEdge, old: Vec2, new: Vec2) -> CurveEdge:
     """The edge with its end at ``old``, if it has one, moved to ``new``."""
     if edge.a == old:
-        return replace(edge, a=new)
-    return replace(edge, b=new) if not edge.is_ray and edge.b == old else edge
+        return CurveEdge(new, edge.b, edge.ray, edge.multiplicity)
+    if not edge.is_ray and edge.b == old:
+        return CurveEdge(edge.a, new, edge.ray, edge.multiplicity)
+    return edge
 
 
 def _pants(e: Vec2, m: int) -> list:
@@ -394,17 +425,38 @@ def an_chain_curve(n: int):
 # charted sections
 
 
-@dataclass(frozen=True)
 class Chart:
-    region: RatPolygon
-    phi: TropicalPolynomial
+    __slots__ = ("region", "phi")
+
+    def __init__(self, region: RatPolygon, phi: TropicalPolynomial):
+        self.region, self.phi = region, phi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.region, self.phi) == (other.region, other.phi)
+
+    def __hash__(self):
+        return hash((self.region, self.phi))
 
 
-@dataclass(frozen=True)
 class ChartedSection:
-    charts: tuple
-    transitions: tuple = ()  # ((i, j), UnimodularMap): x_i = T(x_j)
-    diagram: Optional[BaseDiagram] = None
+    """Charts glued by ``transitions``, ((i, j), UnimodularMap) pairs with
+    x_i = T(x_j), over an optional base diagram."""
+
+    __slots__ = ("charts", "transitions", "diagram")
+
+    def __init__(self, charts: tuple, transitions: tuple = (), diagram: BaseDiagram | None = None):
+        self.charts, self.transitions, self.diagram = charts, transitions, diagram
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.charts, self.transitions, self.diagram) == (
+            other.charts, other.transitions, other.diagram)
+
+    def __hash__(self):
+        return hash((self.charts, self.transitions, self.diagram))
 
     def transition(self, i: int, j: int) -> UnimodularMap:
         for (a, b), t in self.transitions:

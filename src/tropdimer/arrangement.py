@@ -17,21 +17,30 @@ do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, orbits, validate
 from .lattice import Vec2, angle_key, reduce_mod_lattice
 
 
-@dataclass(frozen=True)
 class TorusLine:
-    direction: Vec2  # primitive integer vector
-    offset: Fraction
+    """The oriented line with primitive integer ``direction`` and
+    ``offset``."""
 
-    def __post_init__(self):
-        if self.direction.primitive() != self.direction:
+    __slots__ = ("direction", "offset")
+
+    def __init__(self, direction: Vec2, offset: Fraction):
+        if direction.primitive() != direction:
             raise ValueError("line direction must be primitive")
+        self.direction, self.offset = direction, offset
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.direction, self.offset) == (other.direction, other.offset)
+
+    def __hash__(self):
+        return hash((self.direction, self.offset))
 
     @property
     def normal(self) -> Vec2:
@@ -93,12 +102,25 @@ def _crossings(lines):
     return passages
 
 
-@dataclass(frozen=True)
 class _Dart:
-    line: int
-    start: Vec2  # plane lift of the start crossing
-    end: Vec2
-    forward: bool  # True when traversed along the line's orientation
+    """A passage of line ``line`` from the plane lift ``start`` of one
+    crossing to ``end``; ``forward`` when along the line's orientation."""
+
+    __slots__ = ("line", "start", "end", "forward")
+
+    def __init__(self, line: int, start: Vec2, end: Vec2, forward: bool):
+        self.line, self.start, self.end, self.forward = line, start, end, forward
+
+    def _fields(self):
+        return (self.line, self.start, self.end, self.forward)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def _darts(lines, passages):

@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import importlib.resources
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .lattice import RatPolygon, Vec2
-
-if TYPE_CHECKING:
-    from .dimer import DualDimer
 
 V = Vec2
 

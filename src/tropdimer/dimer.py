@@ -40,58 +40,66 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .lattice import H1Class, Vec2, angle_cmp, interior_lattice_count, strictly_convex
-
-if TYPE_CHECKING:
-    from .tropical import TropicalCurve
 
 WHITE = "white"
 BLACK = "black"
 
 
-@dataclass(frozen=True)
 class Polytope:
     """One polygon: its color and its vertices as integer pairs over the
     denominator N of the dimer that holds it."""
 
-    color: str
-    vertices: tuple
+    __slots__ = ("color", "vertices")
 
-    def __post_init__(self):
-        if self.color not in (WHITE, BLACK):
-            raise ValueError(f"unknown color {self.color!r}")
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
+    def __init__(self, color: str, vertices: tuple):
+        if color not in (WHITE, BLACK):
+            raise ValueError(f"unknown color {color!r}")
+        self.color = color
+        self.vertices = tuple(tuple(v) for v in vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.color, self.vertices) == (other.color, other.vertices)
+
+    def __hash__(self):
+        return hash((self.color, self.vertices))
 
 
-@dataclass(frozen=True)
 class DualDimer:
     """The dimer data: polytopes whose vertices are integer pairs over
     N = ``denominator``, each polygon strictly convex and counterclockwise.
 
     Each structural stage below is computed at most once per instance, on
-    first use, and kept on it (a stage that raises keeps nothing).  The
-    module functions `validate`, `build_graph`, `zigzag_paths` and `faces`
-    return the kept value.  Equality and hashing use the fields only.
+    first use, and kept in its ``__dict__`` (a stage that raises keeps
+    nothing).  The module functions `validate`, `build_graph`,
+    `zigzag_paths` and `faces` return the kept value.  Equality and hashing
+    read ``denominator`` and ``polytopes`` only.
     """
 
-    denominator: int
-    polytopes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "polytopes", tuple(self.polytopes))
-        if self.denominator < 1:
+    def __init__(self, denominator: int, polytopes: tuple):
+        self.denominator = denominator
+        self.polytopes = polytopes = tuple(polytopes)
+        if denominator < 1:
             raise ValueError("denominator must be positive")
-        for p in self.polytopes:
+        for p in polytopes:
             if len(p.vertices) < 3:
                 raise ValueError("degenerate polytope")
             if any(len(v) != 2 or not all(type(c) is int for c in v) for v in p.vertices):
                 raise ValueError("vertex must be a pair of integer numerators")
             if not strictly_convex(p.vertices):
                 raise ValueError("polytope is not strictly convex and counterclockwise")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.denominator, self.polytopes) == (other.denominator, other.polytopes)
+
+    def __hash__(self):
+        return hash((self.denominator, self.polytopes))
 
     def indices(self, color: str):
         return [i for i, p in enumerate(self.polytopes) if p.color == color]
@@ -143,16 +151,45 @@ def _primitive(dx: int, dy: int):
 # validation
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    distinct_ok: bool
-    distinct_offenders: tuple
-    matching_ok: bool
-    matching_offenders: tuple
-    germs_ok: bool
-    germ_offenders: tuple
-    self_intersecting: bool
-    denominator: int  # offenders are torus points (x % N, y % N)
+    """The verdict on each axiom with its offenders, torus points
+    (x % N, y % N) over N = ``denominator``, and whether interiors meet."""
+
+    __slots__ = (
+        "distinct_ok", "distinct_offenders", "matching_ok", "matching_offenders",
+        "germs_ok", "germ_offenders", "self_intersecting", "denominator",
+    )
+
+    def __init__(
+        self,
+        distinct_ok: bool,
+        distinct_offenders: tuple,
+        matching_ok: bool,
+        matching_offenders: tuple,
+        germs_ok: bool,
+        germ_offenders: tuple,
+        self_intersecting: bool,
+        denominator: int,
+    ):
+        self.distinct_ok, self.distinct_offenders = distinct_ok, distinct_offenders
+        self.matching_ok, self.matching_offenders = matching_ok, matching_offenders
+        self.germs_ok, self.germ_offenders = germs_ok, germ_offenders
+        self.self_intersecting, self.denominator = self_intersecting, denominator
+
+    def _fields(self):
+        return (
+            self.distinct_ok, self.distinct_offenders, self.matching_ok,
+            self.matching_offenders, self.germs_ok, self.germ_offenders,
+            self.self_intersecting, self.denominator,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def ok(self) -> bool:
@@ -331,14 +368,41 @@ def _validate(dimer: DualDimer) -> ValidationReport:
 # the bipartite graph
 
 
-@dataclass(frozen=True)
 class DimerEdge:
-    white: int
-    black: int
-    anchor: tuple  # the shared vertex as a torus point (x % N, y % N)
-    white_vertex: tuple  # the white polygon's stored numerators of the anchor
-    black_vertex: tuple
-    displacement: tuple  # white centroid -> anchor -> black centroid, lifted, over D
+    """One edge, a shared vertex of a white and a black polytope:
+    ``anchor`` is that vertex as a torus point (x % N, y % N),
+    ``white_vertex`` and ``black_vertex`` are each polygon's stored
+    numerators of it, and ``displacement`` runs white centroid -> anchor ->
+    black centroid, lifted, over D."""
+
+    __slots__ = ("white", "black", "anchor", "white_vertex", "black_vertex", "displacement")
+
+    def __init__(
+        self,
+        white: int,
+        black: int,
+        anchor: tuple,
+        white_vertex: tuple,
+        black_vertex: tuple,
+        displacement: tuple,
+    ):
+        self.white, self.black, self.anchor = white, black, anchor
+        self.white_vertex, self.black_vertex = white_vertex, black_vertex
+        self.displacement = displacement
+
+    def _fields(self):
+        return (
+            self.white, self.black, self.anchor,
+            self.white_vertex, self.black_vertex, self.displacement,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def edge_id(self) -> str:
@@ -358,12 +422,26 @@ def unknown_weight_keys(graph: DimerGraph, weights) -> list:
     return sorted(set(weights) - {e.edge_id for e in graph.edges})
 
 
-@dataclass(frozen=True)
 class DimerGraph:
-    whites: tuple  # polytope indices
-    blacks: tuple
-    edges: tuple
-    denominator: int  # D = N * lcm of the vertex counts, that of every centroid
+    """The white and black polytope indices, the edges, and the denominator
+    D = N * lcm of the vertex counts, that of every centroid."""
+
+    __slots__ = ("whites", "blacks", "edges", "denominator")
+
+    def __init__(self, whites: tuple, blacks: tuple, edges: tuple, denominator: int):
+        self.whites, self.blacks, self.edges = whites, blacks, edges
+        self.denominator = denominator
+
+    def _fields(self):
+        return (self.whites, self.blacks, self.edges, self.denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def build_graph(dimer: DualDimer) -> DimerGraph:
@@ -401,21 +479,40 @@ def _build_graph(dimer: DualDimer) -> DimerGraph:
 # zigzag paths
 
 
-@dataclass(frozen=True)
 class ZigzagStep:
-    polytope: int
-    start: tuple  # stored numerators on the polygon boundary
-    end: tuple
+    """One polygon edge of a zigzag, its ends as stored numerators."""
+
+    __slots__ = ("polytope", "start", "end")
+
+    def __init__(self, polytope: int, start: tuple, end: tuple):
+        self.polytope, self.start, self.end = polytope, start, end
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.polytope, self.start, self.end) == (other.polytope, other.start, other.end)
+
+    def __hash__(self):
+        return hash((self.polytope, self.start, self.end))
 
     @property
     def displacement(self) -> tuple:
         return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
-@dataclass(frozen=True)
 class ZigzagPath:
-    steps: tuple
-    cls: H1Class
+    __slots__ = ("steps", "cls")
+
+    def __init__(self, steps: tuple, cls: H1Class):
+        self.steps, self.cls = steps, cls
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.cls) == (other.steps, other.cls)
+
+    def __hash__(self):
+        return hash((self.steps, self.cls))
 
 
 def orbits(darts, step):
@@ -509,12 +606,27 @@ def dimer_to_tropical_fan(dimer: DualDimer) -> TropicalCurve:
 # faces of the embedded graph
 
 
-@dataclass(frozen=True)
 class DimerFace:
-    boundary: tuple  # alternating (polytope index, color) around the face
-    edge_indices: tuple  # indices into build_graph(...).edges, same order
-    orientations: tuple  # +1 for a white->black crossing, -1 otherwise
-    cls: H1Class
+    """A disk face: ``boundary`` alternates (polytope index, color) around
+    it, ``edge_indices`` index ``build_graph(...).edges`` in the same order,
+    and ``orientations`` holds +1 for a white->black crossing, -1 otherwise."""
+
+    __slots__ = ("boundary", "edge_indices", "orientations", "cls")
+
+    def __init__(self, boundary: tuple, edge_indices: tuple, orientations: tuple, cls: H1Class):
+        self.boundary, self.edge_indices = boundary, edge_indices
+        self.orientations, self.cls = orientations, cls
+
+    def _fields(self):
+        return (self.boundary, self.edge_indices, self.orientations, self.cls)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def faces(dimer: DualDimer):

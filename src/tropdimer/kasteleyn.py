@@ -16,27 +16,34 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
 from .dimer import DimerGraph, DualDimer, build_graph, edge_weight, faces, validate
 
 
-@dataclass(frozen=True)
 class LaurentPolynomial:
     """A Laurent polynomial in z1, z2 whose exponents are integer pairs
     (x, y) standing for (x/D, y/D), D = ``denominator``.  The constructor
-    sums the coefficients of equal exponents and drops the zeros."""
+    sums the coefficients of equal exponents and drops the zeros; ``terms``
+    is kept as a sorted tuple of (exponent, coefficient)."""
 
-    terms: tuple  # sorted tuple of (exponent, coefficient), no zeros
-    denominator: int = 1
+    __slots__ = ("terms", "denominator")
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple, denominator: int = 1):
         acc: dict = {}
-        for a, c in self.terms:
+        for a, c in terms:
             acc[a] = acc.get(a, 0) + c
-        object.__setattr__(self, "terms", tuple(sorted((a, c) for a, c in acc.items() if c != 0)))
+        self.terms = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
+        self.denominator = denominator
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.denominator) == (other.terms, other.denominator)
+
+    def __hash__(self):
+        return hash((self.terms, self.denominator))
 
     @property
     def is_zero(self) -> bool:
@@ -206,12 +213,25 @@ def kasteleyn_signs(dimer: DualDimer):
     return [(-1) ** b for b in x]
 
 
-@dataclass(frozen=True)
 class KasteleynMatrix:
-    rows: tuple  # white polytope indices
-    cols: tuple  # black polytope indices
-    entries: tuple  # row-major tuple of LaurentPolynomial
-    denominator: int  # D of every entry's exponents
+    """Rows are white and columns black polytope indices; ``entries`` is
+    the row-major tuple of LaurentPolynomial, all over ``denominator``."""
+
+    __slots__ = ("rows", "cols", "entries", "denominator")
+
+    def __init__(self, rows: tuple, cols: tuple, entries: tuple, denominator: int):
+        self.rows, self.cols, self.entries, self.denominator = rows, cols, entries, denominator
+
+    def _fields(self):
+        return (self.rows, self.cols, self.entries, self.denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:

@@ -5,8 +5,10 @@ the angle order of directions (`angle_cmp`, and `angle_key` built on it),
 strict convexity, the convex hull of integer points, and the count of
 lattice points inside a convex polygon (`interior_lattice_count`, by floor
 sums).  These functions take (x, y) pairs, as the dimer pipeline keeps its
-polygons; the types carry ``fractions.Fraction`` coordinates and are the
-working type of tropical curves and base diagrams.  There is no floating
+polygons; the records (`Vec2`, `H1Class`, `RatPolygon`, `UnimodularMap`)
+are plain slotted classes, compared and hashed on the tuple of their
+fields, and carry ``fractions.Fraction`` coordinates: they are the working
+type of tropical curves and base diagrams.  There is no floating
 point anywhere in the core, so every comparison made by callers is exact.
 """
 
@@ -14,22 +16,47 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = Fraction
 
 
-@dataclass(frozen=True, order=True)
 class Vec2:
     """A point of R^2, a displacement, or an exponent/covector."""
 
-    x: Rat
-    y: Rat
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    def __init__(self, x: Rat, y: Rat):
+        self.x = Fraction(x)
+        self.y = Fraction(y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) < (other.x, other.y)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) <= (other.x, other.y)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) > (other.x, other.y)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) >= (other.x, other.y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -111,12 +138,42 @@ def reduce_mod_lattice(p: Vec2) -> Vec2:
     return Vec2(p.x - math.floor(p.x), p.y - math.floor(p.y))
 
 
-@dataclass(frozen=True, order=True)
 class H1Class:
     """A first-homology class of the two-torus, written <a, b>."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) < (other.a, other.b)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) <= (other.a, other.b)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) > (other.a, other.b)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) >= (other.a, other.b)
 
     def __add__(self, other: "H1Class") -> "H1Class":
         return H1Class(self.a + other.a, self.b + other.b)
@@ -140,7 +197,6 @@ def _orient(a: Vec2, b: Vec2, c: Vec2) -> Rat:
     return (b - a).cross(c - a)
 
 
-@dataclass(frozen=True)
 class RatPolygon:
     """A convex polygon with rational vertices, counterclockwise.
 
@@ -149,12 +205,20 @@ class RatPolygon:
     2-polytope must check the flag themselves.
     """
 
-    vertices: tuple
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+    def __init__(self, vertices: tuple):
+        self.vertices = tuple(vertices)
         if not self.vertices:
             raise ValueError("empty point set")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.vertices,))
 
     @property
     def is_degenerate(self) -> bool:
@@ -292,7 +356,6 @@ def interior_lattice_count(edges, n: int) -> int:
 # unimodular affine maps
 
 
-@dataclass(frozen=True)
 class UnimodularMap:
     """An affine map x -> A x + t with A an integer matrix of determinant +-1.
 
@@ -300,15 +363,23 @@ class UnimodularMap:
     diagrams fix a node whose position need not be integral.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    t: Vec2 = ORIGIN
+    __slots__ = ("a", "b", "c", "d", "t")
 
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) != 1:
+    def __init__(self, a: int, b: int, c: int, d: int, t: Vec2 = ORIGIN):
+        if abs(a * d - b * c) != 1:
             raise ValueError("matrix is not unimodular")
+        self.a, self.b, self.c, self.d, self.t = a, b, c, d, t
+
+    def _fields(self):
+        return (self.a, self.b, self.c, self.d, self.t)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def det(self) -> int:

@@ -14,9 +14,7 @@ Z^2, canonically up to a unimodular change of basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .dimer import (
     BLACK,
@@ -48,11 +46,20 @@ def exact_assignment(dimer: DualDimer) -> dict:
 # mutation
 
 
-@dataclass(frozen=True)
 class MutationResult:
-    dimer: DualDimer
-    immersed: bool
-    replaced_face: DimerFace
+    __slots__ = ("dimer", "immersed", "replaced_face")
+
+    def __init__(self, dimer: DualDimer, immersed: bool, replaced_face: DimerFace):
+        self.dimer, self.immersed, self.replaced_face = dimer, immersed, replaced_face
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dimer, self.immersed, self.replaced_face) == (
+            other.dimer, other.immersed, other.replaced_face)
+
+    def __hash__(self):
+        return hash((self.dimer, self.immersed, self.replaced_face))
 
 
 def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
@@ -281,7 +288,7 @@ def seed_directions(fan_rays):
     return sorted(out, key=lambda c: (c.a, c.b))
 
 
-def compare_up_to_unimodular(a, b) -> Optional[UnimodularMap]:
+def compare_up_to_unimodular(a, b) -> UnimodularMap | None:
     """A unimodular linear map sending multiset ``a`` to multiset ``b``,
     or None.  Exhaustive over ordered pairs; sizes here are at most 6."""
     a = [c if isinstance(c, H1Class) else H1Class(*c) for c in a]

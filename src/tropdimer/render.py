@@ -9,12 +9,8 @@ elements through their anchors; zigzag overlays are polyline groups.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .lattice import Vec2
-
-if TYPE_CHECKING:
-    from .dimer import DualDimer
 
 SCALE = 240
 MARGIN = 24

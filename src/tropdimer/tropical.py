@@ -15,28 +15,34 @@ curve computations ignore it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .lattice import Rat, RatPolygon, Vec2, interior_lattice_count
 
 
-@dataclass(frozen=True)
 class TropicalPolynomial:
-    terms: tuple  # sorted tuple of (exponent: Vec2, coefficient: Rat)
-    concave: bool = False
+    """``terms`` is kept as a sorted tuple of (exponent: Vec2, coefficient:
+    Rat); a dict from exponent to coefficient is accepted too."""
 
-    def __post_init__(self):
-        items = self.terms
-        if isinstance(items, dict):
-            items = items.items()
-        items = tuple(sorted((Vec2(a.x, a.y), Fraction(c)) for a, c in items))
+    __slots__ = ("terms", "concave")
+
+    def __init__(self, terms: tuple, concave: bool = False):
+        if isinstance(terms, dict):
+            terms = terms.items()
+        items = tuple(sorted((Vec2(a.x, a.y), Fraction(c)) for a, c in terms))
         if not items:
             raise ValueError("polynomial needs at least one term")
         if len({a for a, _ in items}) != len(items):
             raise ValueError("exponents must be pairwise distinct")
-        object.__setattr__(self, "terms", items)
+        self.terms, self.concave = items, concave
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.concave) == (other.terms, other.concave)
+
+    def __hash__(self):
+        return hash((self.terms, self.concave))
 
 
 def evaluate(phi: TropicalPolynomial, q: Vec2) -> Rat:
@@ -65,36 +71,55 @@ def dual_function(delta: RatPolygon, color: str) -> TropicalPolynomial:
 # curves
 
 
-@dataclass(frozen=True)
 class CurveEdge:
     """A segment (both endpoints) or a ray (one endpoint plus direction)."""
 
-    a: Vec2
-    b: Optional[Vec2] = None
-    ray: Optional[Vec2] = None  # primitive integer direction when b is None
-    multiplicity: int = 1
+    __slots__ = ("a", "b", "ray", "multiplicity")
 
-    def __post_init__(self):
-        if (self.b is None) == (self.ray is None):
+    def __init__(
+        self,
+        a: Vec2,
+        b: Vec2 | None = None,
+        ray: Vec2 | None = None,  # primitive integer direction when b is None
+        multiplicity: int = 1,
+    ):
+        if (b is None) == (ray is None):
             raise ValueError("edge is either a segment or a ray")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if self.ray is not None and self.ray.primitive() != self.ray:
+        if ray is not None and ray.primitive() != ray:
             raise ValueError("ray direction must be primitive")
+        self.a, self.b, self.ray, self.multiplicity = a, b, ray, multiplicity
+
+    def _fields(self):
+        return (self.a, self.b, self.ray, self.multiplicity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def is_ray(self) -> bool:
         return self.b is None
 
 
-@dataclass(frozen=True)
 class TropicalCurve:
-    vertices: tuple
-    edges: tuple
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, vertices: tuple, edges: tuple):
+        self.vertices, self.edges = tuple(vertices), tuple(edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
 
 def _outgoing(curve: TropicalCurve, v: Vec2):

@@ -12,6 +12,7 @@ from tropdimer.almost_toric import (
     CurveOnBase,
     Node,
     _edge_touches,
+    _moved,
     admissible,
     an_chain_curve,
     build_inner_torus,
@@ -142,6 +143,29 @@ def test_exchange_rejects_transverse_edges_at_the_node():
     )
     with pytest.raises(ValueError, match="not parallel to eigenray"):
         nodal_trade_exchange(diagram, crossing, 0)
+
+
+def test_moving_an_edge_end_keeps_the_other_fields():
+    o, q = V(0, 0), V(1, 2)
+    leg = CurveEdge(o, ray=V(0, 1), multiplicity=3)
+    assert _moved(leg, o, q) == CurveEdge(q, ray=V(0, 1), multiplicity=3)
+    assert _moved(CurveEdge(q, V(2, 2), multiplicity=2), V(2, 2), o) == CurveEdge(q, o, multiplicity=2)
+    edge = CurveEdge(q, ray=V(0, 1))
+    assert _moved(edge, o, q) is edge
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ray", V(0, 2), "ray direction must be primitive"),
+    ("multiplicity", 0, "multiplicity must be positive"),
+    ("b", V(1, 1), "edge is either a segment or a ray"),
+])
+def test_moving_an_edge_end_rebuilds_the_edge_through_its_checks(field, value, message):
+    # records take attribute assignment; the rebuilt edge still runs every check
+    o = V(0, 0)
+    edge = CurveEdge(o, ray=V(0, 1))
+    setattr(edge, field, value)
+    with pytest.raises(ValueError, match=message):
+        _moved(edge, o, V(1, 0))
 
 
 def test_an_chain_exchanged_twice_at_one_node_carries_the_moved_leg():

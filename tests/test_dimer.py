@@ -11,6 +11,7 @@ from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, dimer
 from tropdimer.arrangement import TorusLine, arrangement_dimer
 from tropdimer.dimer import (
+    DimerGraph,
     DualDimer,
     Polytope,
     ZigzagStep,
@@ -20,9 +21,10 @@ from tropdimer.dimer import (
     validate,
     zigzag_paths,
 )
-from tropdimer.io import SchemaError, parse_dimer
+from tropdimer.io import SchemaError, parse_dimer, serialize_dimer
+from tropdimer.kasteleyn import KasteleynMatrix, LaurentPolynomial
 from tropdimer.lattice import H1Class, Vec2, convex_hull
-from tropdimer.tropical import check_balancing, make_fan
+from tropdimer.tropical import CurveEdge, check_balancing, make_fan
 
 V = Vec2
 
@@ -463,3 +465,52 @@ def test_walks_match_the_earlier_tracers_on_covers(name):
                 if name in EMBEDDED:
                     walks = [list(zip(f.edge_indices, f.orientations)) for f in faces(image)]
                     assert walks == faces_by_rotation_rings(image)
+
+
+# ---------------------------------------------------------------------------
+# the records are plain classes with value semantics
+
+
+def test_records_construct_positionally_and_by_keyword_with_their_defaults():
+    p, d = V(0, 0), V(1, 1)
+    edge = CurveEdge(p, ray=d, multiplicity=2)
+    assert edge == CurveEdge(p, None, d, 2) and edge.b is None and edge.is_ray
+    assert CurveEdge(p, V(1, 0)).multiplicity == 1 and CurveEdge(p, ray=d).b is None
+    poly = LaurentPolynomial((((1, 0), 2), ((0, 1), 1), ((1, 0), -2)))
+    assert poly.denominator == 1 and poly.terms == (((0, 1), 1),)
+    assert poly == LaurentPolynomial(terms=[((0, 1), 1)], denominator=1)
+    assert poly != LaurentPolynomial(poly.terms, 2)
+    square = Polytope(color="white", vertices=[[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert square.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
+    assert DualDimer(denominator=1, polytopes=[square]).polytopes == (square,)
+
+
+def test_equal_records_hash_alike_and_two_types_with_the_same_values_differ(honeycomb):
+    again = catalog.build("honeycomb")
+    for a, b in [
+        (honeycomb, again),
+        (honeycomb.polytopes[0], again.polytopes[0]),
+        (build_graph(honeycomb), build_graph(again)),
+        (build_graph(honeycomb).edges[0], build_graph(again).edges[0]),
+        (validate(honeycomb), validate(again)),
+        (zigzag_paths(honeycomb)[0], zigzag_paths(again)[0]),
+        (zigzag_paths(honeycomb)[0].steps[0], zigzag_paths(again)[0].steps[0]),
+        (faces(honeycomb)[0], faces(again)[0]),
+        (dimer_to_tropical_fan(honeycomb), dimer_to_tropical_fan(again)),
+    ]:
+        assert a is not b and a == b and hash(a) == hash(b)
+    values = ((0,), (1,), (), 6)
+    assert DimerGraph(*values) != KasteleynMatrix(*values)
+    assert KasteleynMatrix(*values) != DimerGraph(*values)
+    assert DimerGraph(*values) != values
+
+
+def test_an_analysed_dimer_equals_and_hashes_like_a_fresh_parse(honeycomb):
+    text = serialize_dimer(cover(honeycomb, 2, 1))
+    analysed, _ = parse_dimer(text)
+    build_graph(analysed), zigzag_paths(analysed), faces(analysed)
+    assert {"_graph", "_zigzags", "_faces"} <= vars(analysed).keys()
+    fresh, _ = parse_dimer(text)
+    assert not {"_graph", "_zigzags", "_faces"} & vars(fresh).keys()
+    assert analysed == fresh and fresh == analysed and hash(analysed) == hash(fresh)
+    assert len({analysed, fresh}) == 1

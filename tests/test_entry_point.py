@@ -2,9 +2,12 @@
 
 Each call prints what an in-process `run` prints, and imports only the
 package modules its subcommand runs: `-X importtime` reports every module
-the child imports on its stderr.
+the child imports on its stderr.  No call imports `dataclasses` or
+`inspect`, whose import time every call would pay: the package's records
+are plain classes.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -76,3 +79,32 @@ def test_bad_type_values_are_refused_at_parse_time(argv, message):
     assert code == 2 and not out
     assert "usage: tropdimer" in err and message in err
     assert "io" not in modules  # refused before the input is read
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in CALLS], ids=[" ".join(c[0][:2]) for c in CALLS]
+)
+def test_child_imports_no_dataclasses_or_inspect(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tropdimer.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "tropdimer.lattice" in names  # the report does list the package's imports
+    assert not names & {"dataclasses", "inspect"}
+
+
+def test_no_package_module_imports_dataclasses_or_typing():
+    for path in sorted((SRC / "tropdimer").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & {"dataclasses", "typing"}, path.name

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropdimer.lattice import (
+    H1Class,
     RatPolygon,
     UnimodularMap,
     Vec2,
@@ -199,3 +200,55 @@ def test_unimodular_compose_is_application_order(data, u, v):
     m = _random_unimodular(data)
     n = _random_unimodular(data)
     assert m.compose(n).apply(v) == m.apply(n.apply(v))
+
+
+# ---------------------------------------------------------------------------
+# the records are plain classes with value semantics
+
+
+def test_records_construct_positionally_and_by_keyword_with_their_defaults():
+    t = Vec2(Fraction(1, 2), 3)
+    assert Vec2(x=1, y=Fraction(4, 2)) == Vec2(1, 2)
+    assert isinstance(Vec2(1, 2).x, Fraction)  # ints are kept as Fractions
+    assert H1Class(a=1, b=-2) == H1Class(1, -2)
+    assert UnimodularMap(0, 1, 1, 0).t == Vec2(0, 0)
+    assert UnimodularMap(0, 1, 1, 0, t) == UnimodularMap(a=0, b=1, c=1, d=0, t=t)
+    assert RatPolygon(vertices=[Vec2(0, 0)]).vertices == (Vec2(0, 0),)
+    with pytest.raises(ValueError, match="not unimodular"):
+        UnimodularMap(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="empty point set"):
+        RatPolygon(())
+
+
+def test_equal_records_hash_alike():
+    pairs = [
+        (Vec2(Fraction(2, 4), 1), Vec2(Fraction(1, 2), Fraction(3, 3))),
+        (H1Class(2, -1), H1Class(2, -1)),
+        (unit_triangle(), RatPolygon([Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)])),
+        (UnimodularMap(1, 1, 0, 1, Vec2(1, 0)), UnimodularMap(1, 1, 0, 1, Vec2(1, 0))),
+    ]
+    for a, b in pairs:
+        assert a == b and not a != b and hash(a) == hash(b)
+    assert UnimodularMap(1, 1, 0, 1) != UnimodularMap(1, 1, 0, 1, Vec2(1, 0))
+
+
+def test_records_of_two_types_with_the_same_values_differ():
+    assert Vec2(1, 2) != H1Class(1, 2)
+    assert H1Class(1, 2) != Vec2(1, 2)
+    assert Vec2(1, 2) != (1, 2)
+    with pytest.raises(TypeError):
+        Vec2(1, 2) < H1Class(1, 2)
+
+
+@given(vectors, vectors)
+def test_vec2_compares_like_its_field_tuple(u, v):
+    a, b = (u.x, u.y), (v.x, v.y)
+    assert (u < v, u <= v, u > v, u >= v, u == v) == (a < b, a <= b, a > b, a >= b, a == b)
+
+
+@given(st.lists(vectors, max_size=8), st.lists(st.tuples(ints, ints), max_size=8))
+def test_vec2_and_h1class_sort_like_their_field_tuples(vs, pairs):
+    assert [(v.x, v.y) for v in sorted(vs)] == sorted((v.x, v.y) for v in vs)
+    classes = [H1Class(a, b) for a, b in pairs]
+    assert [(c.a, c.b) for c in sorted(classes)] == sorted(pairs)
+    assert [(c.a, c.b) for c in sorted(classes, reverse=True)] == sorted(pairs, reverse=True)
