@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import RatPolygon, UnimodularMap, Vec2, on_segment
+from .lattice import RatPolygon, Record, UnimodularMap, Vec2, on_segment
 from .tropical import CurveEdge, TropicalCurve, TropicalPolynomial
 
 
-class Node:
+class Node(Record):
     """A node at ``position`` whose eigenray is a primitive integer
     direction."""
 
@@ -37,15 +37,6 @@ class Node:
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
         self.position, self.eigenray, self.multiplicity = position, eigenray, multiplicity
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.position, self.eigenray, self.multiplicity) == (
-            other.position, other.eigenray, other.multiplicity)
-
-    def __hash__(self):
-        return hash((self.position, self.eigenray, self.multiplicity))
 
     def monodromy(self) -> UnimodularMap:
         """The k-fold shear fixing the eigenline through the node:
@@ -61,7 +52,7 @@ class Node:
         return UnimodularMap(a, b, c, d, self.position - linear.apply_vector(self.position))
 
 
-class BaseDiagram:
+class BaseDiagram(Record):
     """A ``boundary`` polygon (None for the whole plane), its nodes, and
     the traded corners as (corner index, node index) pairs."""
 
@@ -70,17 +61,8 @@ class BaseDiagram:
     def __init__(self, boundary: RatPolygon | None, nodes: tuple = (), traded: tuple = ()):
         self.boundary, self.nodes, self.traded = boundary, nodes, traded
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.boundary, self.nodes, self.traded) == (
-            other.boundary, other.nodes, other.traded)
 
-    def __hash__(self):
-        return hash((self.boundary, self.nodes, self.traded))
-
-
-class CurveOnBase:
+class CurveOnBase(Record):
     """A curve with some of its edges attached to nodes: ``attachments``
     holds (edge index, node index) pairs, and a nodal-trade exchange
     carries each one along with its edge by position."""
@@ -89,14 +71,6 @@ class CurveOnBase:
 
     def __init__(self, curve: TropicalCurve, attachments: tuple = ()):
         self.curve, self.attachments = curve, attachments
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.curve, self.attachments) == (other.curve, other.attachments)
-
-    def __hash__(self):
-        return hash((self.curve, self.attachments))
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +399,14 @@ def an_chain_curve(n: int):
 # charted sections
 
 
-class Chart:
+class Chart(Record):
     __slots__ = ("region", "phi")
 
     def __init__(self, region: RatPolygon, phi: TropicalPolynomial):
         self.region, self.phi = region, phi
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.region, self.phi) == (other.region, other.phi)
 
-    def __hash__(self):
-        return hash((self.region, self.phi))
-
-
-class ChartedSection:
+class ChartedSection(Record):
     """Charts glued by ``transitions``, ((i, j), UnimodularMap) pairs with
     x_i = T(x_j), over an optional base diagram."""
 
@@ -448,15 +414,6 @@ class ChartedSection:
 
     def __init__(self, charts: tuple, transitions: tuple = (), diagram: BaseDiagram | None = None):
         self.charts, self.transitions, self.diagram = charts, transitions, diagram
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.charts, self.transitions, self.diagram) == (
-            other.charts, other.transitions, other.diagram)
-
-    def __hash__(self):
-        return hash((self.charts, self.transitions, self.diagram))
 
     def transition(self, i: int, j: int) -> UnimodularMap:
         for (a, b), t in self.transitions:

@@ -20,10 +20,10 @@ import math
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, orbits, validate
-from .lattice import Vec2, angle_key, reduce_mod_lattice
+from .lattice import Record, Vec2, angle_key, reduce_mod_lattice
 
 
-class TorusLine:
+class TorusLine(Record):
     """The oriented line with primitive integer ``direction`` and
     ``offset``."""
 
@@ -33,14 +33,6 @@ class TorusLine:
         if direction.primitive() != direction:
             raise ValueError("line direction must be primitive")
         self.direction, self.offset = direction, offset
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.direction, self.offset) == (other.direction, other.offset)
-
-    def __hash__(self):
-        return hash((self.direction, self.offset))
 
     @property
     def normal(self) -> Vec2:
@@ -102,7 +94,7 @@ def _crossings(lines):
     return passages
 
 
-class _Dart:
+class _Dart(Record):
     """A passage of line ``line`` from the plane lift ``start`` of one
     crossing to ``end``; ``forward`` when along the line's orientation."""
 
@@ -110,17 +102,6 @@ class _Dart:
 
     def __init__(self, line: int, start: Vec2, end: Vec2, forward: bool):
         self.line, self.start, self.end, self.forward = line, start, end, forward
-
-    def _fields(self):
-        return (self.line, self.start, self.end, self.forward)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def _darts(lines, passages):

@@ -42,13 +42,13 @@ import functools
 import math
 from fractions import Fraction
 
-from .lattice import H1Class, Vec2, angle_cmp, interior_lattice_count, strictly_convex
+from .lattice import H1Class, Record, Vec2, angle_cmp, interior_lattice_count, strictly_convex
 
 WHITE = "white"
 BLACK = "black"
 
 
-class Polytope:
+class Polytope(Record):
     """One polygon: its color and its vertices as integer pairs over the
     denominator N of the dimer that holds it."""
 
@@ -59,14 +59,6 @@ class Polytope:
             raise ValueError(f"unknown color {color!r}")
         self.color = color
         self.vertices = tuple(tuple(v) for v in vertices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.color, self.vertices) == (other.color, other.vertices)
-
-    def __hash__(self):
-        return hash((self.color, self.vertices))
 
 
 class DualDimer:
@@ -151,7 +143,7 @@ def _primitive(dx: int, dy: int):
 # validation
 
 
-class ValidationReport:
+class ValidationReport(Record):
     """The verdict on each axiom with its offenders, torus points
     (x % N, y % N) over N = ``denominator``, and whether interiors meet."""
 
@@ -175,21 +167,6 @@ class ValidationReport:
         self.matching_ok, self.matching_offenders = matching_ok, matching_offenders
         self.germs_ok, self.germ_offenders = germs_ok, germ_offenders
         self.self_intersecting, self.denominator = self_intersecting, denominator
-
-    def _fields(self):
-        return (
-            self.distinct_ok, self.distinct_offenders, self.matching_ok,
-            self.matching_offenders, self.germs_ok, self.germ_offenders,
-            self.self_intersecting, self.denominator,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def ok(self) -> bool:
@@ -368,7 +345,7 @@ def _validate(dimer: DualDimer) -> ValidationReport:
 # the bipartite graph
 
 
-class DimerEdge:
+class DimerEdge(Record):
     """One edge, a shared vertex of a white and a black polytope:
     ``anchor`` is that vertex as a torus point (x % N, y % N),
     ``white_vertex`` and ``black_vertex`` are each polygon's stored
@@ -390,20 +367,6 @@ class DimerEdge:
         self.white_vertex, self.black_vertex = white_vertex, black_vertex
         self.displacement = displacement
 
-    def _fields(self):
-        return (
-            self.white, self.black, self.anchor,
-            self.white_vertex, self.black_vertex, self.displacement,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
     @property
     def edge_id(self) -> str:
         return f"w{self.white}-b{self.black}@{self.anchor[0]},{self.anchor[1]}"
@@ -422,7 +385,7 @@ def unknown_weight_keys(graph: DimerGraph, weights) -> list:
     return sorted(set(weights) - {e.edge_id for e in graph.edges})
 
 
-class DimerGraph:
+class DimerGraph(Record):
     """The white and black polytope indices, the edges, and the denominator
     D = N * lcm of the vertex counts, that of every centroid."""
 
@@ -431,17 +394,6 @@ class DimerGraph:
     def __init__(self, whites: tuple, blacks: tuple, edges: tuple, denominator: int):
         self.whites, self.blacks, self.edges = whites, blacks, edges
         self.denominator = denominator
-
-    def _fields(self):
-        return (self.whites, self.blacks, self.edges, self.denominator)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def build_graph(dimer: DualDimer) -> DimerGraph:
@@ -479,7 +431,7 @@ def _build_graph(dimer: DualDimer) -> DimerGraph:
 # zigzag paths
 
 
-class ZigzagStep:
+class ZigzagStep(Record):
     """One polygon edge of a zigzag, its ends as stored numerators."""
 
     __slots__ = ("polytope", "start", "end")
@@ -487,32 +439,16 @@ class ZigzagStep:
     def __init__(self, polytope: int, start: tuple, end: tuple):
         self.polytope, self.start, self.end = polytope, start, end
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.polytope, self.start, self.end) == (other.polytope, other.start, other.end)
-
-    def __hash__(self):
-        return hash((self.polytope, self.start, self.end))
-
     @property
     def displacement(self) -> tuple:
         return (self.end[0] - self.start[0], self.end[1] - self.start[1])
 
 
-class ZigzagPath:
+class ZigzagPath(Record):
     __slots__ = ("steps", "cls")
 
     def __init__(self, steps: tuple, cls: H1Class):
         self.steps, self.cls = steps, cls
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.steps, self.cls) == (other.steps, other.cls)
-
-    def __hash__(self):
-        return hash((self.steps, self.cls))
 
 
 def orbits(darts, step):
@@ -606,7 +542,7 @@ def dimer_to_tropical_fan(dimer: DualDimer) -> TropicalCurve:
 # faces of the embedded graph
 
 
-class DimerFace:
+class DimerFace(Record):
     """A disk face: ``boundary`` alternates (polytope index, color) around
     it, ``edge_indices`` index ``build_graph(...).edges`` in the same order,
     and ``orientations`` holds +1 for a white->black crossing, -1 otherwise."""
@@ -616,17 +552,6 @@ class DimerFace:
     def __init__(self, boundary: tuple, edge_indices: tuple, orientations: tuple, cls: H1Class):
         self.boundary, self.edge_indices = boundary, edge_indices
         self.orientations, self.cls = orientations, cls
-
-    def _fields(self):
-        return (self.boundary, self.edge_indices, self.orientations, self.cls)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def faces(dimer: DualDimer):

@@ -19,10 +19,11 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .dimer import DimerGraph, DualDimer, build_graph, edge_weight, faces, validate
+from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
+from .lattice import Record
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Record):
     """A Laurent polynomial in z1, z2 whose exponents are integer pairs
     (x, y) standing for (x/D, y/D), D = ``denominator``.  The constructor
     sums the coefficients of equal exponents and drops the zeros; ``terms``
@@ -36,14 +37,6 @@ class LaurentPolynomial:
             acc[a] = acc.get(a, 0) + c
         self.terms = tuple(sorted((a, c) for a, c in acc.items() if c != 0))
         self.denominator = denominator
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.denominator) == (other.terms, other.denominator)
-
-    def __hash__(self):
-        return hash((self.terms, self.denominator))
 
     @property
     def is_zero(self) -> bool:
@@ -213,7 +206,7 @@ def kasteleyn_signs(dimer: DualDimer):
     return [(-1) ** b for b in x]
 
 
-class KasteleynMatrix:
+class KasteleynMatrix(Record):
     """Rows are white and columns black polytope indices; ``entries`` is
     the row-major tuple of LaurentPolynomial, all over ``denominator``."""
 
@@ -221,17 +214,6 @@ class KasteleynMatrix:
 
     def __init__(self, rows: tuple, cols: tuple, entries: tuple, denominator: int):
         self.rows, self.cols, self.entries, self.denominator = rows, cols, entries, denominator
-
-    def _fields(self):
-        return (self.rows, self.cols, self.entries, self.denominator)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
@@ -560,16 +542,3 @@ def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> Lau
     for idx in matching:
         acc = acc * edge_monomial(graph, graph.edges[idx], gauge)
     return acc
-
-
-def novikov_necessary_condition(dimer: DualDimer, weights) -> bool:
-    """Whether the minimal total Novikov weight over perfect matchings is
-    attained at least twice (necessary for a nonzero kernel element)."""
-    graph = build_graph(dimer)
-    totals = []
-    for matching in enumerate_matchings(graph):
-        ws = [edge_weight(weights, graph.edges[idx].edge_id) for idx in matching]
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
-        totals.append(sum(ws))
-    return len(totals) >= 2 and totals.count(min(totals)) >= 2

@@ -6,9 +6,11 @@ strict convexity, the convex hull of integer points, and the count of
 lattice points inside a convex polygon (`interior_lattice_count`, by floor
 sums).  These functions take (x, y) pairs, as the dimer pipeline keeps its
 polygons; the records (`Vec2`, `H1Class`, `RatPolygon`, `UnimodularMap`)
-are plain slotted classes, compared and hashed on the tuple of their
-fields, and carry ``fractions.Fraction`` coordinates: they are the working
-type of tropical curves and base diagrams.  There is no floating
+carry ``fractions.Fraction`` coordinates: they are the working type of
+tropical curves and base diagrams.  It is also the home of record
+equality: every slotted record of the package subclasses `Record`, which
+compares and hashes it on the tuple of its ``__slots__`` values, or
+`Ordered`, which also orders it on that tuple.  There is no floating
 point anywhere in the core, so every comparison made by callers is exact.
 """
 
@@ -21,7 +23,52 @@ from fractions import Fraction
 Rat = Fraction
 
 
-class Vec2:
+class Record:
+    """The base of the package's slotted records: equal and hashed on
+    `_fields`, the values of the subclass's ``__slots__`` in order, and
+    never equal to a record of another class."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Ordered(Record):
+    """A record also ordered on `_fields`, within its class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() < other._fields()
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() <= other._fields()
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() > other._fields()
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() >= other._fields()
+
+
+class Vec2(Ordered):
     """A point of R^2, a displacement, or an exponent/covector."""
 
     __slots__ = ("x", "y")
@@ -29,34 +76,6 @@ class Vec2:
     def __init__(self, x: Rat, y: Rat):
         self.x = Fraction(x)
         self.y = Fraction(y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) < (other.x, other.y)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) <= (other.x, other.y)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) > (other.x, other.y)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y) >= (other.x, other.y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -138,7 +157,7 @@ def reduce_mod_lattice(p: Vec2) -> Vec2:
     return Vec2(p.x - math.floor(p.x), p.y - math.floor(p.y))
 
 
-class H1Class:
+class H1Class(Ordered):
     """A first-homology class of the two-torus, written <a, b>."""
 
     __slots__ = ("a", "b")
@@ -146,34 +165,6 @@ class H1Class:
     def __init__(self, a: int, b: int):
         self.a = a
         self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) < (other.a, other.b)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) <= (other.a, other.b)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) > (other.a, other.b)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) >= (other.a, other.b)
 
     def __add__(self, other: "H1Class") -> "H1Class":
         return H1Class(self.a + other.a, self.b + other.b)
@@ -197,7 +188,7 @@ def _orient(a: Vec2, b: Vec2, c: Vec2) -> Rat:
     return (b - a).cross(c - a)
 
 
-class RatPolygon:
+class RatPolygon(Record):
     """A convex polygon with rational vertices, counterclockwise.
 
     Degenerate shapes (a single point or a segment) are representable and
@@ -211,14 +202,6 @@ class RatPolygon:
         self.vertices = tuple(vertices)
         if not self.vertices:
             raise ValueError("empty point set")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.vertices,))
 
     @property
     def is_degenerate(self) -> bool:
@@ -356,7 +339,7 @@ def interior_lattice_count(edges, n: int) -> int:
 # unimodular affine maps
 
 
-class UnimodularMap:
+class UnimodularMap(Record):
     """An affine map x -> A x + t with A an integer matrix of determinant +-1.
 
     The translation part is allowed to be rational: cut transitions in base
@@ -369,17 +352,6 @@ class UnimodularMap:
         if abs(a * d - b * c) != 1:
             raise ValueError("matrix is not unimodular")
         self.a, self.b, self.c, self.d, self.t = a, b, c, d, t
-
-    def _fields(self):
-        return (self.a, self.b, self.c, self.d, self.t)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def det(self) -> int:

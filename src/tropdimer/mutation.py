@@ -29,7 +29,7 @@ from .dimer import (
     validate,
     zigzag_paths,
 )
-from .lattice import H1Class, UnimodularMap, Vec2, angle_key, convex_hull
+from .lattice import H1Class, Record, UnimodularMap, Vec2, angle_key, convex_hull
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +46,11 @@ def exact_assignment(dimer: DualDimer) -> dict:
 # mutation
 
 
-class MutationResult:
+class MutationResult(Record):
     __slots__ = ("dimer", "immersed", "replaced_face")
 
     def __init__(self, dimer: DualDimer, immersed: bool, replaced_face: DimerFace):
         self.dimer, self.immersed, self.replaced_face = dimer, immersed, replaced_face
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dimer, self.immersed, self.replaced_face) == (
-            other.dimer, other.immersed, other.replaced_face)
-
-    def __hash__(self):
-        return hash((self.dimer, self.immersed, self.replaced_face))
 
 
 def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import Rat, RatPolygon, Vec2, interior_lattice_count
+from .lattice import Rat, RatPolygon, Record, Vec2, interior_lattice_count
 
 
-class TropicalPolynomial:
+class TropicalPolynomial(Record):
     """``terms`` is kept as a sorted tuple of (exponent: Vec2, coefficient:
     Rat); a dict from exponent to coefficient is accepted too."""
 
@@ -35,14 +35,6 @@ class TropicalPolynomial:
         if len({a for a, _ in items}) != len(items):
             raise ValueError("exponents must be pairwise distinct")
         self.terms, self.concave = items, concave
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.concave) == (other.terms, other.concave)
-
-    def __hash__(self):
-        return hash((self.terms, self.concave))
 
 
 def evaluate(phi: TropicalPolynomial, q: Vec2) -> Rat:
@@ -71,7 +63,7 @@ def dual_function(delta: RatPolygon, color: str) -> TropicalPolynomial:
 # curves
 
 
-class CurveEdge:
+class CurveEdge(Record):
     """A segment (both endpoints) or a ray (one endpoint plus direction)."""
 
     __slots__ = ("a", "b", "ray", "multiplicity")
@@ -91,35 +83,16 @@ class CurveEdge:
             raise ValueError("ray direction must be primitive")
         self.a, self.b, self.ray, self.multiplicity = a, b, ray, multiplicity
 
-    def _fields(self):
-        return (self.a, self.b, self.ray, self.multiplicity)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
     @property
     def is_ray(self) -> bool:
         return self.b is None
 
 
-class TropicalCurve:
+class TropicalCurve(Record):
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: tuple, edges: tuple):
         self.vertices, self.edges = tuple(vertices), tuple(edges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
 
 def _outgoing(curve: TropicalCurve, v: Vec2):

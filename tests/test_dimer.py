@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, dimer
+from tropdimer.almost_toric import BaseDiagram, trade_all_corners
 from tropdimer.arrangement import TorusLine, arrangement_dimer
 from tropdimer.dimer import (
     DimerGraph,
@@ -22,8 +23,9 @@ from tropdimer.dimer import (
     zigzag_paths,
 )
 from tropdimer.io import SchemaError, parse_dimer, serialize_dimer
-from tropdimer.kasteleyn import KasteleynMatrix, LaurentPolynomial
+from tropdimer.kasteleyn import KasteleynMatrix, LaurentPolynomial, kasteleyn_matrix
 from tropdimer.lattice import H1Class, Vec2, convex_hull
+from tropdimer.mutation import exact_assignment, mutate_face
 from tropdimer.tropical import CurveEdge, check_balancing, make_fan
 
 V = Vec2
@@ -487,6 +489,8 @@ def test_records_construct_positionally_and_by_keyword_with_their_defaults():
 
 def test_equal_records_hash_alike_and_two_types_with_the_same_values_differ(honeycomb):
     again = catalog.build("honeycomb")
+    cp2 = catalog.MOMENT_POLYGONS["cp2"]
+    line = (V(1, 2), Fraction(1, 3))
     for a, b in [
         (honeycomb, again),
         (honeycomb.polytopes[0], again.polytopes[0]),
@@ -497,8 +501,19 @@ def test_equal_records_hash_alike_and_two_types_with_the_same_values_differ(hone
         (zigzag_paths(honeycomb)[0].steps[0], zigzag_paths(again)[0].steps[0]),
         (faces(honeycomb)[0], faces(again)[0]),
         (dimer_to_tropical_fan(honeycomb), dimer_to_tropical_fan(again)),
+        (dimer_to_tropical_fan(honeycomb).edges[0], dimer_to_tropical_fan(again).edges[0]),
+        (trade_all_corners(BaseDiagram(cp2)), trade_all_corners(BaseDiagram(cp2))),
+        (kasteleyn_matrix(honeycomb), kasteleyn_matrix(again)),
+        (
+            mutate_face(honeycomb, faces(honeycomb)[0], exact_assignment(honeycomb)),
+            mutate_face(again, faces(again)[0], exact_assignment(again)),
+        ),
+        (TorusLine(*line), TorusLine(*line)),
     ]:
         assert a is not b and a == b and hash(a) == hash(b)
+        if a.__class__ is not DualDimer:  # the one record with a __dict__
+            assert hash(a) == hash(tuple(getattr(a, s) for s in type(a).__slots__))
+    assert hash(honeycomb) == hash((honeycomb.denominator, honeycomb.polytopes))
     values = ((0,), (1,), (), 6)
     assert DimerGraph(*values) != KasteleynMatrix(*values)
     assert KasteleynMatrix(*values) != DimerGraph(*values)

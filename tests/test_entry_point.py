@@ -4,7 +4,8 @@ Each call prints what an in-process `run` prints, and imports only the
 package modules its subcommand runs: `-X importtime` reports every module
 the child imports on its stderr.  No call imports `dataclasses` or
 `inspect`, whose import time every call would pay: the package's records
-are plain classes.
+are plain classes, and `lattice.Record` is the one home of their equality,
+hashing and order.  `scripts/render_gallery.py` runs here too.
 """
 
 import ast
@@ -18,7 +19,8 @@ import pytest
 from tropdimer.cli import run
 from tropdimer.render import LAYERS
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # what every subcommand that reads a dimer loads
 READS_DIMER = {"catalog", "dimer", "io", "lattice"}
@@ -108,3 +110,32 @@ def test_no_package_module_imports_dataclasses_or_typing():
             else:
                 continue
             assert not {n.split(".")[0] for n in names} & {"dataclasses", "typing"}, path.name
+
+
+RECORD_METHODS = {"__eq__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__", "_fields"}
+
+
+def test_only_the_record_bases_and_dual_dimer_define_record_methods():
+    owners = set()
+    for path in sorted((SRC / "tropdimer").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name in RECORD_METHODS for f in node.body
+            ):
+                owners.add(f"{path.stem}.{node.name}")
+    assert owners == {"lattice.Record", "lattice.Ordered", "dimer.DualDimer"}
+
+
+def test_render_gallery_writes_every_catalog_dimer_and_traded_diagram(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "render_gallery.py"), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert len(svgs) == 13
+    assert len([p for p in svgs if p.name.startswith("diagram-")]) == 5
+    for path in svgs:
+        text = path.read_text()
+        assert text.startswith("<svg") and text.rstrip().endswith("</svg>"), path.name

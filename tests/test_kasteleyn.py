@@ -21,7 +21,6 @@ from tropdimer.kasteleyn import (
     kasteleyn_signs,
     make_gauge,
     monomial,
-    novikov_necessary_condition,
 )
 from tropdimer.lattice import convex_hull
 from tropdimer.mutation import compare_up_to_unimodular, mutation_directions
@@ -435,17 +434,3 @@ def test_sign_assignment_satisfies_face_condition(name):
         for idx in face.edge_indices:
             prod *= signs[idx]
         assert prod == (-1) ** (k + 1)
-
-
-def test_novikov_condition(honeycomb):
-    graph = build_graph(honeycomb)
-    flat = {e.edge_id: Fraction(1) for e in graph.edges}
-    assert novikov_necessary_condition(honeycomb, flat)
-    # weight 0 on one matching's edges and 1 elsewhere: a unique minimum
-    (matching, *_) = enumerate_matchings(graph)
-    unique = {e.edge_id: Fraction(0 if i in matching else 1) for i, e in enumerate(graph.edges)}
-    assert not novikov_necessary_condition(honeycomb, unique)
-    with pytest.raises(ValueError, match="nonnegative"):
-        novikov_necessary_condition(honeycomb, {e.edge_id: Fraction(-1) for e in graph.edges})
-    with pytest.raises(ValueError, match=f"no weight for edge {graph.edges[0].edge_id}$"):
-        novikov_necessary_condition(honeycomb, {})

@@ -229,6 +229,7 @@ def test_equal_records_hash_alike():
     ]
     for a, b in pairs:
         assert a == b and not a != b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, s) for s in type(a).__slots__))
     assert UnimodularMap(1, 1, 0, 1) != UnimodularMap(1, 1, 0, 1, Vec2(1, 0))
 
 
