@@ -12,6 +12,13 @@ holding a cone may be mixed elsewhere, and then the crossing is a vertex of
 one color only.  Whether the regions assemble into a valid dual dimer thus
 depends on the offsets, and `arrangement_dimer` refuses them when they
 do not.
+
+The construction runs on integer numerators over one denominator N, chosen
+so that every crossing, base point, line parameter and corner lies in
+(1/N) Z^2.  A dart is a passage ``(line, stop, forward)`` between
+consecutive crossings of one line.  Exactly two lines meet at a crossing,
+so the dart after a reverse dart u there, counterclockwise, is the other
+line's dart w with u x w > 0: one cross product, no sorted rotation ring.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, orbits, validate
-from .lattice import Record, Vec2, angle_key, reduce_mod_lattice
+from .lattice import Record, Vec2
 
 
 class TorusLine(Record):
@@ -34,21 +41,6 @@ class TorusLine(Record):
             raise ValueError("line direction must be primitive")
         self.direction, self.offset = direction, offset
 
-    @property
-    def normal(self) -> Vec2:
-        return self.direction.rot90()
-
-    def base_point(self) -> Vec2:
-        n = self.normal
-        return n.scale(Fraction(self.offset) / n.dot(n))
-
-
-def _comonomial(c: Vec2) -> Vec2:
-    """An integer covector m with <m, c> = 1 for primitive c."""
-    g, x, y = _egcd(int(c.x), int(c.y))
-    assert g == 1
-    return Vec2(x, y)
-
 
 def _egcd(a: int, b: int):
     if b == 0:
@@ -57,148 +49,95 @@ def _egcd(a: int, b: int):
     return (g, y, x - (a // b) * y)
 
 
-def _crossings(lines):
-    """The passages of each line through the pairwise intersection points:
-    line index -> sorted (parameter t in [0,1), torus point)."""
-    points = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            li, lj = lines[i], lines[j]
-            d = li.normal.cross(lj.normal)
-            if d == 0:
-                continue
-            for ki in range(abs(int(d))):
-                for kj in range(abs(int(d))):
-                    # solve <n_i,p> = o_i + ki, <n_j,p> = o_j + kj
-                    bi = li.offset + ki
-                    bj = lj.offset + kj
-                    p = Vec2(
-                        (bi * lj.normal.y - bj * li.normal.y) / d,
-                        (bj * li.normal.x - bi * lj.normal.x) / d,
-                    )
-                    t = reduce_mod_lattice(p)
-                    points.setdefault(t, set()).update((i, j))
-    # parameter of each crossing along each of its lines
-    passages = {}
-    for t, incident in points.items():
-        if len(incident) > 2:
-            raise ValueError("arrangement has a triple point; perturb offsets")
-        for i in incident:
-            line = lines[i]
-            m = _comonomial(line.direction)
-            s = m.dot(t - line.base_point())
-            s = s - (s.numerator // s.denominator)
-            passages.setdefault(i, []).append((s, t))
-    for i in passages:
-        passages[i].sort()
-    return passages
-
-
-class _Dart(Record):
-    """A passage of line ``line`` from the plane lift ``start`` of one
-    crossing to ``end``; ``forward`` when along the line's orientation."""
-
-    __slots__ = ("line", "start", "end", "forward")
-
-    def __init__(self, line: int, start: Vec2, end: Vec2, forward: bool):
-        self.line, self.start, self.end, self.forward = line, start, end, forward
-
-
-def _darts(lines, passages):
-    out = []
-    for i, stops in passages.items():
-        line = lines[i]
-        base = line.base_point()
-        m = len(stops)
-        for k in range(m):
-            s0, _ = stops[k]
-            s1, _ = stops[(k + 1) % m]
-            if k + 1 == m:
-                s1 += 1
-            a = base + line.direction.scale(s0)
-            b = base + line.direction.scale(s1)
-            out.append(_Dart(i, a, b, True))
-            out.append(_Dart(i, b, a, False))
-    return out
-
-
-def face_orbits(darts):
-    """Orbits of the arrangement's face permutation: closed boundary walks,
-    lifted consistently to the plane, in the order of their first dart in
-    ``darts``.
-
-    The darts leaving a crossing are ringed in counterclockwise order (the
-    rotation system), and a dart is followed by the one after its reverse
-    in the ring at its head, so each walk keeps its region on its right.
-    The reverse dart is the unique one on the same line leaving the end
-    point in the opposite traversal sense.
-    """
-    by_key = {(d.line, reduce_mod_lattice(d.start), d.forward): d for d in darts}
-    rings: dict = {}
-    for d in darts:
-        rings.setdefault(reduce_mod_lattice(d.start), []).append(d)
-    after = {}
-    for ring in rings.values():
-        ring.sort(key=lambda d: angle_key(d.end - d.start))
-        for k, d in enumerate(ring):
-            after[d] = ring[(k + 1) % len(ring)]
-    return orbits(darts, lambda d: after[by_key[d.line, reduce_mod_lattice(d.end), not d.forward]])
-
-
-def _unroll(walk):
-    """Consistent plane lifts of the walk's corner points; None if the walk
-    does not close up (a non-disk region)."""
-    pts = []
-    here = walk[0].start
-    for d in walk:
-        pts.append(here)
-        here = here + (d.end - d.start)
-    drift = here - walk[0].start
-    if not drift.is_zero():
-        return None
-    return pts
-
-
 def arrangement_dimer(lines) -> DualDimer:
     """The dual dimer whose polytopes are the uniformly-oriented regions of
     the arrangement.  Raises ValueError if the arrangement is degenerate or
     its regions fail `validate`."""
     lines = list(lines)
-    dirs = {(l.direction, l.offset) for l in lines}
-    if len(dirs) != len(lines):
+    if len({(l.direction, l.offset) for l in lines}) != len(lines):
         raise ValueError("repeated line")
-    passages = _crossings(lines)
-    if len(passages) != len(lines):
+    dirs = [(int(l.direction.x), int(l.direction.y)) for l in lines]
+    offsets = [Fraction(l.offset) for l in lines]
+    turn = [[cx * dy - cy * dx for dx, dy in dirs] for cx, cy in dirs]  # c_i x c_j
+    pairs = [(i, j) for i in range(len(lines)) for j in range(i + 1, len(lines)) if turn[i][j]]
+    n = math.lcm(*(o.denominator * (cx * cx + cy * cy) for o, (cx, cy) in zip(offsets, dirs)))
+    n *= math.lcm(*(abs(turn[i][j]) for i, j in pairs))
+    # on numerators P = n p the line <rot90(c), p> = o + k reads
+    # <rot90(c), P> = onum + k n with onum = n o; n makes every division exact
+    onum = [o.numerator * (n // o.denominator) for o in offsets]
+
+    incident = {}  # torus point numerators in [0, n)^2 -> the lines through it
+    for i, j in pairs:
+        (cx, cy), (dx, dy), d = dirs[i], dirs[j], turn[i][j]
+        for ki in range(abs(d)):
+            for kj in range(abs(d)):
+                bi, bj = onum[i] + ki * n, onum[j] + kj * n  # P = (bi c_j - bj c_i) / d
+                point = ((bi * dx - bj * cx) // d % n, (bi * dy - bj * cy) // d % n)
+                incident.setdefault(point, set()).update((i, j))
+    if any(len(through) > 2 for through in incident.values()):
+        raise ValueError("arrangement has a triple point; perturb offsets")
+    order = list(dict.fromkeys(k for pair in pairs for k in pair))  # first-crossing order
+    if len(order) != len(lines):
         raise ValueError("a line misses every crossing; add directions")
-    regions = []  # (color, rational corners)
-    for walk in face_orbits(_darts(lines, passages)):
-        # each walk keeps its region on its right: reversed, counterclockwise
-        walk = [_Dart(d.line, d.end, d.start, not d.forward) for d in reversed(walk)]
-        pts = _unroll(walk)
-        if pts is None:
+
+    # each line's base point o rot90(c) / |c|^2 and its crossings by the
+    # parameter <m, t - base> mod 1 along c, where <m, c> = 1
+    base, stops = {}, {}
+    for i in order:
+        cx, cy = dirs[i]
+        _, mx, my = _egcd(cx, cy)
+        q = onum[i] // (cx * cx + cy * cy)
+        base[i] = (-cy * q, cx * q)
+        stops[i] = sorted(
+            ((mx * (tx - base[i][0]) + my * (ty - base[i][1])) % n, (tx, ty))
+            for (tx, ty), through in incident.items()
+            if i in through
+        )
+    at = {}  # torus point -> its two (line, stop index) pairs
+    for i in order:
+        for k, (_, point) in enumerate(stops[i]):
+            at.setdefault(point, []).append((i, k))
+    meet = {a: b for a, b in at.values()} | {b: a for a, b in at.values()}
+
+    def span(i, k):
+        """Parameter length of line i from stop k to the next, times n."""
+        here = stops[i]
+        return (here[(k + 1) % len(here)][0] - here[k][0]) % n or n
+
+    def step(dart):
+        # the reverse of `dart` at its head, turned counterclockwise onto the other line
+        i, k, forward = dart
+        j, l = meet[i, (k + 1) % len(stops[i]) if forward else k]
+        if (turn[i][j] > 0) != forward:
+            return (j, l, True)
+        return (j, (l - 1) % len(stops[j]), False)
+
+    darts = [(i, k, f) for i in order for k in range(len(stops[i])) for f in (True, False)]
+    regions = []  # (color, corner numerators)
+    for walk in orbits(darts, step):
+        # each walk keeps its region on its right: walk it backward, from
+        # the head of its last dart, to go counterclockwise
+        i, k, forward = walk[-1]
+        s = stops[i][k][0] + (span(i, k) if forward else 0)
+        x, y = base[i][0] + dirs[i][0] * s, base[i][1] + dirs[i][1] * s
+        pts = []
+        for i, k, forward in reversed(walk):
+            pts.append((x, y))
+            s = span(i, k) if forward else -span(i, k)
+            x, y = x - dirs[i][0] * s, y - dirs[i][1] * s
+        if (x, y) != pts[0]:
             raise ValueError("arrangement region is not a disk")
-        senses = {d.forward for d in walk}
+        senses = {forward for _, _, forward in walk}
         if len(senses) != 1:
             continue  # mixed region: a dimer face, not a polytope
-        color = BLACK if senses == {True} else WHITE
-        # drop collinear passage points so vertices are strictly convex
-        corners = []
-        m = len(pts)
-        for k in range(m):
-            prev, here, nxt = pts[(k - 1) % m], pts[k], pts[(k + 1) % m]
-            if (here - prev).cross(nxt - here) != 0:
-                corners.append(here)
-        regions.append((color, corners))
+        # every step turns onto the other line, so every passage point is a corner
+        regions.append((WHITE if senses == {True} else BLACK, pts))
 
-    den = 1
-    for _, corners in regions:
-        for v in corners:
-            den = math.lcm(den, v.x.denominator, v.y.denominator)
+    g = math.gcd(n, *(v for _, corners in regions for point in corners for v in point))
     polytopes = tuple(
-        Polytope(color, tuple((int(v.x * den), int(v.y * den)) for v in corners))
-        for color, corners in regions
+        Polytope(color, tuple((x // g, y // g) for x, y in corners)) for color, corners in regions
     )
-    dimer = DualDimer(den, polytopes)
+    dimer = DualDimer(n // g, polytopes)
     if not validate(dimer).ok:
         raise ValueError("arrangement regions do not form a valid dual dimer; change offsets")
     return dimer

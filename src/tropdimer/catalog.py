@@ -7,6 +7,7 @@ Every named dimer has a frozen JSON document under ``tropdimer/catalog/``
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from fractions import Fraction
 
@@ -125,25 +126,15 @@ def build_immersed_hexagon() -> DualDimer:
 _BUILDERS = {
     "honeycomb": build_honeycomb,
     "pants-min": build_pants_min,
-    "cp2-seed": lambda: build_seed("cp2-seed"),
-    "p1p1-seed": lambda: build_seed("p1p1-seed"),
-    "bl1-seed": lambda: build_seed("bl1-seed"),
-    "bl2-seed": lambda: build_seed("bl2-seed"),
-    "bl3-seed": lambda: build_seed("bl3-seed"),
+    **{name: functools.partial(build_seed, name) for name in SEED_LINES},
     "immersed-hexagon": build_immersed_hexagon,
 }
 
 NAMES = tuple(_BUILDERS)
 
-SEED_NAMES = ("cp2-seed", "p1p1-seed", "bl1-seed", "bl2-seed", "bl3-seed")
+SEED_NAMES = tuple(SEED_LINES)
 
-SEED_FAN = {
-    "cp2-seed": "cp2",
-    "p1p1-seed": "p1p1",
-    "bl1-seed": "bl1",
-    "bl2-seed": "bl2",
-    "bl3-seed": "bl3",
-}
+SEED_FAN = {name: name.removesuffix("-seed") for name in SEED_NAMES}
 
 
 def build(name: str) -> DualDimer:

@@ -37,6 +37,20 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _json(text: str):
+    """``json.loads``, with a document the decoder cannot hold refused as a
+    SchemaError: one nested past the recursion limit, or with an integer
+    longer than Python converts.  Malformed JSON stays a JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise SchemaError("document is nested too deeply") from None
+    except ValueError as exc:
+        raise SchemaError(f"unreadable JSON: {exc}") from None
+
+
 def _is_int_pair(pair) -> bool:
     return isinstance(pair, list) and len(pair) == 2 and all(type(c) is int for c in pair)
 
@@ -45,9 +59,10 @@ def parse_dimer(text: str):
     """Parse a dimer document; returns (DualDimer, weights dict).
 
     Raises json.JSONDecodeError for malformed JSON and SchemaError for
-    schema violations; axiom failures are the caller's concern.
+    schema violations and documents `_json` refuses; axiom failures are the
+    caller's concern.
     """
-    doc = json.loads(text)
+    doc = _json(text)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     den = doc.get("denominator")
@@ -166,7 +181,7 @@ def serialize_diagram(diagram) -> str:
 def parse_diagram(text: str):
     from .almost_toric import BaseDiagram, Node
 
-    doc = json.loads(text)
+    doc = _json(text)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == DIAGRAM_SCHEMA, f"schema must be {DIAGRAM_SCHEMA!r}")
     raw_boundary = doc.get("boundary")

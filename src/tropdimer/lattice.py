@@ -152,11 +152,6 @@ def angle_key(v: Vec2):
     return _angle_key((v.x, v.y))
 
 
-def reduce_mod_lattice(p: Vec2) -> Vec2:
-    """The representative of ``p`` mod Z^2 in the fundamental domain [0,1)^2."""
-    return Vec2(p.x - math.floor(p.x), p.y - math.floor(p.y))
-
-
 class H1Class(Ordered):
     """A first-homology class of the two-torus, written <a, b>."""
 

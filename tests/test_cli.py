@@ -89,6 +89,16 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     code, _, err = invoke(capsys, "validate", str(doc))
     assert code == 2
     assert "line 2" in err and "column" in err
+    # documents the decoder cannot hold: past its recursion limit, or with an
+    # integer longer than Python converts; refused as schema errors
+    for text, message in [
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ('{"schema": "tropdimer/1", "denominator": ' + "9" * 5000 + "}", "digits"),
+    ]:
+        doc.write_text(text)
+        code, out, err = invoke(capsys, "validate", str(doc))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_schema_violation_is_usage_error(tmp_path, capsys):

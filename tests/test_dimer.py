@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, dimer
 from tropdimer.almost_toric import BaseDiagram, trade_all_corners
-from tropdimer.arrangement import TorusLine, arrangement_dimer
+from tropdimer.arrangement import TorusLine, _egcd, arrangement_dimer
 from tropdimer.dimer import (
     DimerGraph,
     DualDimer,
@@ -24,7 +24,7 @@ from tropdimer.dimer import (
 )
 from tropdimer.io import SchemaError, parse_dimer, serialize_dimer
 from tropdimer.kasteleyn import KasteleynMatrix, LaurentPolynomial, kasteleyn_matrix
-from tropdimer.lattice import H1Class, Vec2, convex_hull
+from tropdimer.lattice import H1Class, Vec2, angle_key, convex_hull
 from tropdimer.mutation import exact_assignment, mutate_face
 from tropdimer.tropical import CurveEdge, check_balancing, make_fan
 
@@ -424,6 +424,94 @@ def faces_by_rotation_rings(d: DualDimer):
             cur = after[cur[0], -cur[1]]
         walks.append(walk)
     return walks
+
+
+def arrangement_by_rotation_rings(lines) -> DualDimer:
+    """The earlier arrangement builder, kept as the oracle of
+    `arrangement_dimer`: crossings, base points and passage lifts as
+    `Fraction` points keyed by their representative in [0, 1)^2; the darts
+    leaving each crossing sorted by angle into a counterclockwise ring, and
+    each dart followed by the one after its reverse in the ring at its
+    head.  A dart is (line, start, end, forward)."""
+
+    def torus(p):
+        return V(p.x - math.floor(p.x), p.y - math.floor(p.y))
+
+    def base_point(line):
+        n = line.direction.rot90()
+        return n.scale(Fraction(line.offset) / n.dot(n))
+
+    lines = list(lines)
+    if len({(l.direction, l.offset) for l in lines}) != len(lines):
+        raise ValueError("repeated line")
+    points = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            ni, nj = lines[i].direction.rot90(), lines[j].direction.rot90()
+            d = ni.cross(nj)
+            for ki in range(abs(int(d))):
+                for kj in range(abs(int(d))):
+                    bi, bj = lines[i].offset + ki, lines[j].offset + kj
+                    p = V((bi * nj.y - bj * ni.y) / d, (bj * ni.x - bi * nj.x) / d)
+                    points.setdefault(torus(p), set()).update((i, j))
+    passages = {}
+    for t, incident in points.items():
+        if len(incident) > 2:
+            raise ValueError("arrangement has a triple point; perturb offsets")
+        for i in incident:
+            c = lines[i].direction
+            _, mx, my = _egcd(int(c.x), int(c.y))
+            s = V(mx, my).dot(t - base_point(lines[i]))
+            passages.setdefault(i, []).append((s - math.floor(s), t))
+    if len(passages) != len(lines):
+        raise ValueError("a line misses every crossing; add directions")
+    darts = []
+    for i, stops in passages.items():
+        stops.sort()
+        base, c = base_point(lines[i]), lines[i].direction
+        for k, (s0, _) in enumerate(stops):
+            s1 = stops[(k + 1) % len(stops)][0] + (k + 1 == len(stops))
+            a, b = base + c.scale(s0), base + c.scale(s1)
+            darts += [(i, a, b, True), (i, b, a, False)]
+    by_key = {(i, torus(a), f): (i, a, b, f) for i, a, b, f in darts}
+    rings = {}
+    for dart in darts:
+        rings.setdefault(torus(dart[1]), []).append(dart)
+    after = {}
+    for ring in rings.values():
+        ring.sort(key=lambda dart: angle_key(dart[2] - dart[1]))
+        for k, dart in enumerate(ring):
+            after[dart] = ring[(k + 1) % len(ring)]
+    regions = []
+    for walk in dimer.orbits(darts, lambda d: after[by_key[d[0], torus(d[2]), not d[3]]]):
+        walk = [(i, b, a, not f) for i, a, b, f in reversed(walk)]
+        pts, here = [], walk[0][1]
+        for _, a, b, _ in walk:
+            pts.append(here)
+            here = here + (b - a)
+        if here != walk[0][1]:
+            raise ValueError("arrangement region is not a disk")
+        senses = {f for *_, f in walk}
+        if len(senses) != 1:
+            continue
+        m = len(pts)
+        corners = [
+            pts[k]
+            for k in range(m)
+            if (pts[k] - pts[k - 1]).cross(pts[(k + 1) % m] - pts[k]) != 0
+        ]
+        regions.append(("black" if senses == {True} else "white", corners))
+    den = math.lcm(1, *(q.denominator for _, vs in regions for v in vs for q in (v.x, v.y)))
+    result = DualDimer(
+        den,
+        tuple(
+            Polytope(color, tuple((int(v.x * den), int(v.y * den)) for v in vs))
+            for color, vs in regions
+        ),
+    )
+    if not validate(result).ok:
+        raise ValueError("arrangement regions do not form a valid dual dimer; change offsets")
+    return result
 
 
 @st.composite

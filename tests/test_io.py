@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,19 @@ def test_builders_reproduce_the_frozen_catalog(name):
     assert serialize_dimer(catalog.build(name)) == catalog.catalog_text(name)
 
 
+def test_generate_catalog_script_writes_the_frozen_catalog(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "generate_catalog.py"
+    spec = importlib.util.spec_from_file_location("generate_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.json" for n in catalog.NAMES)
+    for name in catalog.NAMES:
+        assert (tmp_path / f"{name}.json").read_text() == catalog.catalog_text(name)
+    assert capsys.readouterr().out.count("wrote ") == 8
+
+
 def test_canonicalization_is_idempotent(honeycomb):
     once = canonicalize(honeycomb)
     assert canonicalize(once) == once
@@ -42,6 +57,19 @@ def test_canonicalization_puts_whites_first(honeycomb):
 def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_dimer("{")
+
+
+@pytest.mark.parametrize("parse", [parse_dimer, parse_diagram])
+@pytest.mark.parametrize(
+    "text,msg",
+    [
+        pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deep"),
+        pytest.param('{"boundary": [[[' + "1" * 5000 + ", 1]]]}", "digits", id="long-integer"),
+    ],
+)
+def test_documents_the_decoder_cannot_hold_are_schema_errors(parse, text, msg):
+    with pytest.raises(SchemaError, match=msg):
+        parse(text)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,12 @@ of the embedded ones; each is checked on random unimodular images.  The
 overlap verdict of `validate` is also checked against the all-pairs brute
 force on them and on the torus covers of the catalog up to 3x3.  Random
 line arrangements with the seeds' directions, which `arrangement_dimer`
-accepts only when `validate` does, must pass every later stage too.
+accepts only when `validate` does, must pass every later stage too; on
+those and on arrangements of random primitive directions it must agree
+with the earlier rotation-ring builder kept in `test_dimer`.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cover, unimodular_image
-from test_dimer import all_pairs_overlap
+from test_dimer import all_pairs_overlap, arrangement_by_rotation_rings
 from test_kasteleyn import newton_matches_zigzags
 from tropdimer import catalog
 from tropdimer.arrangement import TorusLine, arrangement_dimer
@@ -103,3 +106,28 @@ def test_every_stage_succeeds_on_an_accepted_line_arrangement(lines):
     assert newton_matches_zigzags(d)
     mutation_directions(d)
     render_dimer(d, ("edges", "zigzags"))
+
+
+@st.composite
+def random_arrangements(draw):
+    """Two to six lines with primitive directions of coordinates in [-3, 3]
+    and offsets k / den, den <= 26."""
+    coord = st.integers(-3, 3)
+    direction = st.tuples(coord, coord).filter(lambda d: math.gcd(*d) == 1)
+    directions = draw(st.lists(direction, min_size=2, max_size=6))
+    den = draw(st.integers(1, 26))
+    return [TorusLine(Vec2(*d), Fraction(draw(st.integers(0, den - 1)), den)) for d in directions]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(arrangements(), random_arrangements()))
+def test_arrangement_matches_the_rotation_ring_oracle(lines):
+    # the same dimer, lifts and polytope order included, or the same refusal
+    try:
+        expected = arrangement_by_rotation_rings(lines)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as got:
+            arrangement_dimer(lines)
+        assert str(got.value) == str(refusal)
+        return
+    assert arrangement_dimer(lines) == expected
