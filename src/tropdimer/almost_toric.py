@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import RatPolygon, Record, UnimodularMap, Vec2, on_segment
-from .tropical import CurveEdge, TropicalCurve, TropicalPolynomial
+from .lattice import RatPolygon, Record, UnimodularMap, Vec2, on_ray, on_segment
+from .tropical import CurveEdge, TropicalCurve, TropicalPolynomial, check_balancing
 
 
 class Node(Record):
@@ -119,17 +119,9 @@ def trade_all_corners(diagram: BaseDiagram, t=1) -> BaseDiagram:
 # admissibility
 
 
-def _ray_hits(edge: CurveEdge, p: Vec2) -> bool:
-    d = edge.ray
-    r = p - edge.a
-    if r.cross(d) != 0:
-        return False
-    return r.dot(d) >= 0
-
-
 def _edge_touches(edge: CurveEdge, p: Vec2) -> bool:
     if edge.is_ray:
-        return _ray_hits(edge, p)
+        return on_ray(p, edge.a, edge.ray)
     return on_segment(p, edge.a, edge.b)
 
 
@@ -150,8 +142,9 @@ def admissible(curve: CurveOnBase, diagram: BaseDiagram) -> bool:
         else:
             if any(_edge_touches(edge, nd.position) for nd in diagram.nodes):
                 return False
+    positions = {nd.position for nd in diagram.nodes}
     for v in curve.curve.vertices:
-        if any(v == nd.position for nd in diagram.nodes):
+        if v in positions:
             return False
         if diagram.boundary is not None and not diagram.boundary.contains(v, strict=True):
             return False
@@ -164,34 +157,32 @@ def admissible(curve: CurveOnBase, diagram: BaseDiagram) -> bool:
 # boundary-parallel tori
 
 
-def _traded_corner_nodes(diagram: BaseDiagram):
+def _corner_frames(diagram: BaseDiagram):
+    """(corner, inward direction w, lattice distance t to its node, node
+    index) for each corner in order; every corner must be traded."""
     if diagram.boundary is None:
         raise ValueError("diagram has no boundary")
     n = len(diagram.boundary.vertices)
     by_corner = dict(diagram.traded)
     if sorted(by_corner) != list(range(n)):
         raise ValueError("every corner must be traded first")
-    return [diagram.nodes[by_corner[i]] for i in range(n)]
-
-
-def _corner_frame(diagram: BaseDiagram, i: int):
-    """(corner, inward direction w, lattice distance to the node)."""
-    corner, w = _corner_data(diagram.boundary, i)
-    node = _traded_corner_nodes(diagram)[i]
-    offset = node.position - corner
-    t = offset.x / w.x if w.x != 0 else offset.y / w.y
-    return corner, w, t
+    frames = []
+    for i in range(n):
+        corner, w = _corner_data(diagram.boundary, i)
+        offset = diagram.nodes[by_corner[i]].position - corner
+        t = offset.x / w.x if w.x != 0 else offset.y / w.y
+        frames.append((corner, w, t, by_corner[i]))
+    return frames
 
 
 def build_outer_torus(diagram: BaseDiagram, r) -> CurveOnBase:
     """The boundary-parallel circle at collar depth r, with its corners on
     the cuts (where the monodromy straightens them); no node contact."""
-    nodes = _traded_corner_nodes(diagram)
+    frames = _corner_frames(diagram)
     r = Fraction(r)
-    n = len(nodes)
+    n = len(frames)
     pts = []
-    for i in range(n):
-        corner, w, t = _corner_frame(diagram, i)
+    for corner, w, t, _ in frames:
         if not (0 < r < t):
             raise ValueError("collar depth out of range")
         pts.append(corner + w.scale(r))
@@ -203,25 +194,20 @@ def build_inner_torus(diagram: BaseDiagram, s=None) -> CurveOnBase:
     """One trivalent vertex per node, past the node on its eigenline, with
     an eigenray leg to the node; the remaining legs glue into a closed
     boundary-parallel cycle.  All vertices sit at the same lattice depth."""
-    nodes = _traded_corner_nodes(diagram)
-    n = len(nodes)
-    frames = [_corner_frame(diagram, i) for i in range(n)]
+    frames = _corner_frames(diagram)
+    n = len(frames)
     if s is None:
-        s = max(t for _, _, t in frames) + 1
+        s = max(t for _, _, t, _ in frames) + 1
     s = Fraction(s)
-    if any(s <= t for _, _, t in frames):
+    if any(s <= t for _, _, t, _ in frames):
         raise ValueError("inconsistent placement")
-    pts = [corner + w.scale(s) for corner, w, _ in frames]
-    for i in range(n):
-        leg = (nodes[i].position - pts[i]).primitive()
-        prev = (pts[(i - 1) % n] - pts[i]).primitive()
-        nxt = (pts[(i + 1) % n] - pts[i]).primitive()
-        if leg + prev + nxt != Vec2(0, 0):
-            raise ValueError("inconsistent placement")
+    pts = [corner + w.scale(s) for corner, w, _, _ in frames]
     loop = [CurveEdge(pts[i], pts[(i + 1) % n]) for i in range(n)]
-    legs = [CurveEdge(pts[i], nodes[i].position) for i in range(n)]
-    attachments = tuple((n + i, dict(diagram.traded)[i]) for i in range(n))
-    return CurveOnBase(TropicalCurve(tuple(pts), tuple(loop + legs)), attachments)
+    legs = [CurveEdge(pts[i], diagram.nodes[k].position) for i, (*_, k) in enumerate(frames)]
+    curve = TropicalCurve(tuple(pts), tuple(loop + legs))
+    if not check_balancing(curve):
+        raise ValueError("inconsistent placement")
+    return CurveOnBase(curve, tuple((n + i, k) for i, (*_, k) in enumerate(frames)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +313,7 @@ def nodal_trade_exchange(
 
     # forward from a cut vertex on the corner side of the node
     for v in verts:
-        offset = v - q
-        if offset.cross(e) == 0 and offset.dot(e) > 0:
+        if on_ray(v, q, e):
             target = q - e.scale(delta)
             return _edit(curve, (), v, target, leg=(CurveEdge(target, q), node_index))
 
@@ -481,9 +466,7 @@ def _enters(region: RatPolygon, p: Vec2, ray: Vec2) -> bool:
     is read like its reverse."""
     if region.is_degenerate:
         return False
-    if region.area2() < 0:
-        region = RatPolygon(tuple(reversed(region.vertices)))
-    for a, b in region.edges():
+    for a, b in region.counterclockwise().edges():
         value = (b - a).cross(p - a)
         if value < 0 or (value == 0 and (b - a).cross(ray) <= 0):
             return False
@@ -498,10 +481,8 @@ def validate_section(section: ChartedSection) -> bool:
         for j in range(i + 1, len(charts)):
             t = section.transition(i, j)
             moved = RatPolygon(tuple(t.apply(v) for v in charts[j].region.vertices))
-            if moved.area2() < 0:
-                moved = RatPolygon(tuple(reversed(moved.vertices)))
             overlap = list(charts[i].region.vertices)
-            for a, b in moved.edges():
+            for a, b in moved.counterclockwise().edges():
                 normal = (b - a).rot90()
                 overlap = _cut(overlap, normal, normal.dot(a))
             if not _has_interior(overlap):

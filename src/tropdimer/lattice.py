@@ -7,7 +7,8 @@ lattice points inside a convex polygon (`interior_lattice_count`, by floor
 sums).  These functions take (x, y) pairs, as the dimer pipeline keeps its
 polygons; the records (`Vec2`, `H1Class`, `RatPolygon`, `UnimodularMap`)
 carry ``fractions.Fraction`` coordinates: they are the working type of
-tropical curves and base diagrams.  It is also the home of record
+tropical curves and base diagrams, and the closed segment and ray tests
+(`on_segment`, `on_ray`) take them.  It is also the home of record
 equality: every slotted record of the package subclasses `Record`, which
 compares and hashes it on the tuple of its ``__slots__`` values, or
 `Ordered`, which also orders it on that tuple.  There is no floating
@@ -167,9 +168,6 @@ class H1Class(Ordered):
     def __neg__(self) -> "H1Class":
         return H1Class(-self.a, -self.b)
 
-    def as_vec(self) -> Vec2:
-        return Vec2(Fraction(self.a), Fraction(self.b))
-
     def __repr__(self):
         return f"<{self.a},{self.b}>"
 
@@ -212,6 +210,10 @@ class RatPolygon(Record):
         for a, b in self.edges():
             total += a.cross(b)
         return total
+
+    def counterclockwise(self) -> "RatPolygon":
+        """This polygon, its vertices reversed if it is clockwise."""
+        return RatPolygon(self.vertices[::-1]) if self.area2() < 0 else self
 
     def contains(self, p: Vec2, strict: bool = False) -> bool:
         if self.is_degenerate:
@@ -360,8 +362,7 @@ class UnimodularMap(Record):
         return self.apply_vector(p) + self.t
 
     def apply_class(self, cls: H1Class) -> H1Class:
-        w = self.apply_vector(cls.as_vec())
-        return H1Class(int(w.x), int(w.y))
+        return H1Class(self.a * cls.a + self.b * cls.b, self.c * cls.a + self.d * cls.b)
 
     def inverse(self) -> "UnimodularMap":
         s = self.det  # +-1
@@ -391,6 +392,12 @@ class UnimodularMap(Record):
 def on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
     """Is p on the closed segment ab?"""
     return _orient(a, b, p) == 0 and (a - p).dot(b - p) <= 0
+
+
+def on_ray(p: Vec2, a: Vec2, d: Vec2) -> bool:
+    """Is p on the closed ray from a along the nonzero direction d?"""
+    r = p - a
+    return r.cross(d) == 0 and r.dot(d) >= 0
 
 
 def dilate(P: RatPolygon, k) -> RatPolygon:

@@ -247,7 +247,7 @@ def homology_classes_of_faces(dimer: DualDimer):
 
 def mutation_directions(dimer: DualDimer):
     """The multiset of face-boundary classes (see module docstring)."""
-    return sorted(homology_classes_of_faces(dimer), key=lambda c: (c.a, c.b))
+    return sorted(homology_classes_of_faces(dimer))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def seed_directions(fan_rays):
         d = ordered[i] - ordered[(i + 1) % n]
         p = d.primitive()
         out.append(H1Class(int(p.x), int(p.y)))
-    return sorted(out, key=lambda c: (c.a, c.b))
+    return sorted(out)
 
 
 def compare_up_to_unimodular(a, b) -> UnimodularMap | None:

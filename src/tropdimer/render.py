@@ -28,7 +28,11 @@ def _xy(x: int, y: int, den: int):
     """Screen coordinates of the exact torus point (x/den, y/den)."""
     # int true division rounds correctly, so the floats are those of the
     # exact rationals; y is flipped so the lattice y-axis points up on screen
-    return _fmt((MARGIN * den + x * SCALE) / den), _fmt(((MARGIN + SCALE) * den - y * SCALE) / den)
+    try:
+        sx, sy = (MARGIN * den + x * SCALE) / den, ((MARGIN + SCALE) * den - y * SCALE) / den
+    except OverflowError:  # past the float range: no SVG number can hold it
+        raise ValueError("coordinates too large to draw") from None
+    return _fmt(sx), _fmt(sy)
 
 
 def render_dimer(dimer: DualDimer, show=()) -> str:
@@ -108,10 +112,8 @@ def render_diagram(diagram) -> str:
     span = max(hi.x - lo.x, hi.y - lo.y)
     unit = Fraction(SCALE) / span
 
-    def pt(p: Vec2) -> str:
-        x = MARGIN + (p.x - lo.x) * unit
-        y = MARGIN + (hi.y - p.y) * unit
-        return f"{_fmt(x)},{_fmt(y)}"
+    def pt(p: Vec2):
+        return _fmt(MARGIN + (p.x - lo.x) * unit), _fmt(MARGIN + (hi.y - p.y) * unit)
 
     size = SCALE + 2 * MARGIN
     out = [
@@ -119,19 +121,17 @@ def render_diagram(diagram) -> str:
         f'viewBox="0 0 {size} {size}">'
     ]
     if diagram.boundary is not None:
-        points = " ".join(pt(v) for v in diagram.boundary.vertices)
+        points = " ".join(",".join(pt(v)) for v in diagram.boundary.vertices)
         out.append(f'<polygon points="{points}" fill="none" stroke="#222222" stroke-width="1.5"/>')
     for node in diagram.nodes:  # the cut: the eigenray from the node
-        a = pt(node.position)
-        b = pt(node.position + node.eigenray.scale(Fraction(3, 2)))
+        x1, y1 = pt(node.position)
+        x2, y2 = pt(node.position + node.eigenray.scale(Fraction(3, 2)))
         out.append(
-            f'<line x1="{a.split(",")[0]}" y1="{a.split(",")[1]}" '
-            f'x2="{b.split(",")[0]}" y2="{b.split(",")[1]}" '
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="#c0392b" stroke-width="1" stroke-dasharray="3 3"/>'
         )
     for node in diagram.nodes:
-        c = pt(node.position)
-        cx, cy = c.split(",")
+        cx, cy = pt(node.position)
         out.append(
             f'<text x="{cx}" y="{cy}" font-size="14" text-anchor="middle" '
             f'dominant-baseline="middle">×</text>'

@@ -95,26 +95,24 @@ class TropicalCurve(Record):
         self.vertices, self.edges = tuple(vertices), tuple(edges)
 
 
-def _outgoing(curve: TropicalCurve, v: Vec2):
-    """(primitive direction, multiplicity) of every edge germ leaving v."""
-    out = []
-    for e in curve.edges:
-        if e.is_ray:
-            if e.a == v:
-                out.append((e.ray, e.multiplicity))
-        else:
-            if e.a == v:
-                out.append(((e.b - e.a).primitive(), e.multiplicity))
-            elif e.b == v:
-                out.append(((e.a - e.b).primitive(), e.multiplicity))
-    return out
-
-
 def check_balancing(curve: TropicalCurve) -> bool:
+    """Whether the germs leaving each listed vertex, primitive direction
+    times multiplicity, sum to zero.
+
+    One pass over the edges files each germ under its end, dropping ends
+    that are not listed vertices; a second sums each vertex's germs in
+    order, so it stops at the first unbalanced vertex, and a zero-length
+    segment raises when its vertex is reached."""
+    germs = {v: [] for v in curve.vertices}
+    for e in curve.edges:
+        ends = ((e.a, e.ray),) if e.is_ray else ((e.a, e.b - e.a), (e.b, e.a - e.b))
+        for v, d in ends:
+            if v in germs:
+                germs[v].append((d, e.multiplicity))
     for v in curve.vertices:
         total = Vec2(0, 0)
-        for d, m in _outgoing(curve, v):
-            total = total + d.scale(m)
+        for d, m in germs[v]:
+            total = total + d.primitive().scale(m)
         if not total.is_zero():
             return False
     return True
@@ -249,10 +247,7 @@ def genus_of(delta: RatPolygon) -> int:
     sums along its counterclockwise edges."""
     if not all(v.is_integral() for v in delta.vertices):
         raise ValueError("lattice polygon required")
-    area2 = delta.area2()
-    if area2 == 0:  # a point, a segment, or collinear vertices
+    if delta.area2() == 0:  # a point, a segment, or collinear vertices
         return 0
-    ring = [(int(v.x), int(v.y)) for v in delta.vertices]
-    if area2 < 0:
-        ring.reverse()
+    ring = [(int(v.x), int(v.y)) for v in delta.counterclockwise().vertices]
     return interior_lattice_count([(*a, *b) for a, b in zip(ring, ring[1:] + ring[:1])], 1)

@@ -11,6 +11,7 @@ from tropdimer.almost_toric import (
     ChartedSection,
     CurveOnBase,
     Node,
+    _corner_data,
     _edge_touches,
     _moved,
     admissible,
@@ -89,6 +90,46 @@ def test_inner_torus_is_balanced_and_admissible(cp2):
     assert admissible(curve, cp2)
     assert check_balancing(curve.curve)
     assert len(curve.attachments) == len(cp2.nodes)
+
+
+def inner_torus_by_hand(diagram, s):
+    """The earlier construction: each vertex's three germs summed by hand,
+    leg + previous + next = 0."""
+    n = len(diagram.boundary.vertices)
+    by_corner = dict(diagram.traded)
+    nodes = [diagram.nodes[by_corner[i]] for i in range(n)]
+    frames = []
+    for i in range(n):
+        corner, w = _corner_data(diagram.boundary, i)
+        offset = nodes[i].position - corner
+        frames.append((corner, w, offset.x / w.x if w.x != 0 else offset.y / w.y))
+    s = Fraction(s)
+    if any(s <= t for _, _, t in frames):
+        raise ValueError("inconsistent placement")
+    pts = [corner + w.scale(s) for corner, w, _ in frames]
+    for i in range(n):
+        leg = (nodes[i].position - pts[i]).primitive()
+        prev = (pts[(i - 1) % n] - pts[i]).primitive()
+        nxt = (pts[(i + 1) % n] - pts[i]).primitive()
+        if leg + prev + nxt != V(0, 0):
+            raise ValueError("inconsistent placement")
+    loop = [CurveEdge(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    legs = [CurveEdge(pts[i], nodes[i].position) for i in range(n)]
+    attachments = tuple((n + i, by_corner[i]) for i in range(n))
+    return CurveOnBase(TropicalCurve(tuple(pts), tuple(loop + legs)), attachments)
+
+
+@pytest.mark.parametrize("name", list(MOMENT_POLYGONS))
+def test_inner_torus_matches_the_hand_balanced_construction(name):
+    diagram = trade_all_corners(BaseDiagram(MOMENT_POLYGONS[name]))
+    for k in range(1, 200):
+        outcomes = []
+        for build in (build_inner_torus, inner_torus_by_hand):
+            try:
+                outcomes.append(build(diagram, F(k, 16)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], k
 
 
 def test_local_exchange_round_trip():

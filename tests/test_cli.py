@@ -243,6 +243,22 @@ def test_render_polygon_and_zigzag_counts(tmp_path, capsys):
     assert svg.read_text().count('<g class="zigzag"') == 3
 
 
+def test_render_refuses_coordinates_past_the_float_range(tmp_path, capsys):
+    # the honeycomb sheared by (x, y) -> (x + 10^400 y, y): a valid dimer
+    # whose screen coordinates no float can hold
+    doc = json.loads(catalog.catalog_text("honeycomb"))
+    for poly in doc["polytopes"]:
+        poly["vertices"] = [[x + 10**400 * y, y] for x, y in poly["vertices"]]
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = invoke(capsys, "validate", str(path))
+    assert code == 0 and out.startswith("ok")
+    for show in ((), ("--show", "edges,zigzags")):
+        code, out, err = invoke(capsys, "render", str(path), *show)
+        assert code == 1 and not out
+        assert err == "error: coordinates too large to draw\n"
+
+
 def test_unknown_render_layer_is_usage_error(capsys):
     for show in ("edge", "edges,zigzag"):
         code, out, err = invoke(capsys, "render", "catalog:honeycomb", "--show", show)

@@ -16,6 +16,7 @@ from tropdimer.lattice import (
     convex_hull,
     dilate,
     interior_lattice_count,
+    on_ray,
     strictly_convex,
     unit_triangle,
 )
@@ -200,6 +201,31 @@ def test_unimodular_compose_is_application_order(data, u, v):
     m = _random_unimodular(data)
     n = _random_unimodular(data)
     assert m.compose(n).apply(v) == m.apply(n.apply(v))
+
+
+@given(st.data(), ints, ints)
+def test_apply_class_on_integers_matches_the_vector_route(data, a, b):
+    # random products of shears and sign flips
+    flips = [UnimodularMap(-1, 0, 0, 1), UnimodularMap(1, 0, 0, -1), UnimodularMap(-1, 0, 0, -1)]
+    m = UnimodularMap.identity()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        k = data.draw(st.integers(min_value=-3, max_value=3))
+        shears = [UnimodularMap(1, k, 0, 1), UnimodularMap(1, 0, k, 1)]
+        m = m.compose(data.draw(st.sampled_from(shears + flips)))
+    w = m.apply_vector(Vec2(a, b))
+    image = m.apply_class(H1Class(a, b))
+    assert image == H1Class(int(w.x), int(w.y))
+    assert type(image.a) is int and type(image.b) is int
+
+
+@given(vectors, vectors.filter(lambda d: not d.is_zero()), rationals)
+def test_on_ray_holds_from_its_start_along_d_only(a, d, k):
+    k = abs(k)
+    assert on_ray(a, a, d)
+    assert on_ray(a + d.scale(k), a, d)
+    assert not on_ray(a + d.scale(k) + d.rot90(), a, d)  # off the line
+    if k:
+        assert not on_ray(a - d.scale(k), a, d)  # behind the start
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2, dilate, unit_triangle
 from tropdimer.tropical import (
@@ -136,3 +139,93 @@ def test_rational_vertex_positions_survive_exactly():
     curve = nonlinearity_locus(f)
     xs = {p.x for e in curve.edges for p in (e.a,)}
     assert xs == {Fraction(-1, 3)}
+
+
+# ---------------------------------------------------------------------------
+# balancing against the earlier walk: one scan of every edge per vertex
+
+
+def outgoing(curve, v):
+    """(primitive direction, multiplicity) of every edge germ leaving v."""
+    out = []
+    for e in curve.edges:
+        if e.is_ray:
+            if e.a == v:
+                out.append((e.ray, e.multiplicity))
+        else:
+            if e.a == v:
+                out.append(((e.b - e.a).primitive(), e.multiplicity))
+            elif e.b == v:
+                out.append(((e.a - e.b).primitive(), e.multiplicity))
+    return out
+
+
+def balancing_by_vertex_scans(curve):
+    for v in curve.vertices:
+        total = V(0, 0)
+        for d, m in outgoing(curve, v):
+            total = total + d.scale(m)
+        if not total.is_zero():
+            return False
+    return True
+
+
+def outcome(check, curve):
+    try:
+        return check(curve)
+    except ValueError as exc:
+        return str(exc)
+
+
+halves = st.integers(min_value=-3, max_value=3).map(lambda k: Fraction(k, 2))
+points = st.builds(V, halves, halves)
+DIRECTIONS = [V(1, 0), V(0, 1), V(-1, 0), V(0, -1), V(1, 1), V(-1, -1), V(1, -2), V(-2, 1)]
+
+
+@st.composite
+def random_curves(draw):
+    """Segments and rays of multiplicity 1-3 on a small pool of points:
+    repeated vertices, listed vertices no edge ends at, edge ends that are
+    not listed, sometimes a zero-length segment; about half the time each
+    vertex is then closed with a balancing ray."""
+    pool = draw(st.lists(points, min_size=1, max_size=5))
+    end = st.one_of(st.sampled_from(pool), points)
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        a, m = draw(end), draw(st.integers(min_value=1, max_value=3))
+        if draw(st.booleans()):
+            edges.append(CurveEdge(a, ray=draw(st.sampled_from(DIRECTIONS)), multiplicity=m))
+        else:
+            b = a if draw(st.integers(min_value=0, max_value=9)) == 0 else draw(end)
+            edges.append(CurveEdge(a, b, multiplicity=m))
+    vertices = draw(st.lists(st.sampled_from(pool), max_size=6))
+    curve = TropicalCurve(vertices, edges)
+    if draw(st.booleans()):
+        for v in sorted(set(vertices)):
+            try:
+                germs = outgoing(curve, v)
+            except ValueError:
+                continue
+            total = V(0, 0)
+            for d, m in germs:
+                total = total - d.scale(m)
+            if not total.is_zero():
+                k = math.gcd(int(total.x), int(total.y))
+                edges.append(CurveEdge(v, ray=total.primitive(), multiplicity=k))
+        curve = TropicalCurve(vertices, edges)
+    return curve
+
+
+@given(random_curves())
+def test_balancing_agrees_with_the_vertex_scan_oracle(curve):
+    assert outcome(check_balancing, curve) == outcome(balancing_by_vertex_scans, curve)
+
+
+def test_balancing_raises_at_a_zero_length_segment_only_when_its_vertex_is_reached():
+    o, p = V(0, 0), V(1, 0)
+    stub = CurveEdge(p, p)
+    bent = CurveEdge(o, ray=V(0, 1))
+    assert not check_balancing(TropicalCurve((o, p), (bent, stub)))
+    assert check_balancing(TropicalCurve((), (stub,)))
+    with pytest.raises(ValueError, match="zero vector"):
+        check_balancing(TropicalCurve((p, o), (bent, stub)))
