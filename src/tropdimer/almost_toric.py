@@ -129,6 +129,8 @@ def admissible(curve: CurveOnBase, diagram: BaseDiagram) -> bool:
     """Legs attached to nodes run parallel to the eigenray and terminate
     there; everything else stays clear of the nodes and the boundary."""
     attached = {ei: ni for ei, ni in curve.attachments}
+    positions = {nd.position for nd in diagram.nodes}
+    lines: dict = {}  # sign-normalised primitive d -> {d x p: the node positions p}
     for idx, edge in enumerate(curve.curve.edges):
         if idx in attached:
             node = diagram.nodes[attached[idx]]
@@ -139,10 +141,21 @@ def admissible(curve: CurveOnBase, diagram: BaseDiagram) -> bool:
                 return False
             if (edge.b - edge.a).cross(node.eigenray) != 0:
                 return False
-        else:
-            if any(_edge_touches(edge, nd.position) for nd in diagram.nodes):
+            continue
+        d = edge.ray if edge.is_ray else edge.b - edge.a
+        if d.is_zero():  # a one-point segment touches only its point
+            if edge.a in positions:
                 return False
-    positions = {nd.position for nd in diagram.nodes}
+            continue
+        d = d.primitive()
+        if (d.x, d.y) < (0, 0):
+            d = -d
+        if d not in lines:
+            lines[d] = {}
+            for p in positions:
+                lines[d].setdefault(d.cross(p), []).append(p)
+        if any(_edge_touches(edge, p) for p in lines[d].get(d.cross(edge.a), ())):
+            return False
     for v in curve.curve.vertices:
         if v in positions:
             return False

@@ -238,12 +238,13 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
        an integer pair (a cycle's exponent sum is a homology class) and
        multiplies the determinant by one monomial, divided out at the end.
     2. Four assignment problems (the tropical determinant: least and
-       greatest total x and y exponent over the transversals) give a box
-       [x0, x1] x [y0, y1] holding every transversal's monomial.
+       greatest total x and y exponent over the transversals), each a
+       warm-started Hungarian method, give a box [x0, x1] x [y0, y1]
+       holding every transversal's monomial.
     3. Hadamard's inequality with Cauchy's coefficient estimate bounds
        every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2); primes
-       below 2^61 are taken from 2^61 - 1 down until their product exceeds
-       twice that.
+       below 2^30, one CPython digit, are taken from 2^30 - 35 down until
+       their product exceeds twice that.
     4. For each prime, det mod p at the nodes of a (W1+1) x (W2+1) grid,
        W = box width, drawn per prime, by one sparse elimination; a prime
        whose nodes no single pivot order serves is skipped.
@@ -251,7 +252,8 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
        theorem to balanced integers.
 
     Entry coefficients must be integers.  The cost is four sparse
-    assignment problems, O(n e log n) for e nonzero entries, plus per prime
+    assignment problems, one Dijkstra search, O(e log n) for e nonzero
+    entries, per row that the greedy start leaves unmatched, plus per prime
     one elimination, O(n^3) steps on vectors of (W1+1)(W2+1) values at worst
     and far fewer on the sparse Kasteleyn matrices of torus graphs, and the
     interpolation, O(W1 W2 (W1 + W2)).  A non-square matrix, or one with no
@@ -354,15 +356,26 @@ def _assignment(costs):
     """The least total cost of a transversal, where ``costs[i]`` maps each
     column row i may take to an integer cost; None when there is none.
 
-    The Hungarian method with potentials u, v: one Dijkstra search per row
-    on the reduced costs c - u[i] - v[j] >= 0 of the sparse support, then an
-    augmentation along the shortest alternating path.
+    The Hungarian method with potentials u, v, warm-started: u[i] is row i's
+    least cost, v[j] the least c - u[i] over the rows holding column j (0
+    for an empty column), and each row in turn takes the first free column
+    whose entry is tight (c = u[i] + v[j]).  Then one Dijkstra search per
+    row left unmatched, on the reduced costs c - u[i] - v[j] >= 0 of the
+    sparse support, and an augmentation along the shortest alternating path.
     """
     n = len(costs)
     u = [min(row.values(), default=0) for row in costs]
-    v = [0] * n
+    reduced = [[] for _ in range(n)]  # column -> c - u[i] over the rows holding it
+    for i, row in enumerate(costs):
+        for j, c in row.items():
+            reduced[j].append(c - u[i])
+    v = [min(col, default=0) for col in reduced]
     match, owner = [None] * n, [None] * n  # row -> column, column -> row
-    for s in range(n):
+    for i, row in enumerate(costs):
+        j = next((j for j, c in row.items() if owner[j] is None and c == u[i] + v[j]), None)
+        if j is not None:
+            match[i], owner[j] = j, i
+    for s in [i for i in range(n) if match[i] is None]:
         row_dist, col_dist, back = {s: 0}, {}, {}
         heap, done = [], set()
         i, d = s, 0
@@ -394,9 +407,11 @@ def _assignment(costs):
 
 
 def _primes():
-    """The primes below 2^61, from 2^61 - 1 down: Miller-Rabin on the first
-    twelve prime bases, which is deterministic below 2^64."""
-    p = (1 << 61) - 1
+    """The primes below 2^30, from 2^30 - 35 down: Miller-Rabin on the first
+    twelve prime bases, which is deterministic below 2^64.  CPython stores
+    an int in 30-bit digits, so every residue mod such a prime is one digit,
+    every product of two at most two, and every ``% p`` divides by one."""
+    p = (1 << 30) - 1
     while True:
         d, s = p - 1, 0
         while d % 2 == 0:

@@ -402,6 +402,84 @@ def test_an_chain_is_admissible(n):
     assert len(diagram.nodes) == n
 
 
+def all_pairs_admissible(curve, diagram) -> bool:
+    """``admissible`` as it was first written, every free edge tested
+    against every node: the oracle for the per-line lookup."""
+    attached = dict(curve.attachments)
+    for idx, edge in enumerate(curve.curve.edges):
+        if idx in attached:
+            node = diagram.nodes[attached[idx]]
+            if edge.is_ray or node.position not in (edge.a, edge.b):
+                return False
+            if (edge.b - edge.a).cross(node.eigenray) != 0:
+                return False
+        elif any(_edge_touches(edge, nd.position) for nd in diagram.nodes):
+            return False
+    positions = {nd.position for nd in diagram.nodes}
+    for v in curve.curve.vertices:
+        if v in positions:
+            return False
+        if diagram.boundary is not None and not diagram.boundary.contains(v, strict=True):
+            return False
+    return diagram.boundary is None or not any(e.is_ray for e in curve.curve.edges)
+
+
+HALVES = st.integers(-6, 6).map(lambda k: F(k, 2))
+POINTS = st.builds(V, HALVES, HALVES)
+DIRECTIONS = [V(1, 0), V(0, 1), V(-1, 0), V(0, -1), V(1, 1), V(-1, -1), V(2, 1), V(-1, 2)]
+
+
+@st.composite
+def curves_and_diagrams(draw):
+    """Nodes on a half-integer grid, and edges started at a node or at a
+    grid point along a few directions, so that many nodes sit on an edge's
+    line inside or outside the segment; rays, one-point segments and
+    attachments among them, the plane or a square as the boundary."""
+    nodes = draw(st.lists(st.builds(Node, POINTS, st.sampled_from(DIRECTIONS)), max_size=8))
+    starts = st.sampled_from([nd.position for nd in nodes]) | POINTS if nodes else POINTS
+    edges = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, d = draw(starts), draw(st.sampled_from(DIRECTIONS))
+        if draw(st.booleans()):
+            a = a + d.scale(F(draw(st.integers(-4, 4)), 2))
+        if draw(st.integers(0, 3)) == 0:
+            edges.append(CurveEdge(a, ray=d))
+        else:
+            edges.append(CurveEdge(a, a + d.scale(F(draw(st.integers(-3, 3)), 2))))
+    attachments = ()
+    if nodes and edges:
+        pairs = st.tuples(st.integers(0, len(edges) - 1), st.integers(0, len(nodes) - 1))
+        attachments = tuple(draw(st.lists(pairs, max_size=2, unique_by=lambda t: t[0])))
+    vertices = draw(st.lists(POINTS, max_size=3))
+    boundary = draw(st.sampled_from([None, square(-4, 4, -4, 4)]))
+    curve = CurveOnBase(TropicalCurve(vertices, edges), attachments)
+    return curve, BaseDiagram(boundary, tuple(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves_and_diagrams())
+def test_admissible_agrees_with_the_all_pairs_oracle(case):
+    curve, diagram = case
+    assert admissible(curve, diagram) == all_pairs_admissible(curve, diagram)
+
+
+@pytest.mark.parametrize(
+    "edge, expected",
+    [
+        (CurveEdge(V(0, 0), V(1, 0)), True),  # the node is on the line, past b
+        (CurveEdge(V(3, 0), V(4, 0)), True),  # the node is on the line, before a
+        (CurveEdge(V(0, 0), V(3, 0)), False),
+        (CurveEdge(V(2, 0), V(2, 0)), False),  # one point, the node's
+        (CurveEdge(V(1, 0), V(1, 0)), True),
+        (CurveEdge(V(0, 0), ray=V(1, 0)), False),
+        (CurveEdge(V(0, 0), ray=V(-1, 0)), True),
+    ],
+)
+def test_a_free_edge_touches_a_node_only_on_its_own_extent(edge, expected):
+    diagram = BaseDiagram(None, (Node(V(2, 0), V(0, 1)),))
+    assert admissible(CurveOnBase(TropicalCurve((), (edge,))), diagram) is expected
+
+
 def test_an_chain_rejects_nonpositive_length():
     with pytest.raises(ValueError, match="must be positive"):
         an_chain_curve(0)

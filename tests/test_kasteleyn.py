@@ -232,7 +232,7 @@ def test_determinant_is_zero_polynomial(m):
 
 
 def test_determinant_lifts_large_coefficients():
-    """Coefficients past 2^61 take several primes and the balanced lift."""
+    """Coefficients past 2^30 take several primes and the balanced lift."""
     big = 2**70 + 1
     rows = [
         [[((1, 0), big), ((0, 0), 3)], [((0, 1), -1)], [((0, 0), 1)]],
@@ -306,6 +306,69 @@ def test_one_elimination_per_prime(monkeypatch):
     monkeypatch.setattr(kasteleyn, "_det_mod", lambda *args: calls.append("det") or det_mod(*args))
     assert not determinant(kasteleyn_matrix(subject("honeycomb@2x3"))).is_zero
     assert calls and calls == ["nodes", "det"] * (len(calls) // 2)
+
+
+def test_primes_are_every_prime_below_two_to_the_thirty_in_descending_order():
+    """The first primes that ``_primes`` yields are, by trial division, all
+    the primes from the last of them up to 2^30, each one CPython digit."""
+    first = list(itertools.islice(kasteleyn._primes(), 20))
+    small = [q for q in range(2, 1 << 15) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    below = [q for q in range((1 << 30) - 1, first[-1] - 1, -2) if all(q % r for r in small)]
+    assert first == below
+    assert first[0] == (1 << 30) - 35
+
+
+def test_the_partition_ladder_takes_one_prime(monkeypatch):
+    """honeycomb 2x3's coefficients are far below 2^29, so one prime, one
+    grid of nodes, gives its determinant."""
+    calls, nodes = [], kasteleyn._nodes
+    monkeypatch.setattr(kasteleyn, "_nodes", lambda *args: calls.append(args[0]) or nodes(*args))
+    assert not determinant(kasteleyn_matrix(subject("honeycomb@2x3"))).is_zero
+    assert len(calls) == 1
+
+
+def test_coefficients_between_the_digit_and_two_to_the_sixty_one(monkeypatch):
+    """Coefficients near 2^50 fit one prime below 2^61 but need two below
+    2^30, joined by the Chinese remainder theorem."""
+    big = (1 << 30) + 3
+    rows = [
+        [[((1, 0), big), ((0, 0), 1)], [((0, 0), 2)]],
+        [[((0, 1), 3)], [((0, 0), (1 << 20) + 1), ((1, 1), -5)]],
+    ]
+    entries = tuple(LaurentPolynomial(tuple(terms)) for row in rows for terms in row)
+    m = KasteleynMatrix((0, 1), (0, 1), entries, 1)
+    calls, nodes = [], kasteleyn._nodes
+    monkeypatch.setattr(kasteleyn, "_nodes", lambda *args: calls.append(args[0]) or nodes(*args))
+    det = determinant(m)
+    assert det == leibniz_determinant(m)
+    assert 1 << 30 < max(abs(c) for _, c in det.terms) < 1 << 61
+    assert len(calls) > 1
+
+
+def least_transversal(costs):
+    """The least total over the permutations that stay on the support of
+    ``costs``, or None when no permutation does: the brute-force oracle."""
+    totals = [
+        sum(costs[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(costs)))
+        if all(j in costs[i] for i, j in enumerate(perm))
+    ]
+    return min(totals, default=None)
+
+
+@st.composite
+def cost_tables(draw):
+    """n <= 6 sparse rows of small costs, negative and repeated ones among
+    them, with empty rows and columns."""
+    n = draw(st.integers(0, 6))
+    cols = st.lists(st.integers(0, n - 1), unique=True, max_size=n) if n else st.just([])
+    return [{j: draw(st.integers(-3, 3)) for j in draw(cols)} for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cost_tables())
+def test_assignment_is_the_least_transversal(costs):
+    assert kasteleyn._assignment(costs) == least_transversal(costs)
 
 
 def sign_twist_product(base: LaurentPolynomial) -> dict:
