@@ -18,6 +18,7 @@ half-plane cut (`_cut`), and decides each node germ exactly.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -60,6 +61,41 @@ class BaseDiagram(Record):
 
     def __init__(self, boundary: RatPolygon | None, nodes: tuple = (), traded: tuple = ()):
         self.boundary, self.nodes, self.traded = boundary, nodes, traded
+
+
+DIAGRAM_SCHEMA = "tropdimer-diagram/1"
+
+
+def _rat_point(v: Vec2) -> list:
+    """[[num, den], [num, den]]: a point's coordinates in lowest terms."""
+    return [[c.numerator, c.denominator] for c in (v.x, v.y)]
+
+
+def serialize_diagram(diagram: BaseDiagram) -> str:
+    """The diagram as a compact `tropdimer-diagram/1` document:
+
+        {"schema": "tropdimer-diagram/1",
+         "boundary": [point, ...] | null,
+         "traded": [[corner, node], ...],
+         "nodes": [{"position": point, "eigenray": [ex, ey], "multiplicity": k}, ...]}
+
+    with each point written as `_rat_point` writes it."""
+    doc = {
+        "schema": DIAGRAM_SCHEMA,
+        "boundary": [_rat_point(v) for v in diagram.boundary.vertices]
+        if diagram.boundary is not None
+        else None,
+        "traded": sorted(diagram.traded),
+        "nodes": [
+            {
+                "position": _rat_point(node.position),
+                "eigenray": [int(node.eigenray.x), int(node.eigenray.y)],
+                "multiplicity": node.multiplicity,
+            }
+            for node in diagram.nodes
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 class CurveOnBase(Record):

@@ -183,6 +183,7 @@ def _run_atf(args) -> int:
         local_model,
         nodal_trade,
         nodal_trade_exchange,
+        serialize_diagram,
         trade_all_corners,
     )
 
@@ -195,7 +196,7 @@ def _run_atf(args) -> int:
         if args.render:
             from .render import render_diagram as show
         else:
-            from .io import serialize_diagram as show
+            show = serialize_diagram
         _emit(show(diagram), args.out)
         return 0
     if args.atf_command in ("inner", "outer"):
@@ -221,7 +222,6 @@ def _run_atf(args) -> int:
         diagram, curve = an_chain_curve(args.n)
         sys.stdout.write(_curve_summary(f"A{args.n} chain", curve, diagram))
         return 0
-    return 2
 
 
 def _run(args) -> int:
@@ -370,8 +370,6 @@ def _run(args) -> int:
 
         _emit(render_dimer(dimer, args.show), args.out)
         return 0
-
-    return 2
 
 
 def run(argv) -> int:

@@ -1,6 +1,6 @@
-"""JSON documents for dimers and base diagrams.
+"""The JSON document of a dimer.
 
-The dimer schema is bit-exact:
+The schema is bit-exact:
 
     {"schema": "tropdimer/1",
      "denominator": N,
@@ -18,14 +18,11 @@ column order, hence the determinant's sign).
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 from .dimer import BLACK, WHITE, DualDimer, Polytope, fundamental_lift
-from .lattice import RatPolygon, Vec2, strictly_convex
 
 SCHEMA = "tropdimer/1"
-DIAGRAM_SCHEMA = "tropdimer-diagram/1"
 
 
 class SchemaError(ValueError):
@@ -129,94 +126,3 @@ def serialize_dimer(dimer: DualDimer) -> str:
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# base diagrams
-
-
-def _rat_pair(q) -> list:
-    f = Fraction(q)
-    return [f.numerator, f.denominator]
-
-
-def _vec(v: Vec2) -> list:
-    return [_rat_pair(v.x), _rat_pair(v.y)]
-
-
-def _parse_rat(pair) -> Fraction:
-    _require(
-        isinstance(pair, list)
-        and len(pair) == 2
-        and all(type(c) is int for c in pair)
-        and pair[1] > 0,
-        "rational must be [numerator, positive denominator]",
-    )
-    return Fraction(pair[0], pair[1])
-
-
-def _parse_vec(pair) -> Vec2:
-    _require(isinstance(pair, list) and len(pair) == 2, "point must be a pair")
-    return Vec2(_parse_rat(pair[0]), _parse_rat(pair[1]))
-
-
-def serialize_diagram(diagram) -> str:
-    doc = {
-        "schema": DIAGRAM_SCHEMA,
-        "boundary": [_vec(v) for v in diagram.boundary.vertices]
-        if diagram.boundary is not None
-        else None,
-        "traded": sorted(diagram.traded),
-        "nodes": [
-            {
-                "position": _vec(node.position),
-                "eigenray": [int(node.eigenray.x), int(node.eigenray.y)],
-                "multiplicity": node.multiplicity,
-            }
-            for node in diagram.nodes
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def parse_diagram(text: str):
-    from .almost_toric import BaseDiagram, Node
-
-    doc = _json(text)
-    _require(isinstance(doc, dict), "top level must be an object")
-    _require(doc.get("schema") == DIAGRAM_SCHEMA, f"schema must be {DIAGRAM_SCHEMA!r}")
-    raw_boundary = doc.get("boundary")
-    _require(
-        raw_boundary is None or (isinstance(raw_boundary, list) and raw_boundary),
-        "boundary must be a nonempty list of points or null",
-    )
-    boundary = None
-    if raw_boundary is not None:
-        boundary = RatPolygon(tuple(_parse_vec(v) for v in raw_boundary))
-        _require(
-            len(boundary.vertices) >= 3
-            and strictly_convex([(v.x, v.y) for v in boundary.vertices]),
-            "boundary must be a strictly convex counterclockwise polygon",
-        )
-    raw_nodes = doc.get("nodes", [])
-    _require(isinstance(raw_nodes, list), "nodes must be a list")
-    nodes = []
-    for entry in raw_nodes:
-        _require(isinstance(entry, dict), "node must be an object")
-        _require("position" in entry, "node must have a position")
-        ray = entry.get("eigenray")
-        _require(
-            _is_int_pair(ray) and math.gcd(*ray) == 1,
-            "eigenray must be a primitive integer pair",
-        )
-        multiplicity = entry.get("multiplicity", 1)
-        _require(
-            type(multiplicity) is int and multiplicity >= 1,
-            "multiplicity must be a positive integer",
-        )
-        nodes.append(Node(_parse_vec(entry["position"]), Vec2(*ray), multiplicity))
-    traded = doc.get("traded", [])
-    _require(
-        isinstance(traded, list) and all(_is_int_pair(t) for t in traded),
-        "traded must be a list of integer pairs",
-    )
-    return BaseDiagram(boundary, tuple(nodes), tuple(tuple(t) for t in traded))

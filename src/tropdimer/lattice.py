@@ -162,12 +162,6 @@ class H1Class(Ordered):
         self.a = a
         self.b = b
 
-    def __add__(self, other: "H1Class") -> "H1Class":
-        return H1Class(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "H1Class":
-        return H1Class(-self.a, -self.b)
-
     def __repr__(self):
         return f"<{self.a},{self.b}>"
 

@@ -24,6 +24,8 @@ SRC = ROOT / "src"
 
 # what every subcommand that reads a dimer loads
 READS_DIMER = {"catalog", "dimer", "io", "lattice"}
+# what `atf trade` loads: it writes a base diagram, and reads no dimer
+TRADES = {"almost_toric", "catalog", "lattice", "tropical"}
 
 CALLS = [
     (["catalog"], {"catalog", "lattice"}),
@@ -33,8 +35,11 @@ CALLS = [
     (["kasteleyn", "catalog:honeycomb"], READS_DIMER | {"kasteleyn"}),
     (["mutate", "catalog:honeycomb", "--face", "0"], READS_DIMER | {"mutation"}),
     (["render", "catalog:honeycomb", "--show", "edges,zigzags"], READS_DIMER | {"render"}),
-    (["atf", "trade", "cp2"], READS_DIMER | {"almost_toric", "tropical"}),
+    (["atf", "trade", "cp2"], TRADES),
+    (["atf", "trade", "cp2", "--render"], TRADES | {"render"}),
 ]
+# a call's first two words, and `--render` when it is given
+CALL_IDS = [" ".join(argv[:2] + [a for a in argv if a == "--render"]) for argv, _ in CALLS]
 
 
 def child(*argv):
@@ -57,7 +62,7 @@ def child(*argv):
     return proc.returncode, proc.stdout, "\n".join(err), modules
 
 
-@pytest.mark.parametrize("argv, modules", CALLS, ids=[" ".join(c[0][:2]) for c in CALLS])
+@pytest.mark.parametrize("argv, modules", CALLS, ids=CALL_IDS)
 def test_child_matches_run_and_imports_only_its_modules(argv, modules, capsys, monkeypatch):
     monkeypatch.delenv("TROPDIMER_COLOR", raising=False)
     code = run(argv)
@@ -83,9 +88,7 @@ def test_bad_type_values_are_refused_at_parse_time(argv, message):
     assert "io" not in modules  # refused before the input is read
 
 
-@pytest.mark.parametrize(
-    "argv", [argv for argv, _ in CALLS], ids=[" ".join(c[0][:2]) for c in CALLS]
-)
+@pytest.mark.parametrize("argv", [argv for argv, _ in CALLS], ids=CALL_IDS)
 def test_child_imports_no_dataclasses_or_inspect(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from tropdimer.mutation import (
     compare_up_to_unimodular,
     euler_characteristic,
     exact_assignment,
+    homology_classes_of_faces,
     mutate_face,
     mutation_directions,
     seed_directions,
@@ -90,6 +91,46 @@ def test_compare_up_to_unimodular_is_direction_sensitive():
 def test_exact_assignment_is_rational_and_positive(honeycomb):
     weights = exact_assignment(honeycomb)
     assert all(isinstance(w, Fraction) and w >= 0 for w in weights.values())
+
+
+def exchange_matrix(dimer):
+    """eps[i][j]: the sum, over the edges faces i and j share, of face i's
+    orientation on that edge.  Every edge lies on exactly two faces, which
+    cross it in opposite directions."""
+    sides = {}
+    for i, face in enumerate(faces(dimer)):
+        for e, o in zip(face.edge_indices, face.orientations):
+            sides.setdefault(e, []).append((i, o))
+    assert sorted(sides) == list(range(len(build_graph(dimer).edges)))
+    eps = [[0] * len(faces(dimer)) for _ in faces(dimer)]
+    for (i, oi), (j, oj) in sides.values():  # unpacking fails unless two sides
+        assert oi == -oj
+        eps[i][j] += oi
+        eps[j][i] += oj
+    return eps
+
+
+@pytest.mark.parametrize(
+    "name, sign",
+    [
+        ("honeycomb", -1),
+        ("cp2-seed", -1),
+        ("bl3-seed", -1),
+        ("p1p1-seed", 1),
+        ("bl1-seed", 1),
+        ("bl2-seed", 1),
+    ],
+)
+def test_faces_form_a_lagrangian_mutation_seed(name, sign):
+    # The faces are Lagrangian disks whose boundaries meet as their classes
+    # do: the exchange matrix is the intersection form det(g_i, g_j) of the
+    # face classes, up to one sign per dimer.
+    d = catalog.build(name)
+    g = homology_classes_of_faces(d)
+    eps = exchange_matrix(d)
+    assert eps == [[sign * (gi.a * gj.b - gi.b * gj.a) for gj in g] for gi in g]
+    if name in ("honeycomb", "cp2-seed"):  # the Markov quiver
+        assert {abs(x) for row in eps for x in row} == {0, 3}
 
 
 # --- the two-walk mutation, kept as an oracle -------------------------------
