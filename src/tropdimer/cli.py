@@ -390,10 +390,10 @@ def run(argv) -> int:
         print(_color(f"error: {exc}", "31"), file=sys.stderr)
         return 2
     except ValueError as exc:
-        from .io import SchemaError  # loaded already if one was raised
-
+        # only a loaded `io` can have raised its SchemaError
+        io = sys.modules.get(f"{__package__}.io")
         print(_color(f"error: {exc}", "31"), file=sys.stderr)
-        return 2 if isinstance(exc, SchemaError) else 1
+        return 2 if io is not None and isinstance(exc, io.SchemaError) else 1
 
 
 def main():

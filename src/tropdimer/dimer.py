@@ -49,21 +49,26 @@ BLACK = "black"
 
 
 class Polytope(Record):
-    """One polygon: its color and its vertices as integer pairs over the
-    denominator N of the dimer that holds it."""
+    """One polygon: its color, white or black, and its vertices, a list or
+    tuple of int pairs over the denominator N of the dimer that holds it."""
 
     __slots__ = ("color", "vertices")
 
     def __init__(self, color: str, vertices: tuple):
         if color not in (WHITE, BLACK):
-            raise ValueError(f"unknown color {color!r}")
+            raise ValueError("color must be 'white' or 'black'")
+        if not isinstance(vertices, (list, tuple)) or not all(
+            isinstance(v, (list, tuple)) and len(v) == 2 and all(type(c) is int for c in v)
+            for v in vertices
+        ):
+            raise ValueError("vertices must be pairs of integer numerators")
         self.color = color
-        self.vertices = tuple(tuple(v) for v in vertices)
+        self.vertices = tuple(map(tuple, vertices))
 
 
 class DualDimer:
-    """The dimer data: polytopes whose vertices are integer pairs over
-    N = ``denominator``, each polygon strictly convex and counterclockwise.
+    """The dimer data: polytopes of at least 3 vertices, integer pairs over
+    N = ``denominator`` >= 1, each polygon strictly convex and counterclockwise.
 
     Each structural stage below is computed at most once per instance, on
     first use, and kept in its ``__dict__`` (a stage that raises keeps
@@ -80,8 +85,6 @@ class DualDimer:
         for p in polytopes:
             if len(p.vertices) < 3:
                 raise ValueError("degenerate polytope")
-            if any(len(v) != 2 or not all(type(c) is int for c in v) for v in p.vertices):
-                raise ValueError("vertex must be a pair of integer numerators")
             if not strictly_convex(p.vertices):
                 raise ValueError("polytope is not strictly convex and counterclockwise")
 
@@ -144,33 +147,44 @@ def _primitive(dx: int, dy: int):
 
 
 class ValidationReport(Record):
-    """The verdict on each axiom with its offenders, torus points
-    (x % N, y % N) over N = ``denominator``, and whether interiors meet."""
+    """The offenders of each axiom, torus points (x % N, y % N) over N =
+    ``denominator``, and whether interiors meet; each verdict is read off
+    its offenders."""
 
     __slots__ = (
-        "distinct_ok", "distinct_offenders", "matching_ok", "matching_offenders",
-        "germs_ok", "germ_offenders", "self_intersecting", "denominator",
+        "distinct_offenders", "matching_offenders", "germ_offenders",
+        "self_intersecting", "denominator",
     )
 
     def __init__(
         self,
-        distinct_ok: bool,
         distinct_offenders: tuple,
-        matching_ok: bool,
         matching_offenders: tuple,
-        germs_ok: bool,
         germ_offenders: tuple,
         self_intersecting: bool,
         denominator: int,
     ):
-        self.distinct_ok, self.distinct_offenders = distinct_ok, distinct_offenders
-        self.matching_ok, self.matching_offenders = matching_ok, matching_offenders
-        self.germs_ok, self.germ_offenders = germs_ok, germ_offenders
-        self.self_intersecting, self.denominator = self_intersecting, denominator
+        self.distinct_offenders, self.matching_offenders = distinct_offenders, matching_offenders
+        self.germ_offenders, self.self_intersecting = germ_offenders, self_intersecting
+        self.denominator = denominator
+
+    @property
+    def distinct_ok(self) -> bool:
+        return not self.distinct_offenders
+
+    @property
+    def matching_ok(self) -> bool:
+        return not self.matching_offenders
+
+    @property
+    def germs_ok(self) -> bool:
+        """Germs are compared only on distinct, matching vertex sets, so
+        this is False, with no offenders, when either of those fails."""
+        return self.distinct_ok and self.matching_ok and not self.germ_offenders
 
     @property
     def ok(self) -> bool:
-        return self.distinct_ok and self.matching_ok and self.germs_ok
+        return self.germs_ok  # which implies the other two
 
     def lines(self):
         n = self.denominator
@@ -310,15 +324,11 @@ def _validate(dimer: DualDimer) -> ValidationReport:
     toolkit makes, whose extents are short against N."""
     white_map, white_clash = dimer._vertex_maps[WHITE]
     black_map, black_clash = dimer._vertex_maps[BLACK]
-    distinct_ok = not white_clash and not black_clash
+    mismatch = set(white_map) ^ set(black_map)
 
-    mismatch = tuple(sorted(set(white_map) ^ set(black_map)))
-    matching_ok = not mismatch
-
-    points = [p.vertices for p in dimer.polytopes]
     directions = dimer._directions
     germ_offenders = []
-    if matching_ok and distinct_ok:
+    if not white_clash and not black_clash and not mismatch:
         for t in white_map:
             wi, wk = white_map[t]
             bi, bk = black_map[t]
@@ -326,17 +336,13 @@ def _validate(dimer: DualDimer) -> ValidationReport:
             bg = _germs(directions[bi], bk)
             if frozenset((-gx, -gy) for gx, gy in wg) != bg:
                 germ_offenders.append(t)
-    germs_ok = matching_ok and distinct_ok and not germ_offenders
 
     n = dimer.denominator
     return ValidationReport(
-        distinct_ok,
         tuple(sorted(set(white_clash + black_clash))),
-        matching_ok,
-        mismatch,
-        germs_ok,
+        tuple(sorted(mismatch)),
         tuple(sorted(germ_offenders)),
-        _self_intersecting(points, n),
+        _self_intersecting([p.vertices for p in dimer.polytopes], n),
         n,
     )
 
@@ -561,12 +567,9 @@ def faces(dimer: DualDimer):
 def _trace_faces(dimer: DualDimer):
     """Darts are (edge index, +1 white -> black or -1 back).  Every vertex of
     a valid dimer's polytope is an anchor, listed in rotation order."""
-    report = validate(dimer)
-    if not report.ok:
-        raise ValueError("dimer fails validation")
-    if report.self_intersecting:
+    graph = build_graph(dimer)  # refuses an invalid dimer
+    if validate(dimer).self_intersecting:
         raise ValueError("faces undefined for immersed dimer")
-    graph = build_graph(dimer)
     n = dimer.denominator
     white_map, _ = dimer._vertex_maps[WHITE]
     black_map, _ = dimer._vertex_maps[BLACK]

@@ -48,15 +48,13 @@ def _json(text: str):
         raise SchemaError(f"unreadable JSON: {exc}") from None
 
 
-def _is_int_pair(pair) -> bool:
-    return isinstance(pair, list) and len(pair) == 2 and all(type(c) is int for c in pair)
-
-
 def parse_dimer(text: str):
     """Parse a dimer document; returns (DualDimer, weights dict).
 
-    Raises json.JSONDecodeError for malformed JSON and SchemaError for
-    schema violations and documents `_json` refuses; axiom failures are the
+    This checks the document's shape; `Polytope` and `DualDimer` check the
+    polygons, and their refusals become SchemaErrors.  Raises
+    json.JSONDecodeError for malformed JSON and SchemaError for schema
+    violations and documents `_json` refuses; axiom failures are the
     caller's concern.
     """
     doc = _json(text)
@@ -66,16 +64,12 @@ def parse_dimer(text: str):
     _require(type(den) is int and den >= 1, "denominator must be a positive integer")
     polys = doc.get("polytopes")
     _require(isinstance(polys, list) and polys, "polytopes must be a nonempty list")
-    polytopes = []
-    for entry in polys:
-        _require(isinstance(entry, dict), "polytope must be an object")
-        color = entry.get("color")
-        _require(color in (WHITE, BLACK), "color must be 'white' or 'black'")
-        verts = entry.get("vertices")
-        _require(isinstance(verts, list) and len(verts) >= 3, "vertices must list >= 3 points")
-        for pair in verts:
-            _require(_is_int_pair(pair), "vertex must be a pair of integer numerators")
-        polytopes.append(Polytope(color, verts))
+    _require(all(isinstance(entry, dict) for entry in polys), "polytope must be an object")
+    try:
+        polytopes = (Polytope(entry.get("color"), entry.get("vertices")) for entry in polys)
+        dimer = DualDimer(den, polytopes)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     weights = {}
     raw_weights = doc.get("weights", {})
     _require(isinstance(raw_weights, dict), "weights must be an object")
@@ -88,10 +82,6 @@ def parse_dimer(text: str):
             "weight must be [numerator, positive denominator]",
         )
         weights[key] = Fraction(value[0], value[1])
-    try:
-        dimer = DualDimer(den, tuple(polytopes))
-    except ValueError as exc:
-        raise SchemaError(str(exc))
     return dimer, weights
 
 

@@ -43,8 +43,10 @@ class Record:
         return hash(self._fields())
 
 
+@functools.total_ordering
 class Ordered(Record):
-    """A record also ordered on `_fields`, within its class."""
+    """A record also ordered on `_fields`, within its class: `__lt__` is
+    written, the other three are derived from it and `__eq__`."""
 
     __slots__ = ()
 
@@ -52,21 +54,6 @@ class Ordered(Record):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() < other._fields()
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() <= other._fields()
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() > other._fields()
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() >= other._fields()
 
 
 class Vec2(Ordered):

@@ -134,53 +134,32 @@ def nonlinearity_locus(phi: TropicalPolynomial) -> TropicalCurve:
     the lattice length of that edge.
     """
     terms = phi.terms
-    if len(terms) == 1:
-        return TropicalCurve((), ())
     den = _exponent_denominator(phi)
     vertices: set = set()
     edges = []
-    n = len(terms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            (ai, ci), (aj, cj) = terms[i], terms[j]
-            u = ai - aj  # tie: <u, q> = cj - ci
-            if u.is_zero():
-                continue
+    for i, (ai, ci) in enumerate(terms):
+        for j in range(i + 1, len(terms)):
+            aj, cj = terms[j]
+            u = ai - aj  # tie: <u, q> = cj - ci; nonzero, the exponents are distinct
             p0 = u.scale(Fraction(cj - ci) / u.dot(u))
             d = u.rot90().primitive()
-            lo, hi = None, None  # None = unbounded
-            empty = False
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                ak, ck = terms[k]
-                # need ci + <ai,q> >= ck + <ak,q> along q = p0 + t d
-                w = ai - ak
-                slope = w.dot(d)
-                const = w.dot(p0) + ci - ck
-                if slope == 0:
-                    if const < 0:
-                        empty = True
-                        break
-                elif slope > 0:
-                    t = -const / slope
-                    if lo is None or t > lo:
-                        lo = t
-                else:
-                    t = -const / slope
-                    if hi is None or t < hi:
-                        hi = t
-            if empty or (lo is not None and hi is not None and lo >= hi):
+            # ci + <ai, q> >= ck + <ak, q> along q = p0 + t d, for each other k:
+            # slope * t + const >= 0
+            bounds = []
+            for k, (ak, ck) in enumerate(terms):
+                if k != i and k != j:
+                    w = ai - ak
+                    bounds.append((w.dot(d), w.dot(p0) + ci - ck))
+            if any(slope == 0 and const < 0 for slope, const in bounds):
                 continue
-            # witness point in the relative interior of the piece
-            if lo is None and hi is None:
-                tw = Fraction(0)
-            elif lo is None:
-                tw = hi - 1
-            elif hi is None:
-                tw = lo + 1
-            else:
-                tw = (lo + hi) / 2
+            lo = max((-const / slope for slope, const in bounds if slope > 0), default=None)
+            hi = min((-const / slope for slope, const in bounds if slope < 0), default=None)
+            if lo is not None and hi is not None and lo >= hi:
+                continue
+            # witness point in the relative interior of the piece: the mean
+            # of its finite ends, one step inside from an open one
+            ends = [t for t in (lo, hi) if t is not None]
+            tw = sum(ends, Fraction(0)) / max(len(ends), 1) + (hi is None) - (lo is None)
             qw = p0 + d.scale(tw)
             val = max(c + a.dot(qw) for a, c in terms)
             active = sorted(a for a, c in terms if c + a.dot(qw) == val)
@@ -188,23 +167,16 @@ def nonlinearity_locus(phi: TropicalPolynomial) -> TropicalCurve:
                 continue  # not the two ends of the dual edge: emitted by those
             diff = (active[-1] - active[0]).scale(den)
             mult = math.gcd(abs(int(diff.x)), abs(int(diff.y)))
-            if lo is None and hi is None:
-                # a full line: one vertex carrying two opposite rays
-                vertices.add(p0)
-                edges.append(CurveEdge(p0, ray=d, multiplicity=mult))
-                edges.append(CurveEdge(p0, ray=-d, multiplicity=mult))
-            elif lo is None:
-                v = p0 + d.scale(hi)
-                vertices.add(v)
-                edges.append(CurveEdge(v, ray=-d, multiplicity=mult))
-            elif hi is None:
-                v = p0 + d.scale(lo)
-                vertices.add(v)
-                edges.append(CurveEdge(v, ray=d, multiplicity=mult))
-            else:
-                va, vb = p0 + d.scale(lo), p0 + d.scale(hi)
-                vertices.update((va, vb))
-                edges.append(CurveEdge(va, vb, multiplicity=mult))
+            # a segment between two finite ends, and beyond each open end a
+            # ray from the other end, which is p0 on a full line
+            a, b = (p0 if t is None else p0 + d.scale(t) for t in (lo, hi))
+            vertices.update([v for t, v in ((lo, a), (hi, b)) if t is not None] or [p0])
+            if lo is not None and hi is not None:
+                edges.append(CurveEdge(a, b, multiplicity=mult))
+            if hi is None:
+                edges.append(CurveEdge(a, ray=d, multiplicity=mult))
+            if lo is None:
+                edges.append(CurveEdge(b, ray=-d, multiplicity=mult))
     return TropicalCurve(tuple(sorted(vertices)), tuple(edges))
 
 

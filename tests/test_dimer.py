@@ -276,6 +276,16 @@ def test_dimer_refuses_vertices_that_are_not_three_integer_pairs(vertices, msg):
         parse_dimer(json.dumps({"schema": "tropdimer/1", "denominator": 2, "polytopes": polytopes}))
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [(5, (0, 0), (1, 1)), ((1, 2, 3), (0, 0), (1, 1)), ("ab", (0, 0), (1, 1)), 5],
+    ids=["int-vertex", "triple", "string", "int-vertices"],
+)
+def test_polytope_refuses_vertices_that_are_not_integer_pairs(vertices):
+    with pytest.raises(ValueError, match="integer numerators"):
+        Polytope("white", vertices)
+
+
 def test_honeycomb_zigzags(honeycomb):
     classes = sorted((p.cls.a, p.cls.b) for p in zigzag_paths(honeycomb))
     assert classes == [(-2, -1), (1, -1), (1, 2)]

@@ -88,6 +88,15 @@ def test_bad_type_values_are_refused_at_parse_time(argv, message):
     assert "io" not in modules  # refused before the input is read
 
 
+@pytest.mark.parametrize("argv, message, modules", [
+    (["atf", "trade", "cp2", "--corner", "7"], "error: non-corner index", TRADES),
+    (["genus", "0"], "error: degree must be positive", {"catalog", "lattice", "tropical"}),
+], ids=["atf trade", "genus"])
+def test_a_refused_call_that_reads_no_dimer_exits_1_without_loading_io(argv, message, modules):
+    # only `io` raises a SchemaError (exit 2), so the exit code needs no import
+    assert child(*argv) == (1, "", message, modules)
+
+
 @pytest.mark.parametrize("argv", [argv for argv, _ in CALLS], ids=CALL_IDS)
 def test_child_imports_no_dataclasses_or_inspect(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -86,6 +86,24 @@ def test_documents_the_decoder_cannot_hold_are_schema_errors(text, msg):
         ),
         pytest.param(
             '{"schema": "tropdimer/1", "denominator": 1, "polytopes": '
+            '[{"color": "white", "vertices": 5}]}',
+            "integer numerators",
+            id="vertices-not-a-list",
+        ),
+        pytest.param(
+            '{"schema": "tropdimer/1", "denominator": 1, "polytopes": '
+            '[{"color": "white", "vertices": [5, [0,0], [1,1]]}]}',
+            "integer numerators",
+            id="vertex-not-a-pair",
+        ),
+        pytest.param(
+            '{"schema": "tropdimer/1", "denominator": 1, "polytopes": '
+            '[{"color": ["white"], "vertices": [[0,0],[1,0],[0,1]]}]}',
+            "color",
+            id="color-not-a-string",
+        ),
+        pytest.param(
+            '{"schema": "tropdimer/1", "denominator": 1, "polytopes": '
             '[{"color": "white", "vertices": [[0,0],[1,0],[0,1]]}], '
             '"weights": {"w0-b1@0,0": [true, 1]}}',
             "weight must be",

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2, dilate, unit_triangle
@@ -229,3 +229,111 @@ def test_balancing_raises_at_a_zero_length_segment_only_when_its_vertex_is_reach
     assert check_balancing(TropicalCurve((), (stub,)))
     with pytest.raises(ValueError, match="zero vector"):
         check_balancing(TropicalCurve((p, o), (bent, stub)))
+
+
+# ---------------------------------------------------------------------------
+# the locus against the earlier emission: witness and pieces in four cases
+
+
+def locus_by_cases(phi):
+    """The earlier `nonlinearity_locus`, with a case per pair of bounds."""
+    terms = phi.terms
+    if len(terms) == 1:
+        return TropicalCurve((), ())
+    den = 1
+    for a, _ in terms:
+        den = math.lcm(den, a.x.denominator, a.y.denominator)
+    vertices: set = set()
+    edges = []
+    n = len(terms)
+    for i in range(n):
+        for j in range(i + 1, n):
+            (ai, ci), (aj, cj) = terms[i], terms[j]
+            u = ai - aj
+            if u.is_zero():
+                continue
+            p0 = u.scale(Fraction(cj - ci) / u.dot(u))
+            d = u.rot90().primitive()
+            lo, hi = None, None
+            empty = False
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                ak, ck = terms[k]
+                w = ai - ak
+                slope = w.dot(d)
+                const = w.dot(p0) + ci - ck
+                if slope == 0:
+                    if const < 0:
+                        empty = True
+                        break
+                elif slope > 0:
+                    t = -const / slope
+                    if lo is None or t > lo:
+                        lo = t
+                else:
+                    t = -const / slope
+                    if hi is None or t < hi:
+                        hi = t
+            if empty or (lo is not None and hi is not None and lo >= hi):
+                continue
+            if lo is None and hi is None:
+                tw = Fraction(0)
+            elif lo is None:
+                tw = hi - 1
+            elif hi is None:
+                tw = lo + 1
+            else:
+                tw = (lo + hi) / 2
+            qw = p0 + d.scale(tw)
+            val = max(c + a.dot(qw) for a, c in terms)
+            active = sorted(a for a, c in terms if c + a.dot(qw) == val)
+            if (ai, aj) != (active[0], active[-1]):
+                continue
+            diff = (active[-1] - active[0]).scale(den)
+            mult = math.gcd(abs(int(diff.x)), abs(int(diff.y)))
+            if lo is None and hi is None:
+                vertices.add(p0)
+                edges.append(CurveEdge(p0, ray=d, multiplicity=mult))
+                edges.append(CurveEdge(p0, ray=-d, multiplicity=mult))
+            elif lo is None:
+                v = p0 + d.scale(hi)
+                vertices.add(v)
+                edges.append(CurveEdge(v, ray=-d, multiplicity=mult))
+            elif hi is None:
+                v = p0 + d.scale(lo)
+                vertices.add(v)
+                edges.append(CurveEdge(v, ray=d, multiplicity=mult))
+            else:
+                va, vb = p0 + d.scale(lo), p0 + d.scale(hi)
+                vertices.update((va, vb))
+                edges.append(CurveEdge(va, vb, multiplicity=mult))
+    return TropicalCurve(tuple(sorted(vertices)), tuple(edges))
+
+
+thirds = st.builds(
+    Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def random_polynomials(draw):
+    """1-7 terms: exponents with coordinates k/m (|k| <= 4, m <= 3) or, a
+    third of the time, on one line through such points; coefficients k/m
+    or zero."""
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        slope, offset = draw(thirds), draw(thirds)
+        exponent = thirds.map(lambda t: V(t, slope * t + offset))
+    else:
+        exponent = st.builds(V, thirds, thirds)
+    coefficient = st.one_of(st.just(Fraction(0)), thirds)
+    terms = draw(st.dictionaries(exponent, coefficient, min_size=1, max_size=7))
+    return TropicalPolynomial(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_polynomials())
+def test_locus_agrees_with_the_case_by_case_oracle(phi):
+    got, want = nonlinearity_locus(phi), locus_by_cases(phi)
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
