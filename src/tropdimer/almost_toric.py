@@ -123,9 +123,9 @@ def _corner_data(boundary: RatPolygon, corner_index: int):
     return c, (u + v).primitive()
 
 
-def nodal_trade(diagram: BaseDiagram, corner_index: int, t=1) -> BaseDiagram:
+def nodal_trade(diagram: BaseDiagram, corner_index: int) -> BaseDiagram:
     """Replace a corner of the boundary by an interior node at lattice
-    distance ``t`` whose eigenray points back into the corner."""
+    distance 1 whose eigenray points back into the corner."""
     if diagram.boundary is None:
         raise ValueError("non-corner index")
     n = len(diagram.boundary.vertices)
@@ -133,11 +133,8 @@ def nodal_trade(diagram: BaseDiagram, corner_index: int, t=1) -> BaseDiagram:
         raise ValueError("non-corner index")
     if any(ci == corner_index for ci, _ in diagram.traded):
         raise ValueError("corner already traded")
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("trade distance must be positive")
     corner, w = _corner_data(diagram.boundary, corner_index)
-    node = Node(corner + w.scale(t), -w, 1)
+    node = Node(corner + w, -w, 1)
     return BaseDiagram(
         diagram.boundary,
         diagram.nodes + (node,),
@@ -145,9 +142,9 @@ def nodal_trade(diagram: BaseDiagram, corner_index: int, t=1) -> BaseDiagram:
     )
 
 
-def trade_all_corners(diagram: BaseDiagram, t=1) -> BaseDiagram:
+def trade_all_corners(diagram: BaseDiagram) -> BaseDiagram:
     for i in range(len(diagram.boundary.vertices)):
-        diagram = nodal_trade(diagram, i, t)
+        diagram = nodal_trade(diagram, i)
     return diagram
 
 

@@ -161,6 +161,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _report(args, data, lines) -> int:
+    """Print ``data`` as one JSON line under `--json`, else each of ``lines``."""
+    if args.json:
+        print(json.dumps(data))
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
 def _curve_summary(label, curve, diagram):
     from .almost_toric import admissible
     from .tropical import check_balancing
@@ -271,36 +281,19 @@ def _run(args) -> int:
 
     if args.command == "graph":
         graph = build_graph(dimer)
-        if args.json:
-            print(json.dumps({
-                "whites": len(graph.whites),
-                "blacks": len(graph.blacks),
-                "edges": [e.edge_id for e in graph.edges],
-            }))
-        else:
-            print(f"{len(graph.whites)} white, {len(graph.blacks)} black, {len(graph.edges)} edges")
-            for e in graph.edges:
-                print(f"  {e.edge_id}")
-        return 0
+        ids = [e.edge_id for e in graph.edges]
+        head = f"{len(graph.whites)} white, {len(graph.blacks)} black, {len(ids)} edges"
+        data = {"whites": len(graph.whites), "blacks": len(graph.blacks), "edges": ids}
+        return _report(args, data, [head] + [f"  {i}" for i in ids])
 
     if args.command == "zigzags":
         classes = [(p.cls.a, p.cls.b) for p in zigzag_paths(dimer)]
-        if args.json:
-            print(json.dumps(classes))
-        else:
-            for a, b in classes:
-                print(f"<{a},{b}>")
-        return 0
+        return _report(args, classes, [f"<{a},{b}>" for a, b in classes])
 
     if args.command == "fan":
         fan = dimer_to_tropical_fan(dimer)
         rays = [((int(e.ray.x), int(e.ray.y)), e.multiplicity) for e in fan.edges]
-        if args.json:
-            print(json.dumps(rays))
-        else:
-            for (x, y), m in rays:
-                print(f"({x},{y}) x{m}")
-        return 0
+        return _report(args, rays, [f"({x},{y}) x{m}" for (x, y), m in rays])
 
     if args.command == "kasteleyn":
         from .kasteleyn import determinant, format_laurent, kasteleyn_matrix, make_gauge
@@ -315,11 +308,7 @@ def _run(args) -> int:
 
         graph = build_graph(dimer)
         found = enumerate_matchings(graph)
-        if args.json:
-            print(json.dumps([list(m) for m in found]))
-        else:
-            print(len(found))
-        return 0
+        return _report(args, found, [len(found)])
 
     if args.command == "mutate":
         from .io import serialize_dimer
@@ -339,19 +328,13 @@ def _run(args) -> int:
         from .mutation import euler_characteristic
 
         value = euler_characteristic(dimer)
-        print(json.dumps({"euler": value}) if args.json else value)
-        return 0
+        return _report(args, {"euler": value}, [value])
 
     if args.command == "directions":
         from .mutation import mutation_directions
 
         dirs = [(c.a, c.b) for c in mutation_directions(dimer)]
-        if args.json:
-            print(json.dumps(dirs))
-        else:
-            for a, b in dirs:
-                print(f"<{a},{b}>")
-        return 0
+        return _report(args, dirs, [f"<{a},{b}>" for a, b in dirs])
 
     if args.command == "compare-seed":
         from .mutation import compare_up_to_unimodular, mutation_directions, seed_directions

@@ -70,18 +70,18 @@ class DualDimer:
     """The dimer data: polytopes of at least 3 vertices, integer pairs over
     N = ``denominator`` >= 1, each polygon strictly convex and counterclockwise.
 
-    Each structural stage below is computed at most once per instance, on
-    first use, and kept in its ``__dict__`` (a stage that raises keeps
-    nothing).  The module functions `validate`, `build_graph`,
-    `zigzag_paths` and `faces` return the kept value.  Equality and hashing
-    read ``denominator`` and ``polytopes`` only.
+    Each structural stage of this module is computed at most once per
+    instance (see `_stage`).  Equality and hashing read ``denominator`` and
+    ``polytopes`` only.
     """
 
     def __init__(self, denominator: int, polytopes: tuple):
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError("denominator must be a positive integer")
         self.denominator = denominator
         self.polytopes = polytopes = tuple(polytopes)
-        if denominator < 1:
-            raise ValueError("denominator must be positive")
+        if not polytopes:
+            raise ValueError("polytopes must be a nonempty list")
         for p in polytopes:
             if len(p.vertices) < 3:
                 raise ValueError("degenerate polytope")
@@ -99,33 +99,20 @@ class DualDimer:
     def indices(self, color: str):
         return [i for i, p in enumerate(self.polytopes) if p.color == color]
 
-    @functools.cached_property
-    def _vertex_maps(self):
-        return {color: _vertex_map(self, color) for color in (WHITE, BLACK)}
 
-    @functools.cached_property
-    def _directions(self):
-        """Per polygon, the primitive direction of each edge k -> k + 1."""
-        return tuple(
-            tuple(_primitive(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]))
-            for vs in (p.vertices for p in self.polytopes)
-        )
+def _stage(compute):
+    """A structural stage: ``compute(dimer)`` runs on first use and is kept
+    in ``dimer.__dict__`` under its name; a call that raises keeps nothing."""
+    name = compute.__name__
 
-    @functools.cached_property
-    def _report(self):
-        return _validate(self)
+    @functools.wraps(compute)
+    def stage(dimer: DualDimer):
+        memo = dimer.__dict__
+        if name not in memo:
+            memo[name] = compute(dimer)
+        return memo[name]
 
-    @functools.cached_property
-    def _graph(self):
-        return _build_graph(self)
-
-    @functools.cached_property
-    def _zigzags(self):
-        return _zigzag_paths(self)
-
-    @functools.cached_property
-    def _faces(self):
-        return _trace_faces(self)
+    return stage
 
 
 def fundamental_lift(points, n: int):
@@ -199,23 +186,37 @@ class ValidationReport(Record):
         yield "self-intersections: " + ("present" if self.self_intersecting else "none")
 
 
-def _vertex_map(dimer: DualDimer, color: str):
-    """torus point -> (polytope index, vertex index) for one color."""
+@_stage
+def _vertex_maps(dimer: DualDimer):
+    """Per color, (torus point -> (polytope index, vertex index), the torus
+    points met twice)."""
     n = dimer.denominator
-    out: dict = {}
-    clashes = []
-    for i in dimer.indices(color):
-        for k, (x, y) in enumerate(dimer.polytopes[i].vertices):
-            t = (x % n, y % n)
-            if t in out:
-                clashes.append(t)
-            out[t] = (i, k)
-    return out, clashes
+    maps = {}
+    for color in (WHITE, BLACK):
+        out: dict = {}
+        clashes = []
+        for i in dimer.indices(color):
+            for k, (x, y) in enumerate(dimer.polytopes[i].vertices):
+                t = (x % n, y % n)
+                if t in out:
+                    clashes.append(t)
+                out[t] = (i, k)
+        maps[color] = (out, clashes)
+    return maps
+
+
+@_stage
+def _directions(dimer: DualDimer):
+    """Per polygon, the primitive direction of each edge k -> k + 1."""
+    return tuple(
+        tuple(_primitive(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]))
+        for vs in (p.vertices for p in dimer.polytopes)
+    )
 
 
 def _germs(directions, k: int):
     """Primitive directions of the two polygon edges leaving vertex k, read
-    from the polygon's row of `DualDimer._directions`."""
+    from the polygon's row of `_directions`."""
     (ax, ay), (bx, by) = directions[k], directions[k - 1]
     return frozenset(((ax, ay), (-bx, -by)))
 
@@ -311,22 +312,19 @@ def _self_intersecting(points, n: int) -> bool:
     )
 
 
+@_stage
 def validate(dimer: DualDimer) -> ValidationReport:
-    return dimer._report
-
-
-def _validate(dimer: DualDimer) -> ValidationReport:
     """The three axioms, checked on the vertex maps, and whether the dimer
     is immersed: `_self_intersecting` keeps the polygon pairs whose extents
     meet on both circles of the torus (broad phase) and runs the exact
     lattice count of `_torus_interiors_intersect` on those alone (narrow
     phase).  Near-linear in the number of polygons P on the dimers the
     toolkit makes, whose extents are short against N."""
-    white_map, white_clash = dimer._vertex_maps[WHITE]
-    black_map, black_clash = dimer._vertex_maps[BLACK]
+    white_map, white_clash = _vertex_maps(dimer)[WHITE]
+    black_map, black_clash = _vertex_maps(dimer)[BLACK]
     mismatch = set(white_map) ^ set(black_map)
 
-    directions = dimer._directions
+    directions = _directions(dimer)
     germ_offenders = []
     if not white_clash and not black_clash and not mismatch:
         for t in white_map:
@@ -402,15 +400,12 @@ class DimerGraph(Record):
         self.denominator = denominator
 
 
+@_stage
 def build_graph(dimer: DualDimer) -> DimerGraph:
-    return dimer._graph
-
-
-def _build_graph(dimer: DualDimer) -> DimerGraph:
     if not validate(dimer).ok:
         raise ValueError("dimer fails validation; cannot build graph")
-    white_map, _ = dimer._vertex_maps[WHITE]
-    black_map, _ = dimer._vertex_maps[BLACK]
+    white_map, _ = _vertex_maps(dimer)[WHITE]
+    black_map, _ = _vertex_maps(dimer)[BLACK]
     points = [p.vertices for p in dimer.polytopes]
     scale = math.lcm(*map(len, points))  # D / N
     arms = []  # per polygon, each vertex minus the polygon's vertex centroid, over D
@@ -474,20 +469,18 @@ def orbits(darts, step):
     return out
 
 
+@_stage
 def zigzag_paths(dimer: DualDimer):
-    """The zigzag cycles, in a fixed order; needs no validation."""
-    return dimer._zigzags
+    """The zigzag cycles, in a fixed order; needs no validation.
 
-
-def _zigzag_paths(dimer: DualDimer):
-    """Darts run black polygons counterclockwise and white ones clockwise:
+    Darts run black polygons counterclockwise and white ones clockwise:
     the boundary of the 2-chain (black polygons minus white ones), so matched
     germs concatenate head to tail and the zigzag classes sum to zero."""
     n = dimer.denominator
     points = [p.vertices for p in dimer.polytopes]
     keys = {}  # dart -> (torus point, direction) of its start and of its end
     for i, p in enumerate(dimer.polytopes):
-        for k, (dx, dy) in enumerate(dimer._directions[i]):
+        for k, (dx, dy) in enumerate(_directions(dimer)[i]):
             s, e = k, (k + 1) % len(p.vertices)
             if p.color == WHITE:
                 s, e, dx, dy = e, s, -dx, -dy
@@ -560,19 +553,16 @@ class DimerFace(Record):
         self.orientations, self.cls = orientations, cls
 
 
+@_stage
 def faces(dimer: DualDimer):
-    return dimer._faces
-
-
-def _trace_faces(dimer: DualDimer):
     """Darts are (edge index, +1 white -> black or -1 back).  Every vertex of
     a valid dimer's polytope is an anchor, listed in rotation order."""
     graph = build_graph(dimer)  # refuses an invalid dimer
     if validate(dimer).self_intersecting:
         raise ValueError("faces undefined for immersed dimer")
     n = dimer.denominator
-    white_map, _ = dimer._vertex_maps[WHITE]
-    black_map, _ = dimer._vertex_maps[BLACK]
+    white_map, _ = _vertex_maps(dimer)[WHITE]
+    black_map, _ = _vertex_maps(dimer)[BLACK]
     ends = [(white_map[e.anchor], black_map[e.anchor]) for e in graph.edges]
     edge_at = {end: idx for idx, pair in enumerate(ends) for end in pair}
 

@@ -51,23 +51,25 @@ def _json(text: str):
 def parse_dimer(text: str):
     """Parse a dimer document; returns (DualDimer, weights dict).
 
-    This checks the document's shape; `Polytope` and `DualDimer` check the
-    polygons, and their refusals become SchemaErrors.  Raises
-    json.JSONDecodeError for malformed JSON and SchemaError for schema
-    violations and documents `_json` refuses; axiom failures are the
-    caller's concern.
+    This checks the document's shape; `DualDimer` and `Polytope` check the
+    denominator and the polygons, and their refusals become SchemaErrors.
+    Raises json.JSONDecodeError for malformed JSON and SchemaError for
+    schema violations and documents `_json` refuses; axiom failures are
+    the caller's concern.
     """
     doc = _json(text)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
-    den = doc.get("denominator")
-    _require(type(den) is int and den >= 1, "denominator must be a positive integer")
-    polys = doc.get("polytopes")
-    _require(isinstance(polys, list) and polys, "polytopes must be a nonempty list")
-    _require(all(isinstance(entry, dict) for entry in polys), "polytope must be an object")
+
+    def polytopes():  # read only after DualDimer has checked the denominator
+        polys = doc.get("polytopes")
+        _require(isinstance(polys, list), "polytopes must be a nonempty list")
+        _require(all(isinstance(entry, dict) for entry in polys), "polytope must be an object")
+        for entry in polys:
+            yield Polytope(entry.get("color"), entry.get("vertices"))
+
     try:
-        polytopes = (Polytope(entry.get("color"), entry.get("vertices")) for entry in polys)
-        dimer = DualDimer(den, polytopes)
+        dimer = DualDimer(doc.get("denominator"), polytopes())
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     weights = {}

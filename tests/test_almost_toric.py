@@ -28,6 +28,7 @@ from tropdimer.almost_toric import (
 )
 from tropdimer.catalog import DEL_PEZZO_FANS, MOMENT_POLYGONS, SEED_FAN, load
 from tropdimer.dimer import validate
+from tropdimer.kasteleyn import determinant, kasteleyn_matrix
 from tropdimer.lattice import RatPolygon, UnimodularMap, Vec2, convex_hull
 from tropdimer.mutation import compare_up_to_unimodular, seed_directions
 from tropdimer.tropical import (
@@ -36,6 +37,7 @@ from tropdimer.tropical import (
     TropicalPolynomial,
     check_balancing,
     evaluate,
+    nonlinearity_locus,
 )
 
 V = Vec2
@@ -65,8 +67,6 @@ def test_nodal_trade_errors():
     d = BaseDiagram(MOMENT_POLYGONS["cp2"])
     with pytest.raises(ValueError, match="non-corner index"):
         nodal_trade(d, 7)
-    with pytest.raises(ValueError, match="must be positive"):
-        nodal_trade(d, 0, t=0)
     traded = nodal_trade(d, 0)
     with pytest.raises(ValueError, match="already traded"):
         nodal_trade(traded, 0)
@@ -146,6 +146,53 @@ def test_three_exchanges_turn_the_outer_torus_inner(cp2):
     for i in range(len(cp2.nodes)):
         curve = nodal_trade_exchange(cp2, curve, i)
     assert curves_equal(curve, build_inner_torus(cp2))
+
+
+@pytest.mark.parametrize(
+    "seed,constant",
+    [("cp2-seed", -3), ("p1p1-seed", 4), ("bl1-seed", -4), ("bl2-seed", -5), ("bl3-seed", 6)],
+)
+def test_the_seed_potential_tropicalizes_to_the_inner_torus(seed, constant):
+    # the partition function over its one interior Newton point has integer
+    # exponents; max(3 - depth, max over u != 0 of <u, q>) then has, mapped
+    # by A^-T, the inner torus at that depth as its cycle and its legs as
+    # rays, where A takes the Newton polygon's corners to the negated inward
+    # edge normals of the moment polygon
+    poly = determinant(kasteleyn_matrix(load(seed)))
+    d = poly.denominator
+    xs, ys = zip(*(a for a, _ in poly.terms))
+    newton = RatPolygon(tuple(V(x, y) for x, y in convex_hull([a for a, _ in poly.terms])))
+    [(cx, cy)] = [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1, d)
+        for y in range(min(ys), max(ys) + 1, d)
+        if newton.contains(V(x, y), strict=True)
+    ]
+    exponents = {((x - cx) // d, (y - cy) // d): c for (x, y), c in poly.terms}
+    assert exponents[0, 0] == constant
+    moment = MOMENT_POLYGONS[SEED_FAN[seed]]
+    inward = [(b - a).rot90().primitive() for a, b in moment.edges()]
+    to_normals = compare_up_to_unimodular(
+        convex_hull(list(exponents)), [(-int(n.x), -int(n.y)) for n in inward]
+    )
+    inv = to_normals.inverse()
+    dual = UnimodularMap(inv.a, inv.c, inv.b, inv.d)
+    diagram = trade_all_corners(BaseDiagram(moment))
+    k = len(moment.vertices)
+    for depth in (F(3, 2), F(2), F(5, 2), F(11, 4), F(29, 10)):
+        phi = TropicalPolynomial({V(*u): 3 - depth if u == (0, 0) else 0 for u in exponents})
+        locus = nonlinearity_locus(phi).edges
+        torus = build_inner_torus(diagram, depth).curve.edges
+        cycle = sorted(
+            (*sorted((dual.apply(e.a), dual.apply(e.b))), e.multiplicity)
+            for e in locus
+            if not e.is_ray
+        )
+        assert cycle == sorted((*sorted((e.a, e.b)), e.multiplicity) for e in torus[:k])
+        rays = sorted(
+            (dual.apply(e.a), dual.apply_vector(e.ray), e.multiplicity) for e in locus if e.is_ray
+        )
+        assert rays == sorted((e.a, (e.b - e.a).primitive(), e.multiplicity) for e in torus[k:])
 
 
 @pytest.mark.parametrize(

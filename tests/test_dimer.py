@@ -221,6 +221,38 @@ def test_each_stage_is_computed_once_per_dimer(honeycomb):
     assert isinstance(faces(honeycomb), tuple)
 
 
+def test_a_stage_that_raises_keeps_nothing():
+    immersed = catalog.build("immersed-hexagon")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="immersed"):
+            faces(immersed)
+        assert faces.__name__ not in vars(immersed)
+    bad = DualDimer(
+        1,
+        (
+            Polytope("white", ((0, 0), (1, 0), (0, 1))),
+            Polytope("black", ((0, 0), (1, 0), (1, 1))),
+        ),
+    )
+    with pytest.raises(ValueError, match="fails validation"):
+        build_graph(bad)
+    assert build_graph.__name__ not in vars(bad)
+    assert vars(bad)[validate.__name__] is validate(bad)
+
+
+def test_dimer_refuses_a_denominator_that_is_no_positive_int_and_no_polytopes(honeycomb):
+    def unread():
+        raise AssertionError("polytopes read before the denominator was checked")
+        yield
+
+    for den in (6.0, True, 0):
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            DualDimer(den, unread())
+    with pytest.raises(ValueError, match="polytopes must be a nonempty list"):
+        DualDimer(1, ())
+    assert DualDimer(6, honeycomb.polytopes) == honeycomb
+
+
 def test_zigzags_and_fan_never_validate(honeycomb, monkeypatch):
     def no_overlap_test(*args, **kwargs):
         raise AssertionError("overlap test ran")
@@ -622,8 +654,9 @@ def test_an_analysed_dimer_equals_and_hashes_like_a_fresh_parse(honeycomb):
     text = serialize_dimer(cover(honeycomb, 2, 1))
     analysed, _ = parse_dimer(text)
     build_graph(analysed), zigzag_paths(analysed), faces(analysed)
-    assert {"_graph", "_zigzags", "_faces"} <= vars(analysed).keys()
+    keys = {stage.__name__ for stage in (build_graph, zigzag_paths, faces)}
+    assert keys <= vars(analysed).keys()
     fresh, _ = parse_dimer(text)
-    assert not {"_graph", "_zigzags", "_faces"} & vars(fresh).keys()
+    assert not keys & vars(fresh).keys()
     assert analysed == fresh and fresh == analysed and hash(analysed) == hash(fresh)
     assert len({analysed, fresh}) == 1
