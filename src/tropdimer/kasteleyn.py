@@ -15,8 +15,10 @@ of the matrix, so its cost grows with the number of perfect matchings.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
@@ -243,13 +245,13 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
        holding every transversal's monomial.
     3. Hadamard's inequality with Cauchy's coefficient estimate bounds
        every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2); primes
-       below 2^30, one CPython digit, are taken from 2^30 - 35 down until
-       their product exceeds twice that.
+       below 2^30, one CPython digit and each tested once per process, are
+       taken from 2^30 - 35 down until their product exceeds twice that.
     4. For each prime, det mod p at the nodes of a (W1+1) x (W2+1) grid,
        W = box width, drawn per prime, by one sparse elimination; a prime
        whose nodes no single pivot order serves is skipped.
-    5. Interpolation along z1 and then z2, and the Chinese remainder
-       theorem to balanced integers.
+    5. Interpolation along z1 and then z2, one inverse Vandermonde table
+       per axis, and the Chinese remainder theorem to balanced integers.
 
     Entry coefficients must be integers.  The cost is four sparse
     assignment problems, one Dijkstra search, O(e log n) for e nonzero
@@ -406,23 +408,29 @@ def _assignment(costs):
     return sum(costs[i][j] for i, j in enumerate(match))
 
 
+_PRIMES = []  # the primes that _primes has found so far, in its order
+
+
 def _primes():
     """The primes below 2^30, from 2^30 - 35 down: Miller-Rabin on the first
-    twelve prime bases, which is deterministic below 2^64.  CPython stores
+    twelve prime bases, which is deterministic below 2^64, each number tested
+    once per process (``_PRIMES`` keeps the primes found).  CPython stores
     an int in 30-bit digits, so every residue mod such a prime is one digit,
     every product of two at most two, and every ``% p`` divides by one."""
-    p = (1 << 30) - 1
-    while True:
-        d, s = p - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            x = pow(a, d, p)
-            if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
-                break
-        else:
-            yield p
-        p -= 2
+    for k in itertools.count():
+        p = _PRIMES[-1] if _PRIMES else (1 << 30) + 1
+        while k == len(_PRIMES):  # test on below the last prime found
+            p -= 2
+            d, s = p - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                x = pow(a, d, p)
+                if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
+                    break
+            else:
+                _PRIMES.append(p)
+        yield _PRIMES[k]
 
 
 def _nodes(p: int, *counts) -> list:
@@ -446,9 +454,10 @@ def _det_mod(rows, a: list, b: list, p: int):
     """det mod p of the gauged matrix at each node (z1, z2) = (a[k], b[l]),
     indexed l * len(a) + k, or None when no pivot order serves every node:
     one elimination on sparse rows of per-node values, an entry zero at every
-    node dropped.  Each step takes the remaining row with the fewest entries
+    node dropped, an entry 1 * z^e sharing the list of z^e (no list is changed
+    in place).  Each step takes the remaining row with the fewest entries
     (none: det is zero) and, among its entries nonzero at every node, the
-    column held by the fewest remaining rows."""
+    column held by the fewest remaining rows, inverted if another row holds it."""
     pairs = {(x, y) for row in rows for ts in row.values() for x, y, _ in ts}
     za, zb = ({e: [pow(z, abs(e), p) for z in (nodes if e >= 0 else inverse)]
                for e in {pair[k] for pair in pairs}}
@@ -458,7 +467,7 @@ def _det_mod(rows, a: list, b: list, p: int):
     for i, row in enumerate(rows):
         left[i] = {}
         for j, ((x, y, c), *more) in row.items():
-            value = [c * z % p for z in powers[x, y]]
+            value = powers[x, y] if c == 1 else [c * z % p for z in powers[x, y]]
             for x, y, c in more:
                 value = [(s + c * z) % p for s, z in zip(value, powers[x, y])]
             if any(value):
@@ -477,12 +486,13 @@ def _det_mod(rows, a: list, b: list, p: int):
             holders[c].discard(i)
         perm[i], pivot = j, row.pop(j)
         det = [d * v % p for d, v in zip(det, pivot)]
-        inverse = _inverses(pivot, p)
+        inverse = _inverses(pivot, p) if holders[j] else None
         for r in holders[j]:
             target = left[r]
-            f = [v * w % p for v, w in zip(target.pop(j), inverse)]
+            f = [-v * w % p for v, w in zip(target.pop(j), inverse)]  # minus the multiplier
             for c, value in row.items():
-                w = [(o - g * v) % p for o, g, v in zip(target.get(c, zeros), f, value)]
+                w = ([(o + g * v) % p for o, g, v in zip(target[c], f, value)] if c in target
+                     else [g * v % p for g, v in zip(f, value)])
                 if any(w):
                     target[c] = w
                     holders[c].add(r)
@@ -496,19 +506,23 @@ def _det_mod(rows, a: list, b: list, p: int):
 def _interpolate(rows, nodes: list, p: int) -> list:
     """For each row of values at the nodes, the coefficients, lowest degree
     first, of the polynomial of degree below len(nodes) through them, mod p,
-    the nodes an arithmetic progression: Newton's divided differences, then
-    the Newton form expanded."""
+    the nodes x_i = (z + i) * t: one inverse Vandermonde table per call, one
+    reduction per coefficient.  Column i is prod_{j != i} (x - x_j), synthetic
+    divisions of the master prod_j (x - x_j), and the value at x_i is first
+    divided by t^(k-1) i! (k-1-i)! (-1)^(k-1-i)."""
     k = len(nodes)
-    inverses = [pow(j * (nodes[1] - nodes[0]), -1, p) for j in range(1, k)]  # 1 / (j node steps)
-    out = []
-    for c in map(list, rows):
-        for j, inverse in enumerate(inverses, 1):
-            c[j:] = [(u - v) * inverse % p for u, v in zip(c[j:], c[j - 1:-1])]
-        poly = []
-        for i in range(k - 1, -1, -1):  # poly = poly * (z - nodes[i]) + c[i]
-            poly = [(u - nodes[i] * v) % p for u, v in zip([c[i]] + poly, poly + [0])]
-        out.append(poly)
-    return out
+    master = [1]  # highest degree first
+    for r in nodes:
+        master = [(u - r * v) % p for u, v in zip(master + [0], [0] + master)]
+    factorial = list(itertools.accumulate(range(1, k), lambda f, i: f * i % p, initial=1))
+    scale = pow(nodes[1] - nodes[0], k - 1, p) if k > 1 else 1
+    weights = _inverses([(-1) ** (k - 1 - i) * scale * factorial[i] * factorial[k - 1 - i] % p
+                         for i in range(k)], p)
+    table = [quotient := [1] * k]  # degree k - 1 of master / (x - x_i) for each i, then down
+    for u in master[1:k]:
+        table.append(quotient := [(u + r * q) % p for r, q in zip(nodes, quotient)])
+    scaled = ([w * v % p for w, v in zip(weights, values)] for values in rows)
+    return [[sum(map(mul, row, values)) % p for row in reversed(table)] for values in scaled]
 
 
 # ---------------------------------------------------------------------------

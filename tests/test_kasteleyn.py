@@ -345,6 +345,56 @@ def test_coefficients_between_the_digit_and_two_to_the_sixty_one(monkeypatch):
     assert len(calls) > 1
 
 
+def test_primes_are_tested_once_per_process(monkeypatch, honeycomb):
+    """Two generators advanced in turn, then the second ten primes past the
+    first, yield the same primes and leave each one once in the module's
+    list; one determinant leaves 2^30 - 35 there."""
+    monkeypatch.setattr(kasteleyn, "_PRIMES", [])
+    first, second = kasteleyn._primes(), kasteleyn._primes()
+    pairs = [(next(first), next(second)) for _ in range(10)]
+    ahead = list(itertools.islice(second, 10))
+    primes = [a for a, _ in pairs] + list(itertools.islice(first, 10))
+    assert primes == [b for _, b in pairs] + ahead == sorted(set(primes), reverse=True)
+    assert kasteleyn._PRIMES == primes
+    monkeypatch.setattr(kasteleyn, "_PRIMES", [])
+    determinant(kasteleyn_matrix(honeycomb))
+    assert kasteleyn._PRIMES == [(1 << 30) - 35]
+
+
+def newton_interpolate(rows, nodes: list, p: int) -> list:
+    """For each row of values at the nodes, the coefficients, lowest degree
+    first, of the polynomial of degree below len(nodes) through them, mod p,
+    the nodes an arithmetic progression: Newton's divided differences, then
+    the Newton form expanded.  The oracle for ``kasteleyn._interpolate``."""
+    k = len(nodes)
+    inverses = [pow(j * (nodes[1] - nodes[0]), -1, p) for j in range(1, k)]  # 1 / (j node steps)
+    out = []
+    for c in map(list, rows):
+        for j, inverse in enumerate(inverses, 1):
+            c[j:] = [(u - v) * inverse % p for u, v in zip(c[j:], c[j - 1:-1])]
+        poly = []
+        for i in range(k - 1, -1, -1):  # poly = poly * (z - nodes[i]) + c[i]
+            poly = [(u - nodes[i] * v) % p for u, v in zip([c[i]] + poly, poly + [0])]
+        out.append(poly)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16), st.sampled_from((0, 1)), st.data())
+def test_interpolation_is_the_newton_form_through_every_node(count, axis, data):
+    """On either axis's ``_nodes`` progression mod the first prime, the
+    inverse Vandermonde table gives the Newton form's coefficients, and each
+    polynomial takes the given value at every node."""
+    p = next(kasteleyn._primes())
+    nodes = kasteleyn._nodes(p, count, count)[axis]
+    residues = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
+    rows = data.draw(st.lists(residues, min_size=1, max_size=4))
+    polys = kasteleyn._interpolate(rows, nodes, p)
+    assert polys == newton_interpolate(rows, nodes, p)
+    for poly, values in zip(polys, rows):
+        assert [sum(c * pow(x, d, p) for d, c in enumerate(poly)) % p for x in nodes] == values
+
+
 def least_transversal(costs):
     """The least total over the permutations that stay on the support of
     ``costs``, or None when no permutation does: the brute-force oracle."""
