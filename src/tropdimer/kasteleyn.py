@@ -5,19 +5,20 @@ displacement white-centroid -> shared vertex -> black-centroid.  Every
 exponent is a pair of integer numerators over the graph's denominator D
 (``DimerGraph.denominator``); only ``format_laurent`` divides by D.  The
 determinant (the partition function) is computed in time polynomial in the
-matrix size n and in the size of its Newton box: a tree gauge makes the
-exponents integers, the tropical determinant bounds them, and exact
-evaluation modulo primes, interpolation and the Chinese remainder theorem
-give the coefficients.  Only ``enumerate_matchings`` walks the transversals
-of the matrix, so its cost grows with the number of perfect matchings.
+matrix size n and in the size of its Newton box: a tree gauge with exact
+integer potentials makes the exponents integers and erases any input gauge,
+the tropical determinant bounds them, and exact evaluation modulo primes,
+interpolation and the Chinese remainder theorem give the coefficients.
+Only ``enumerate_matchings`` walks the transversals of the matrix, so its
+cost grows with the number of perfect matchings.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
-from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
 
@@ -86,7 +87,8 @@ def monomial(exponent: tuple, coefficient=1, denominator: int = 1) -> LaurentPol
 
 def format_laurent(p: LaurentPolynomial) -> str:
     """Canonical rendering: constant term first, then exponents in
-    descending lexicographic order; `3 - z1 - z2 - z1^-1*z2^-1` style."""
+    descending lexicographic order; `3 - z1 - z2 - z1^-1*z2^-1` style, each
+    exponent x/D reduced by ``math.gcd`` to `z1`, `z1^k` or `z1^k/d`."""
     if p.is_zero:
         return "0"
 
@@ -97,9 +99,11 @@ def format_laurent(p: LaurentPolynomial) -> str:
     parts = []
     for (x, y), c in sorted(p.terms, key=order):
         factors = []
-        for name, e in (("z1", Fraction(x, p.denominator)), ("z2", Fraction(y, p.denominator))):
-            if e != 0:
-                factors.append(name if e == 1 else f"{name}^{e}")
+        for name, e in (("z1", x), ("z2", y)):
+            if e:
+                g = math.gcd(e, p.denominator)
+                k = f"{e // g}" if g == p.denominator else f"{e // g}/{p.denominator // g}"
+                factors.append(name if e == p.denominator else f"{name}^{k}")
         mag = abs(c)
         if not factors:
             body = str(mag)
@@ -146,15 +150,18 @@ def make_gauge(graph: DimerGraph, name: str):
     return {i: (rng.randint(-3, 3), rng.randint(-3, 3)) for i in graph.whites + graph.blacks}
 
 
+def _exponent(graph: DimerGraph, edge, gauge) -> tuple:
+    """The numerator pair over D of displacement + row exponent + column exponent."""
+    (x, y), d = edge.displacement, graph.denominator
+    (wx, wy), (bx, by) = gauge.get(edge.white, (0, 0)), gauge.get(edge.black, (0, 0))
+    return x + d * (wx + bx), y + d * (wy + by)
+
+
 def edge_monomial(
     graph: DimerGraph, edge, gauge=IDENTITY_GAUGE, sign: int = 1
 ) -> LaurentPolynomial:
     """sign * z^(displacement + row exponent + column exponent)."""
-    d = graph.denominator
-    x, y = edge.displacement
-    wx, wy = gauge.get(edge.white, (0, 0))
-    bx, by = gauge.get(edge.black, (0, 0))
-    return monomial((x + d * (wx + bx), y + d * (wy + by)), sign, d)
+    return monomial(_exponent(graph, edge, gauge), sign, graph.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +226,12 @@ class KasteleynMatrix(Record):
 
 
 def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
+    """The signed, gauged matrix: one LaurentPolynomial per nonzero cell, built
+    from the ((x, y), sign) terms of its edges, and one zero shared by the rest."""
     graph = build_graph(dimer)
     cells: dict = {}
     for e, sign in zip(graph.edges, kasteleyn_signs(dimer)):
-        cells.setdefault((e.white, e.black), []).extend(edge_monomial(graph, e, gauge, sign).terms)
+        cells.setdefault((e.white, e.black), []).append((_exponent(graph, e, gauge), sign))
     grid = {key: LaurentPolynomial(terms, graph.denominator) for key, terms in cells.items()}
     zero = LaurentPolynomial((), graph.denominator)
     entries = tuple(grid.get((w, b), zero) for w in graph.whites for b in graph.blacks)
@@ -236,13 +245,15 @@ def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
 def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     """Exact determinant: the partition function of the dimer.
 
-    1. A BFS-tree gauge, shifts reduced mod D, makes every entry exponent
-       an integer pair (a cycle's exponent sum is a homology class) and
-       multiplies the determinant by one monomial, divided out at the end.
+    1. A BFS-tree gauge with exact potentials makes every forest entry z^0
+       on its first term, so every exponent an integer pair (a cycle's sum
+       is a homology class), and multiplies the determinant by a monomial
+       divided out at the end; any input gauge cancels before the box.
     2. Four assignment problems (the tropical determinant: least and
        greatest total x and y exponent over the transversals), each a
-       warm-started Hungarian method, give a box [x0, x1] x [y0, y1]
-       holding every transversal's monomial.
+       warm-started Hungarian method on one column of the entries' (least
+       x, -greatest x, least y, -greatest y), read once, give a box
+       [x0, x1] x [y0, y1] holding every transversal's monomial.
     3. Hadamard's inequality with Cauchy's coefficient estimate bounds
        every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2); primes
        below 2^30, one CPython digit and each tested once per process, are
@@ -267,15 +278,15 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     if n != len(m.cols):
         return zero
     rows, (sx, sy) = _tree_gauge(m)
-    box = []
-    for k in (0, 1):
-        for sign in (1, -1):  # least total exponent k, then least total of its negation
-            costs = [{j: min(sign * t[k] for t in ts) for j, ts in row.items()} for row in rows]
-            total = _assignment(costs)
-            if total is None:
-                return zero
-            box.append(sign * total)
-    x0, x1, y0, y1 = box
+    reach = [{} for _ in rows]  # entry -> (least x, -greatest x, least y, -greatest y)
+    for i, row in enumerate(rows):
+        for j, ts in row.items():
+            xs, ys, _ = zip(*ts)
+            reach[i][j] = min(xs), -max(xs), min(ys), -max(ys)
+    box = [_assignment([{j: r[k] for j, r in row.items()} for row in reach]) for k in range(4)]
+    if None in box:  # no transversal
+        return zero
+    x0, x1, y0, y1 = box[0], -box[1], box[2], -box[3]
     bound2 = 1
     for row in rows:
         bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
@@ -309,8 +320,9 @@ def _tree_gauge(m: KasteleynMatrix):
     to every monomial of the determinant.
 
     Row and column potentials come from a BFS spanning forest of the
-    support, each chosen mod D so that the forest's entries, on their first
-    term, get exponents divisible by D; then every term's is.
+    support, exact so that the forest's entries, on their first term, get
+    exponent (0, 0); then every term's is divisible by D.  Exact potentials
+    absorb any row and column gauge, so the rows do not depend on one.
     """
     n, den = len(m.rows), m.denominator
     support = [{j: e.terms for j in range(n) if (e := m.entries[i * n + j]).terms}
@@ -331,11 +343,11 @@ def _tree_gauge(m: KasteleynMatrix):
                 if col_pot[j] is not None:
                     continue
                 (ex, ey), _ = terms[0]
-                cx, cy = col_pot[j] = ((-ex - rx) % den, (-ey - ry) % den)
+                cx, cy = col_pot[j] = (-ex - rx, -ey - ry)
                 for k in holders[j]:
                     if row_pot[k] is None:
                         (ex, ey), _ = support[k][j][0]
-                        row_pot[k] = ((-ex - cx) % den, (-ey - cy) % den)
+                        row_pot[k] = (-ex - cx, -ey - cy)
                         queue.append(k)
     col_pot = [pot or (0, 0) for pot in col_pot]  # a column with no entries
     rows = []

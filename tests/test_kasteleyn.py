@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cover, unimodular_image
+from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, kasteleyn
 from tropdimer.dimer import build_graph, zigzag_paths
 from tropdimer.kasteleyn import (
@@ -44,6 +44,11 @@ PARTITION_NAMES = [
     "honeycomb@2x3",
     "honeycomb@1x6",
 ]
+
+# the embedded catalog entries, their 1x2, 2x1 and 2x2 covers, and the ladder
+GAUGE_NAMES = list(dict.fromkeys(
+    [name + size for name in EMBEDDED for size in ("", "@1x2", "@2x1", "@2x2")] + PARTITION_NAMES
+))
 
 
 def subject(name: str):
@@ -112,6 +117,41 @@ def walk_determinant(m) -> LaurentPolynomial:
     return LaurentPolynomial(tuple(acc.items()), m.denominator)
 
 
+def format_by_fractions(p: LaurentPolynomial) -> str:
+    """``format_laurent`` with each exponent a ``Fraction``: the oracle for
+    its reduction by ``math.gcd``."""
+    if p.is_zero:
+        return "0"
+
+    def order(item):
+        (x, y), _ = item
+        return ((x, y) != (0, 0), (-x, -y))
+
+    parts = []
+    for (x, y), c in sorted(p.terms, key=order):
+        factors = []
+        for name, e in (("z1", Fraction(x, p.denominator)), ("z2", Fraction(y, p.denominator))):
+            if e != 0:
+                factors.append(name if e == 1 else f"{name}^{e}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def gauge_sum(gauge) -> tuple:
+    """The sum of a gauge's exponent pairs."""
+    return tuple(sum(pair[k] for pair in gauge.values()) for k in (0, 1))
+
+
 def rational_terms(p: LaurentPolynomial) -> dict:
     """{(x/D, y/D): coefficient}, comparable across denominators."""
     d = p.denominator
@@ -134,6 +174,17 @@ def test_format_constant_first_then_lex_descending():
     )
     assert format_laurent(p) == "3 - z1 - z2 - z1^-1*z2^-1"
     assert format_laurent(LaurentPolynomial(())) == "0"
+
+
+@given(st.data())
+def test_format_reduces_exponents_as_fractions_do(data):
+    d = data.draw(st.integers(1, 60), label="denominator")
+    exponent = st.integers(-3, 3).map(lambda k: k * d) | st.integers(-3 * d, 3 * d)
+    coefficient = st.sampled_from([1, -1]) | st.integers(-9, 9)
+    terms = data.draw(st.lists(st.tuples(st.tuples(exponent, exponent), coefficient), max_size=8))
+    constant = data.draw(coefficient, label="constant")
+    p = LaurentPolynomial(tuple(terms) + (((0, 0), constant),), d)
+    assert format_laurent(p) == format_by_fractions(p)
 
 
 def test_constructor_merges_equal_exponents():
@@ -159,6 +210,35 @@ def test_gauge_changes_shift_exponents_only():
             gauge = make_gauge(graph, f"random:{seed}")
             det = determinant(kasteleyn_matrix(dimer, gauge)).normalized()
             assert det == base, (name, seed)
+
+
+@pytest.mark.parametrize("name", GAUGE_NAMES)
+def test_the_tree_gauge_erases_the_input_gauge(name):
+    """Exact potentials absorb a row and column gauge: the gauged rows are
+    those of the identity gauge, and the shift loses D times its sum."""
+    dimer = subject(name)
+    graph = build_graph(dimer)
+    d = graph.denominator
+    rows, (sx, sy) = kasteleyn._tree_gauge(kasteleyn_matrix(dimer))
+    for seed in range(5):
+        gauge = make_gauge(graph, f"random:{seed}")
+        gx, gy = gauge_sum(gauge)
+        gauged = kasteleyn._tree_gauge(kasteleyn_matrix(dimer, gauge))
+        assert gauged == (rows, (sx - d * gx, sy - d * gy)), (name, seed)
+
+
+@pytest.mark.parametrize("name", GAUGE_NAMES)
+def test_a_gauge_multiplies_the_determinant_by_its_monomial(name):
+    """det(K with gauge g) = z^(sum of g) det(K), term for term."""
+    dimer = subject(name)
+    graph = build_graph(dimer)
+    d = graph.denominator
+    det = determinant(kasteleyn_matrix(dimer))
+    for seed in range(5):
+        gauge = make_gauge(graph, f"random:{seed}")
+        gx, gy = gauge_sum(gauge)
+        expected = monomial((d * gx, d * gy), 1, d) * det
+        assert determinant(kasteleyn_matrix(dimer, gauge)) == expected, (name, seed)
 
 
 def test_mixed_exponent_denominators_are_refused():
