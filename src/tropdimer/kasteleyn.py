@@ -9,8 +9,10 @@ matrix size n and in the size of its Newton box: a tree gauge with exact
 integer potentials makes the exponents integers and erases any input gauge,
 the tropical determinant bounds them, and exact evaluation modulo primes,
 interpolation and the Chinese remainder theorem give the coefficients.
-Only ``enumerate_matchings`` walks the transversals of the matrix, so its
-cost grows with the number of perfect matchings.
+Only ``enumerate_matchings`` walks the perfect matchings, the whites in
+order with a bitmask of the blacks already used, so its cost grows with
+their number.  ``kasteleyn_signs`` is a stage of the dimer, solved at most
+once per instance like those of ``dimer``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import random
 from operator import mul
 from types import MappingProxyType
 
-from .dimer import DimerGraph, DualDimer, build_graph, faces, validate
+from .dimer import DimerGraph, DualDimer, _stage, build_graph, faces, validate
 from .lattice import Record
 
 
@@ -157,20 +159,14 @@ def _exponent(graph: DimerGraph, edge, gauge) -> tuple:
     return x + d * (wx + bx), y + d * (wy + by)
 
 
-def edge_monomial(
-    graph: DimerGraph, edge, gauge=IDENTITY_GAUGE, sign: int = 1
-) -> LaurentPolynomial:
-    """sign * z^(displacement + row exponent + column exponent)."""
-    return monomial(_exponent(graph, edge, gauge), sign, graph.denominator)
-
-
 # ---------------------------------------------------------------------------
 # the matrix
 
 
+@_stage
 def kasteleyn_signs(dimer: DualDimer):
     """A sign per graph edge making every face of length 2k carry sign
-    product (-1)^(k+1).
+    product (-1)^(k+1), as a list kept on the dimer (see `dimer._stage`).
 
     With this condition the determinant's coefficient signs depend only on
     the exponent, so each |coefficient| counts the perfect matchings with
@@ -541,45 +537,36 @@ def _interpolate(rows, nodes: list, p: int) -> list:
 # matchings
 
 
-def _transversals(options):
-    """Yield the payloads, in row order, of every transversal of ``options``.
-
-    ``options`` holds one list of (column, payload) pairs per row; a
-    transversal picks one pair per row, no column twice.  Used columns are
-    a bitmask.
-    """
-    n = len(options)
-    chosen = [None] * n
-
-    def walk(row, used):
-        if row == n:
-            yield tuple(chosen)
-            return
-        for col, payload in options[row]:
-            if used >> col & 1:
-                continue
-            chosen[row] = payload
-            yield from walk(row + 1, used | 1 << col)
-
-    return walk(0, 0)
-
-
 def enumerate_matchings(graph: DimerGraph):
     """All perfect matchings, in sorted canonical order.
 
-    Each matching is a sorted tuple of indices into ``graph.edges``.
+    Each matching is a sorted tuple of indices into ``graph.edges``.  One
+    walk takes the whites in order, each to an edge whose black is not yet
+    used; the used blacks are a bitmask of polytope indices.
     """
     if len(graph.whites) != len(graph.blacks):
         return []
-    options = {w: [] for w in graph.whites}  # a black's index is its column
+    options = {w: [] for w in graph.whites}
     for idx, e in enumerate(graph.edges):
         options[e.white].append((e.black, idx))
-    walk = _transversals(list(options.values()))
-    return sorted(tuple(sorted(matching)) for matching in walk)
+    rows, chosen, found = list(options.values()), [], []
+
+    def walk(used):
+        if len(chosen) == len(rows):
+            found.append(tuple(sorted(chosen)))
+            return
+        for black, idx in rows[len(chosen)]:
+            if not used >> black & 1:
+                chosen.append(idx)
+                walk(used | 1 << black)
+                chosen.pop()
+
+    walk(0)
+    return sorted(found)
 
 
 def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> LaurentPolynomial:
-    acc = monomial((0, 0), 1, graph.denominator)
-    for idx in matching:
-        acc = acc * edge_monomial(graph, graph.edges[idx], gauge)
-    return acc
+    """z^(the sum of ``_exponent`` over the matching's edges)."""
+    exponents = [_exponent(graph, graph.edges[idx], gauge) for idx in matching]
+    total = (sum(x for x, _ in exponents), sum(y for _, y in exponents))
+    return monomial(total, 1, graph.denominator)

@@ -9,7 +9,9 @@ boundary bounds its own disk on the torus, so its class is taken in the
 first homology of the closed surface assembled from the dimer graph with
 a disk glued along every zigzag cycle; that surface is a torus for all
 catalog dimers (Euler count |V| - |E| + #zigzags = 0), so classes land in
-Z^2, canonically up to a unimodular change of basis.
+Z^2, canonically up to a unimodular change of basis.  Every chain is
+written on the non-tree edges of one spanning forest of the graph, which
+fix a cycle.
 """
 
 from __future__ import annotations
@@ -175,44 +177,24 @@ def _smith_normal_form(rows, width):
     return diag, v
 
 
-def _zigzag_walks(dimer: DualDimer, graph):
-    """Each zigzag as an integer chain over the graph edges (oriented
-    white-to-black)."""
-    n = dimer.denominator
-    edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
-    colors = {i: p.color for i, p in enumerate(dimer.polytopes)}
-    chains = []
-    for path in zigzag_paths(dimer):
-        chain = [0] * len(graph.edges)
-        for step in path.steps:
-            x, y = step.end
-            idx = edge_at[(x % n, y % n)]
-            # traversal goes from this step's polytope to the next step's
-            sign = 1 if colors[step.polytope] == WHITE else -1
-            chain[idx] += sign
-        chains.append(chain)
-    return chains
-
-
-def _cycle_coordinates(graph):
-    """A projection from closed chains to coordinates on the cycle space,
-    via a spanning tree: a cycle is determined by its non-tree entries."""
-    n_edges = len(graph.edges)
-    parent = {}
+def _non_tree_edges(dimer: DualDimer, graph) -> list:
+    """The edges off the spanning forest that takes each edge, in order, if
+    it joins two of its components (union-find on polytope indices); a
+    closed chain is fixed by its entries on them."""
+    parent = list(range(len(dimer.polytopes)))
 
     def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    tree = set()
+    non_tree = []
     for idx, e in enumerate(graph.edges):
-        ra, rb = find(("w", e.white)), find(("b", e.black))
-        if ra != rb:
-            parent[ra] = rb
-            tree.add(idx)
-    non_tree = [i for i in range(n_edges) if i not in tree]
+        a, b = find(e.white), find(e.black)
+        if a == b:
+            non_tree.append(idx)
+        else:
+            parent[a] = b
     return non_tree
 
 
@@ -220,28 +202,40 @@ def homology_classes_of_faces(dimer: DualDimer):
     """Classes of the face boundary cycles in H_1 of the zigzag-disk
     surface, as H1Class values in an arbitrary (but fixed) basis.
 
-    Requires that surface to be a torus: rank 2 and no torsion.
+    Requires that surface to be a torus, of free rank 2.  It is closed and
+    orientable (each edge lies on one white-polytope and one black-polytope
+    zigzag step, entered with opposite signs), so H_1 has no torsion.
     """
     graph = build_graph(dimer)
-    non_tree = _cycle_coordinates(graph)
-    zig_rows = [[chain[i] for i in non_tree] for chain in _zigzag_walks(dimer, graph)]
+    non_tree = _non_tree_edges(dimer, graph)
+    column = {idx: c for c, idx in enumerate(non_tree)}
+
+    def row(signed_edges):
+        """A chain over the white-to-black edges, on the non-tree edges."""
+        out = [0] * len(non_tree)
+        for idx, sign in signed_edges:
+            if idx in column:
+                out[column[idx]] += sign
+        return out
+
+    n = dimer.denominator
+    edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
+    colors = [p.color for p in dimer.polytopes]
+    # a step reaches its edge through the anchor of its end; +1 from a white polytope
+    zig_rows = [
+        row((edge_at[s.end[0] % n, s.end[1] % n], 1 if colors[s.polytope] == WHITE else -1)
+            for s in path.steps)
+        for path in zigzag_paths(dimer)
+    ]
     diag, v = _smith_normal_form(zig_rows, len(non_tree))
     rank = len([d for d in diag if d != 0])
-    if any(d not in (0, 1) for d in diag):
-        raise ValueError("zigzag surface has torsion homology")
-    free = len(non_tree) - rank
-    if free != 2:
+    if len(non_tree) - rank != 2:
         raise ValueError("zigzag surface is not a torus")
-    free_cols = list(range(rank, len(non_tree)))
-
     classes = []
     for face in faces(dimer):
-        chain = [0] * len(graph.edges)
-        for idx, sign in zip(face.edge_indices, face.orientations):
-            chain[idx] += sign
-        x = [chain[i] for i in non_tree]
-        coords = [sum(x[r] * v[r][c] for r in range(len(non_tree))) for c in free_cols]
-        classes.append(H1Class(coords[0], coords[1]))
+        x = row(zip(face.edge_indices, face.orientations))
+        a, b = (sum(xr * vr[c] for xr, vr in zip(x, v)) for c in (rank, rank + 1))
+        classes.append(H1Class(a, b))
     return classes
 
 

@@ -181,12 +181,10 @@ def nonlinearity_locus(phi: TropicalPolynomial) -> TropicalCurve:
 
 
 def make_fan(rays) -> TropicalCurve:
-    """A one-vertex curve at the origin from (direction, multiplicity) pairs."""
+    """A one-vertex curve at the origin from (direction, multiplicity) pairs;
+    each direction must be primitive (``CurveEdge`` refuses any other)."""
     o = Vec2(0, 0)
-    return TropicalCurve(
-        (o,),
-        tuple(CurveEdge(o, ray=d.primitive(), multiplicity=m) for d, m in rays),
-    )
+    return TropicalCurve((o,), tuple(CurveEdge(o, ray=d, multiplicity=m) for d, m in rays))
 
 
 def fan_equal(v1: TropicalCurve, v2: TropicalCurve) -> bool:

@@ -233,6 +233,29 @@ def test_exchange_rejects_transverse_edges_at_the_node():
         nodal_trade_exchange(diagram, crossing, 0)
 
 
+def _horizontal_ray_through_the_local_node():
+    """The local model's node with a horizontal ray from (-1, 0) passing
+    through it: no vertex lies at or beyond the node on its eigenray."""
+    diagram, _ = local_model()
+    start = V(-1, 0)
+    ray = CurveOnBase(TropicalCurve((start,), (CurveEdge(start, ray=V(1, 0)),)), ())
+    return nodal_trade_exchange(diagram, ray, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Node(V(0, 0), V(0, 2)), "eigenray must be a primitive integer vector"),
+    (lambda: Node(V(0, 0), V(0, 1), 0), "multiplicity must be positive"),
+    (lambda: nodal_trade(BaseDiagram(None), 0), "non-corner index"),
+    (lambda: build_outer_torus(BaseDiagram(None), F(1, 2)), "diagram has no boundary"),
+    (lambda: build_outer_torus(BaseDiagram(MOMENT_POLYGONS["cp2"]), F(1, 2)),
+     "every corner must be traded first"),
+    (_horizontal_ray_through_the_local_node, "edge not parallel to eigenray"),
+])
+def test_base_diagram_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_moving_an_edge_end_keeps_the_other_fields():
     o, q = V(0, 0), V(1, 2)
     leg = CurveEdge(o, ray=V(0, 1), multiplicity=3)

@@ -37,6 +37,11 @@ def test_catalog_passes_validation(name):
     assert report.ok, list(report.lines())
 
 
+def test_torus_line_refuses_a_direction_that_is_not_primitive():
+    with pytest.raises(ValueError, match="line direction must be primitive"):
+        TorusLine(V(2, 0), Fraction(0))
+
+
 def test_arrangement_refuses_regions_that_are_no_dimer():
     # the regions give 10 polytopes with 21 unmatched vertices
     offsets = (2, 9, 7, 9, 10)

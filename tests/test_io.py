@@ -22,6 +22,12 @@ def test_builders_reproduce_the_frozen_catalog(name):
     assert serialize_dimer(catalog.build(name)) == catalog.catalog_text(name)
 
 
+@pytest.mark.parametrize("lookup", [catalog.build, catalog.catalog_text])
+def test_catalog_refuses_an_unknown_name(lookup):
+    with pytest.raises(ValueError, match="unknown catalog name 'nope'"):
+        lookup("nope")
+
+
 def test_generate_catalog_script_writes_the_frozen_catalog(tmp_path, monkeypatch, capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / "generate_catalog.py"
     spec = importlib.util.spec_from_file_location("generate_catalog", path)

@@ -627,3 +627,29 @@ def test_sign_assignment_satisfies_face_condition(name):
         for idx in face.edge_indices:
             prod *= signs[idx]
         assert prod == (-1) ** (k + 1)
+
+
+def test_signs_are_one_list_kept_on_the_dimer(honeycomb):
+    signs = kasteleyn_signs(honeycomb)
+    assert isinstance(signs, list)
+    assert kasteleyn_signs(honeycomb) is signs
+
+
+def test_matrix_after_the_signs_traces_no_face_again(honeycomb, monkeypatch):
+    """The matrix reads the sign list kept by `kasteleyn_signs`, so it
+    solves no face system of its own."""
+    kasteleyn_signs(honeycomb)
+    calls = []
+    traced = kasteleyn.faces
+    monkeypatch.setattr(kasteleyn, "faces", lambda d: calls.append(d) or traced(d))
+    kasteleyn_matrix(honeycomb)
+    assert calls == []
+
+
+def test_determinant_refuses_a_cycle_off_the_lattice():
+    """Over D = 2, the one cycle of this 2x2 matrix has exponent sum (1, 0):
+    no gauge makes every entry exponent an integer pair."""
+    one, half = monomial((0, 0), 1, 2), monomial((1, 0), 1, 2)
+    m = KasteleynMatrix((0, 1), (2, 3), (one, one, one, half), 2)
+    with pytest.raises(ValueError, match="entry exponents are not integral up to a gauge"):
+        determinant(m)

@@ -18,9 +18,11 @@ from tropdimer.dimer import (
     faces,
     unknown_weight_keys,
     validate,
+    zigzag_paths,
 )
 from tropdimer.lattice import convex_hull
 from tropdimer.mutation import (
+    _smith_normal_form,
     compare_up_to_unimodular,
     euler_characteristic,
     exact_assignment,
@@ -291,3 +293,94 @@ def test_mutation_names_the_first_edge_with_no_weight(honeycomb):
     with pytest.raises(ValueError, match=f"^no weight for edge {first}$"):
         mutate_face(honeycomb, face, weights)
     assert two_walk_mutation(honeycomb, face, weights) == f"no weight for edge {first}"
+
+
+# ---------------------------------------------------------------------------
+# the dense chain projection that homology_classes_of_faces replaced, kept
+# as its oracle: E-long chains, read on the non-tree edges of a forest found
+# by union-find on ("w", i) / ("b", j) keys
+
+
+def _zigzag_walks(dimer, graph):
+    """Each zigzag as an integer chain over the graph edges (oriented
+    white-to-black)."""
+    n = dimer.denominator
+    edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
+    colors = {i: p.color for i, p in enumerate(dimer.polytopes)}
+    chains = []
+    for path in zigzag_paths(dimer):
+        chain = [0] * len(graph.edges)
+        for step in path.steps:
+            x, y = step.end
+            idx = edge_at[(x % n, y % n)]
+            # traversal goes from this step's polytope to the next step's
+            sign = 1 if colors[step.polytope] == WHITE else -1
+            chain[idx] += sign
+        chains.append(chain)
+    return chains
+
+
+def _cycle_coordinates(graph):
+    """A projection from closed chains to coordinates on the cycle space,
+    via a spanning tree: a cycle is determined by its non-tree entries."""
+    n_edges = len(graph.edges)
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    tree = set()
+    for idx, e in enumerate(graph.edges):
+        ra, rb = find(("w", e.white)), find(("b", e.black))
+        if ra != rb:
+            parent[ra] = rb
+            tree.add(idx)
+    non_tree = [i for i in range(n_edges) if i not in tree]
+    return non_tree
+
+
+def oracle_projection(dimer):
+    """(non-tree edges, Smith diagonal of the zigzag rows, its V) through the oracle."""
+    graph = build_graph(dimer)
+    non_tree = _cycle_coordinates(graph)
+    rows = [[chain[i] for i in non_tree] for chain in _zigzag_walks(dimer, graph)]
+    diag, v = _smith_normal_form(rows, len(non_tree))
+    return non_tree, diag, v
+
+
+# the catalog entries and their covers up to 2x2
+HOMOLOGY_CASES = [(name, kx, ky) for name in catalog.NAMES
+                  for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2))]
+
+
+@pytest.mark.parametrize("name, kx, ky", HOMOLOGY_CASES)
+def test_zigzag_surface_homology_has_no_torsion(name, kx, ky):
+    """The zigzag surface is closed and orientable, so the Smith normal form
+    of its zigzag rows has only 0 and 1 on the diagonal."""
+    _, diag, _ = oracle_projection(cover(catalog.build(name), kx, ky))
+    assert set(diag) <= {0, 1}
+
+
+@pytest.mark.parametrize("name, kx, ky", HOMOLOGY_CASES)
+def test_face_classes_agree_with_the_dense_chain_oracle(name, kx, ky):
+    """The classes are refused exactly where the oracle's free rank is not
+    2, and elsewhere equal the face chains read through its projection."""
+    dimer = cover(catalog.build(name), kx, ky)
+    non_tree, diag, v = oracle_projection(dimer)
+    rank = len([d for d in diag if d != 0])
+    if len(non_tree) - rank != 2:
+        with pytest.raises(ValueError, match="zigzag surface is not a torus"):
+            homology_classes_of_faces(dimer)
+        return
+    expected = []
+    for face in faces(dimer):
+        chain = [0] * len(build_graph(dimer).edges)
+        for idx, sign in zip(face.edge_indices, face.orientations):
+            chain[idx] += sign
+        x = [chain[i] for i in non_tree]
+        a, b = (sum(x[r] * v[r][c] for r in range(len(non_tree))) for c in (rank, rank + 1))
+        expected.append(H1Class(a, b))
+    assert homology_classes_of_faces(dimer) == expected

@@ -129,6 +129,25 @@ def test_genus_of_needs_a_lattice_polygon_and_is_zero_when_degenerate():
     assert genus_of(RatPolygon((V(0, 0), V(2, 0), V(4, 0)))) == 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: TropicalPolynomial(()), "polynomial needs at least one term"),
+    (lambda: TropicalPolynomial(((V(1, 0), 0), (V(1, 0), 2))), "exponents must be pairwise distinct"),
+    (lambda: dual_function(RatPolygon((V(0, 0), V(1, 0))), "convex"),
+     "degenerate polygon has no dual function"),
+    (lambda: dual_function(unit_triangle(), "x"), "unknown duality color 'x'"),
+])
+def test_polynomial_and_dual_function_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_make_fan_takes_each_direction_as_given():
+    """make_fan builds each ray from its direction as given: a direction
+    that is not primitive is refused by ``CurveEdge``, not reduced."""
+    with pytest.raises(ValueError, match="ray direction must be primitive"):
+        make_fan(((V(2, 0), 1),))
+
+
 def test_curve_edges_demand_primitive_rays():
     with pytest.raises(ValueError):
         CurveEdge(V(0, 0), ray=V(2, 2))
