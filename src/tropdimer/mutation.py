@@ -11,7 +11,10 @@ a disk glued along every zigzag cycle; that surface is a torus for all
 catalog dimers (Euler count |V| - |E| + #zigzags = 0), so classes land in
 Z^2, canonically up to a unimodular change of basis.  Every chain is
 written on the non-tree edges of one spanning forest of the graph, which
-fix a cycle.
+fix a cycle.  Every dart lies on one zigzag, and each edge is the end of
+one white step and one black step, entered with opposite signs; so the
+zigzag rows are the incidence matrix of a graph with a vertex per zigzag,
+and their Smith form is a run of edge contractions, every pivot +-1.
 """
 
 from __future__ import annotations
@@ -106,74 +109,44 @@ def euler_characteristic(dimer: DualDimer) -> int:
 
 
 def _smith_normal_form(rows, width):
-    """Smith normal form of an integer matrix given as a list of rows.
+    """Smith normal form of the incidence matrix of a graph, given as a list
+    of rows with at most one +1 and one -1 in each column.
 
     Returns (diagonal entries, V) with U*A*V = D; only the right transform
     V (an integer matrix with |det| = 1, as columns) is tracked, since we
-    need coordinates on the quotient lattice Z^width / rowspace(A).
+    need coordinates on the quotient lattice Z^width / rowspace(A).  Each
+    step contracts one edge: its pivot is the first nonzero entry, by rows
+    and then columns, and adding the pivot row into the other row, if any,
+    that holds the pivot column leaves the incidence matrix of the contracted
+    graph.  So every pivot is +-1, every quotient is exact, and the diagonal
+    is all 1; its length is the rank.
     """
     a = [list(r) for r in rows]
-    h = len(a)
     v = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(src, dst, k):  # col_dst += k * col_src
-        for r in a:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def add_row(src, dst, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-
     diag = []
-    t = 0
-    while t < min(h, width):
-        # find a pivot
-        pivot = None
-        for i in range(t, h):
-            for j in range(t, width):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
+    for t in range(min(len(a), width)):
+        pivot = next(((i, j) for i in range(t, len(a)) for j in range(t, width) if a[i][j]), None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t with row operations
-            dirty = False
-            for i in range(t + 1, h):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, width):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
-            for r in a:
-                r[t] = -r[t]
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for r in a + v:
+            r[t], r[j] = r[j], r[t]
+        p = a[t][t]
+        for i in range(t + 1, len(a)):
+            if a[i][t]:
+                k = a[i][t] * p
+                a[i] = [x - k * y for x, y in zip(a[i], a[t])]
+        # the column operations that clear row t touch no other row of a
+        for j in range(t + 1, width):
+            if a[t][j]:
+                k = a[t][j] * p
+                for r in v:
+                    r[j] -= k * r[t]
+        if p < 0:
             for r in v:
                 r[t] = -r[t]
-        diag.append(a[t][t])
-        t += 1
+        diag.append(1)
     return diag, v
 
 
@@ -228,7 +201,7 @@ def homology_classes_of_faces(dimer: DualDimer):
         for path in zigzag_paths(dimer)
     ]
     diag, v = _smith_normal_form(zig_rows, len(non_tree))
-    rank = len([d for d in diag if d != 0])
+    rank = len(diag)
     if len(non_tree) - rank != 2:
         raise ValueError("zigzag surface is not a torus")
     classes = []
@@ -259,8 +232,7 @@ def seed_directions(fan_rays):
     from .catalog import DEL_PEZZO_FANS
 
     rays = tuple(sorted(Vec2(r.x, r.y).primitive() for r in fan_rays))
-    known = {name: tuple(sorted(rs)) for name, rs in DEL_PEZZO_FANS.items()}
-    if rays not in known.values():
+    if rays not in {tuple(sorted(rs)) for rs in DEL_PEZZO_FANS.values()}:
         raise ValueError("unknown fan")
 
     ordered = sorted(rays, key=angle_key)
@@ -275,37 +247,27 @@ def seed_directions(fan_rays):
 
 def compare_up_to_unimodular(a, b) -> UnimodularMap | None:
     """A unimodular linear map sending multiset ``a`` to multiset ``b``,
-    or None.  Exhaustive over ordered pairs; sizes here are at most 6."""
+    or None.  The first independent pair of ``a`` fixes the map, so it is
+    tried against each ordered pair of ``b``; sizes here are at most 6.
+    Classes that do not span the plane are refused."""
     a = [c if isinstance(c, H1Class) else H1Class(*c) for c in a]
     b = [c if isinstance(c, H1Class) else H1Class(*c) for c in b]
     if len(a) != len(b):
         raise ValueError("multisets must have equal size")
-
-    def multiset(classes):
-        return sorted((c.a, c.b) for c in classes)
-
-    target = multiset(b)
-    # an independent pair of a
-    pair = None
-    for i in range(len(a)):
-        for j in range(len(a)):
-            if a[i].a * a[j].b - a[i].b * a[j].a != 0:
-                pair = (i, j)
-                break
-        if pair:
-            break
+    pair = next(((p, q) for p in a for q in a if p.a * q.b - p.b * q.a), None)
     if pair is None:
-        return UnimodularMap.identity() if multiset(a) == target else None
-    i, j = pair
-    det_a = a[i].a * a[j].b - a[i].b * a[j].a
+        raise ValueError("classes must span the plane")
+    p, q = pair
+    det_a = p.a * q.b - p.b * q.a
+    target = sorted(b)
     for b1 in b:
         for b2 in b:
-            # solve M * a_i = b1, M * a_j = b2
+            # solve M * p = b1, M * q = b2
             num = [
-                b1.a * a[j].b - b2.a * a[i].b,
-                -b1.a * a[j].a + b2.a * a[i].a,
-                b1.b * a[j].b - b2.b * a[i].b,
-                -b1.b * a[j].a + b2.b * a[i].a,
+                b1.a * q.b - b2.a * p.b,
+                -b1.a * q.a + b2.a * p.a,
+                b1.b * q.b - b2.b * p.b,
+                -b1.b * q.a + b2.b * p.a,
             ]
             if any(x % det_a for x in num):
                 continue
@@ -313,6 +275,6 @@ def compare_up_to_unimodular(a, b) -> UnimodularMap | None:
             if abs(ma * md - mb * mc) != 1:
                 continue
             m = UnimodularMap(ma, mb, mc, md)
-            if multiset([m.apply_class(c) for c in a]) == target:
+            if sorted(m.apply_class(c) for c in a) == target:
                 return m
     return None

@@ -693,6 +693,23 @@ def test_section_validity_is_unimodular_invariant():
     assert validate_section(moved) == validate_section(base)
 
 
+def test_transition_stored_backward_is_read_as_its_inverse():
+    # the second chart of two_chart_section, in coordinates x_1 with
+    # x_0 = m(x_1)
+    first, second = two_chart_section().charts
+    m = UnimodularMap(1, 1, 0, 1, V(2, -1))
+    region = RatPolygon(tuple(m.inverse().apply(v) for v in second.region.vertices))
+
+    def section(phi, transitions):
+        return ChartedSection((first, Chart(region, _pull(phi, m.inverse()))), transitions)
+
+    assert validate_section(section(second.phi, (((0, 1), m),)))
+    assert validate_section(section(second.phi, (((1, 0), m.inverse()),)))
+    assert not validate_section(section(second.phi, ()))
+    half = TropicalPolynomial(((V(F(1, 2), 0), F(0)),), False)
+    assert not validate_section(section(half, (((1, 0), m.inverse()),)))
+
+
 def _pull(phi, m):
     from tropdimer.almost_toric import _transform_polynomial
 

@@ -152,6 +152,33 @@ def test_validate_report_names_unmatched_torus_points(tmp_path, capsys):
     ]
 
 
+def test_validate_names_germs_that_are_not_opposite(tmp_path, capsys):
+    doc = tmp_path / "germs.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "schema": "tropdimer/1",
+                "denominator": 2,
+                "polytopes": [
+                    {"color": "white", "vertices": [[-1, 0], [0, -1], [1, 1]]},
+                    {"color": "black", "vertices": [[1, 0], [1, 1], [0, 1]]},
+                ],
+            }
+        )
+    )
+    code, out, _ = invoke(capsys, "validate", str(doc))
+    assert code == 1
+    assert out.splitlines() == [
+        "distinct vertices per color: pass",
+        "white/black vertex sets match mod Z^2: pass",
+        "opposite edge germs at matched vertices: FAIL"
+        " offenders=[T(0, 1/2), T(1/2, 0), T(1/2, 1/2)]",
+        "self-intersections: present",
+    ]
+    code, out, _ = invoke(capsys, "validate", str(doc), "--json")
+    assert (code, out) == (1, '{"ok": false, "immersed": true}\n')
+
+
 def test_mutate_writes_dimer_and_reports_immersion(tmp_path, capsys):
     out_path = tmp_path / "mut.json"
     code, out, _ = invoke(capsys, "mutate", "catalog:honeycomb", "--face", "0", "--out", str(out_path))

@@ -198,6 +198,23 @@ def test_validation_catches_mismatched_vertex_sets():
     assert not report.matching_ok
 
 
+def test_validation_catches_germs_that_are_not_opposite():
+    # pants-min with its black triangle redrawn on the same torus points:
+    # the vertex sets match, but no edge germ of the black triangle is
+    # opposite its white one
+    bad = DualDimer(
+        2,
+        (
+            Polytope("white", ((-1, 0), (0, -1), (1, 1))),
+            Polytope("black", ((1, 0), (1, 1), (0, 1))),
+        ),
+    )
+    report = validate(bad)
+    assert report.distinct_ok and report.matching_ok
+    assert report.germ_offenders == ((0, 1), (1, 0), (1, 1))
+    assert not report.ok
+
+
 def test_graph_edges_have_stable_ids(honeycomb):
     graph = build_graph(honeycomb)
     assert len(graph.edges) == 9

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import EMBEDDED, cover, unimodular_image
@@ -31,7 +31,7 @@ from tropdimer.mutation import (
     mutation_directions,
     seed_directions,
 )
-from tropdimer.lattice import H1Class, Vec2
+from tropdimer.lattice import H1Class, UnimodularMap, Vec2
 from tropdimer.tropical import fan_equal
 
 
@@ -342,12 +342,88 @@ def _cycle_coordinates(graph):
     return non_tree
 
 
+# the general integer Smith normal form, with its Euclid remainder loop,
+# that the edge contractions of _smith_normal_form replaced
+
+
+def general_smith_normal_form(rows, width):
+    """Smith normal form of an integer matrix given as a list of rows.
+
+    Returns (diagonal entries, V) with U*A*V = D; only the right transform
+    V (an integer matrix with |det| = 1, as columns) is tracked, since we
+    need coordinates on the quotient lattice Z^width / rowspace(A).
+    """
+    a = [list(r) for r in rows]
+    h = len(a)
+    v = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_col(src, dst, k):  # col_dst += k * col_src
+        for r in a:
+            r[dst] += k * r[src]
+        for r in v:
+            r[dst] += k * r[src]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def add_row(src, dst, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+
+    diag = []
+    t = 0
+    while t < min(h, width):
+        # find a pivot
+        pivot = None
+        for i in range(t, h):
+            for j in range(t, width):
+                if a[i][j] != 0:
+                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            # clear column t with row operations
+            dirty = False
+            for i in range(t + 1, h):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, width):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        if a[t][t] < 0:
+            for r in a:
+                r[t] = -r[t]
+            for r in v:
+                r[t] = -r[t]
+        diag.append(a[t][t])
+        t += 1
+    return diag, v
+
+
 def oracle_projection(dimer):
     """(non-tree edges, Smith diagonal of the zigzag rows, its V) through the oracle."""
     graph = build_graph(dimer)
     non_tree = _cycle_coordinates(graph)
     rows = [[chain[i] for i in non_tree] for chain in _zigzag_walks(dimer, graph)]
-    diag, v = _smith_normal_form(rows, len(non_tree))
+    diag, v = general_smith_normal_form(rows, len(non_tree))
     return non_tree, diag, v
 
 
@@ -384,3 +460,121 @@ def test_face_classes_agree_with_the_dense_chain_oracle(name, kx, ky):
         a, b = (sum(x[r] * v[r][c] for r in range(len(non_tree))) for c in (rank, rank + 1))
         expected.append(H1Class(a, b))
     assert homology_classes_of_faces(dimer) == expected
+
+
+def _contraction_cases():
+    """The catalog entries, their 1x2, 2x1, 2x2 and 3x3 covers, and every
+    face mutation of the embedded entries that mutate_face accepts."""
+    cases = []
+    for name in catalog.NAMES:
+        base = catalog.build(name)
+        cases.append((name, base))
+        cases += [(f"{name} {kx}x{ky}", cover(base, kx, ky))
+                  for kx, ky in ((1, 2), (2, 1), (2, 2), (3, 3))]
+    for name in EMBEDDED:
+        base = catalog.build(name)
+        weights = exact_assignment(base)
+        for k, face in enumerate(faces(base)):
+            try:
+                cases.append((f"{name} mutated at {k}", mutate_face(base, face, weights).dimer))
+            except ValueError:
+                pass
+    return cases
+
+
+def test_smith_form_is_a_run_of_edge_contractions():
+    """The zigzag rows are an incidence matrix, and contracting one edge per
+    step gives exactly the general Smith normal form."""
+    cases = _contraction_cases()
+    assert len(cases) == 65
+    for label, dimer in cases:
+        graph = build_graph(dimer)
+        non_tree = _cycle_coordinates(graph)
+        rows = [[chain[i] for i in non_tree] for chain in _zigzag_walks(dimer, graph)]
+        for c in range(len(non_tree)):
+            column = sorted(r[c] for r in rows if r[c])
+            assert column in ([], [-1], [1], [-1, 1]), label
+        want = general_smith_normal_form(rows, len(non_tree))
+        assert _smith_normal_form(rows, len(non_tree)) == want, label
+
+
+# the comparison before it refused classes that do not span the plane, kept
+# as the oracle for those that do
+def exhaustive_compare_up_to_unimodular(a, b) -> UnimodularMap | None:
+    """A unimodular linear map sending multiset ``a`` to multiset ``b``,
+    or None.  Exhaustive over ordered pairs; sizes here are at most 6."""
+    a = [c if isinstance(c, H1Class) else H1Class(*c) for c in a]
+    b = [c if isinstance(c, H1Class) else H1Class(*c) for c in b]
+    if len(a) != len(b):
+        raise ValueError("multisets must have equal size")
+
+    def multiset(classes):
+        return sorted((c.a, c.b) for c in classes)
+
+    target = multiset(b)
+    # an independent pair of a
+    pair = None
+    for i in range(len(a)):
+        for j in range(len(a)):
+            if a[i].a * a[j].b - a[i].b * a[j].a != 0:
+                pair = (i, j)
+                break
+        if pair:
+            break
+    if pair is None:
+        return UnimodularMap.identity() if multiset(a) == target else None
+    i, j = pair
+    det_a = a[i].a * a[j].b - a[i].b * a[j].a
+    for b1 in b:
+        for b2 in b:
+            # solve M * a_i = b1, M * a_j = b2
+            num = [
+                b1.a * a[j].b - b2.a * a[i].b,
+                -b1.a * a[j].a + b2.a * a[i].a,
+                b1.b * a[j].b - b2.b * a[i].b,
+                -b1.b * a[j].a + b2.b * a[i].a,
+            ]
+            if any(x % det_a for x in num):
+                continue
+            ma, mb, mc, md = (x // det_a for x in num)
+            if abs(ma * md - mb * mc) != 1:
+                continue
+            m = UnimodularMap(ma, mb, mc, md)
+            if multiset([m.apply_class(c) for c in a]) == target:
+                return m
+    return None
+
+
+@st.composite
+def spanning_class_pairs(draw):
+    """(a, b): 1 to 6 classes in [-2, 2]^2 holding an independent pair, and
+    either a shuffled unimodular image of them or as many random classes."""
+    entry = st.integers(-2, 2)
+    a = draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=6))
+    assume(any(p[0] * q[1] - p[1] * q[0] for p in a for q in a))
+    if draw(st.booleans()):
+        m = UnimodularMap.identity()
+        for shear in draw(st.lists(st.sampled_from(
+                [UnimodularMap(1, 1, 0, 1), UnimodularMap(1, 0, -1, 1),
+                 UnimodularMap(0, 1, 1, 0), UnimodularMap(-1, 0, 0, 1)]), max_size=4)):
+            m = m.compose(shear)
+        b = draw(st.permutations([(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in a]))
+    else:
+        b = draw(st.lists(st.tuples(entry, entry), min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_class_pairs())
+def test_compare_up_to_unimodular_agrees_with_the_exhaustive_oracle(case):
+    a, b = case
+    assert compare_up_to_unimodular(a, b) == exhaustive_compare_up_to_unimodular(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(((1, 0),), ((0, 1),)), (((1, 0), (2, 0)), ((0, 1), (0, 2)))],
+)
+def test_compare_up_to_unimodular_refuses_classes_that_do_not_span(a, b):
+    with pytest.raises(ValueError, match="^classes must span the plane$"):
+        compare_up_to_unimodular(a, b)
