@@ -532,9 +532,10 @@ def dimer_to_tropical_fan(dimer: DualDimer) -> TropicalCurve:
         cls = path.cls
         if cls.a == 0 and cls.b == 0:
             raise ValueError("null-homologous zigzag has no ray direction")
-        direction = Vec2(*_primitive(cls.b, -cls.a))
+        direction = _primitive(cls.b, -cls.a)
         rays[direction] = rays.get(direction, 0) + _black_lattice_length(dimer, path)
-    return make_fan(sorted(rays.items()))
+    # int pairs sort as the Vec2s built from them
+    return make_fan((Vec2(*d), m) for d, m in sorted(rays.items()))
 
 
 # ---------------------------------------------------------------------------

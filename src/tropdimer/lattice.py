@@ -98,10 +98,15 @@ class Vec2(Ordered):
         """The primitive integer vector on the same ray through the origin.
 
         Defined for any nonzero rational vector: clear denominators, then
-        divide by the gcd of the entries.
+        divide by the gcd of the entries.  An integral vector takes one gcd
+        of its numerators; only a non-integral one clears denominators.
         """
         if self.is_zero():
             raise ValueError("zero vector has no primitive direction")
+        if self.is_integral():
+            nx, ny = self.x.numerator, self.y.numerator
+            g = math.gcd(nx, ny)
+            return self if g == 1 else Vec2(nx // g, ny // g)
         den = math.lcm(self.x.denominator, self.y.denominator)
         nx, ny = int(self.x * den), int(self.y * den)
         g = math.gcd(abs(nx), abs(ny))

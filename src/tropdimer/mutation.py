@@ -7,14 +7,20 @@ boundary polytopes, both read off in one walk around the face.
 Mutation directions are the classes of face boundary cycles.  A face
 boundary bounds its own disk on the torus, so its class is taken in the
 first homology of the closed surface assembled from the dimer graph with
-a disk glued along every zigzag cycle; that surface is a torus for all
-catalog dimers (Euler count |V| - |E| + #zigzags = 0), so classes land in
-Z^2, canonically up to a unimodular change of basis.  Every chain is
-written on the non-tree edges of one spanning forest of the graph, which
-fix a cycle.  Every dart lies on one zigzag, and each edge is the end of
-one white step and one black step, entered with opposite signs; so the
-zigzag rows are the incidence matrix of a graph with a vertex per zigzag,
-and their Smith form is a run of edge contractions, every pivot +-1.
+a disk glued along every zigzag cycle.  That surface is a torus (Euler
+count |V| - |E| + #zigzags = 0, free rank 2) for the embedded catalog
+entries, whose classes land in Z^2, canonically up to a unimodular change
+of basis.  It is no torus for the immersed pants-min and
+immersed-hexagon, which count 2, nor for the proper covers of the
+embedded entries, which count less than 0; their classes are refused.
+Every chain is written on the non-tree edges of one spanning forest of
+the graph, which fix a cycle.  Every dart lies on one zigzag, and each
+edge is the end of one white step and one black step, entered with
+opposite signs; so the zigzag rows are the incidence matrix of a graph
+with a vertex per zigzag.  Their rank is read from one union-find over
+the zigzags, so a surface that is no torus is refused before any row is
+built; on a torus their Smith form is a run of edge contractions, every
+pivot +-1.
 """
 
 from __future__ import annotations
@@ -119,7 +125,9 @@ def _smith_normal_form(rows, width):
     and then columns, and adding the pivot row into the other row, if any,
     that holds the pivot column leaves the incidence matrix of the contracted
     graph.  So every pivot is +-1, every quotient is exact, and the diagonal
-    is all 1; its length is the rank.
+    is all 1; its length is the rank, which `_zigzag_chains` already reads
+    from a union-find.  `homology_classes_of_faces` runs it only on a torus,
+    for the basis its V fixes.
     """
     a = [list(r) for r in rows]
     v = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
@@ -150,25 +158,59 @@ def _smith_normal_form(rows, width):
     return diag, v
 
 
+def _find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _non_tree_edges(dimer: DualDimer, graph) -> list:
     """The edges off the spanning forest that takes each edge, in order, if
     it joins two of its components (union-find on polytope indices); a
     closed chain is fixed by its entries on them."""
     parent = list(range(len(dimer.polytopes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     non_tree = []
     for idx, e in enumerate(graph.edges):
-        a, b = find(e.white), find(e.black)
+        a, b = _find(parent, e.white), _find(parent, e.black)
         if a == b:
             non_tree.append(idx)
         else:
             parent[a] = b
     return non_tree
+
+
+def _zigzag_chains(dimer: DualDimer, graph):
+    """Each zigzag as its (edge index, +1 from a white polytope or -1)
+    pairs, one per step, and the rank of the zigzag rows.
+
+    Each edge ends one white and one black step, so the rows are the
+    incidence matrix of the graph with a vertex per zigzag, and their rank
+    is Z minus its components: one union-find over the zigzags, joining
+    the two of each edge, counts the joins.  An edge whose two steps lie on
+    one zigzag is a zero column and joins nothing."""
+    n = dimer.denominator
+    edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
+    colors = [p.color for p in dimer.polytopes]
+    paths = zigzag_paths(dimer)
+    parent = list(range(len(paths)))
+    first = {}  # edge index -> the zigzag of its first step
+    chains = []
+    rank = 0
+    for z, path in enumerate(paths):
+        chain = []
+        for s in path.steps:
+            # a step reaches its edge through the anchor of its end
+            idx = edge_at[s.end[0] % n, s.end[1] % n]
+            chain.append((idx, 1 if colors[s.polytope] == WHITE else -1))
+            other = first.setdefault(idx, z)
+            if other != z:
+                a, b = _find(parent, other), _find(parent, z)
+                if a != b:
+                    parent[a] = b
+                    rank += 1
+        chains.append(chain)
+    return chains, rank
 
 
 def homology_classes_of_faces(dimer: DualDimer):
@@ -177,10 +219,17 @@ def homology_classes_of_faces(dimer: DualDimer):
 
     Requires that surface to be a torus, of free rank 2.  It is closed and
     orientable (each edge lies on one white-polytope and one black-polytope
-    zigzag step, entered with opposite signs), so H_1 has no torsion.
+    zigzag step, entered with opposite signs), so H_1 has no torsion.  Its
+    free rank is the number of non-tree edges minus the rank of the zigzag
+    rows, read from a union-find (`_zigzag_chains`; each row is a cycle, so
+    restricting it to the non-tree edges keeps the rank).  Only on a torus
+    are the rows built and eliminated.
     """
     graph = build_graph(dimer)
     non_tree = _non_tree_edges(dimer, graph)
+    chains, rank = _zigzag_chains(dimer, graph)
+    if len(non_tree) - rank != 2:
+        raise ValueError("zigzag surface is not a torus")
     column = {idx: c for c, idx in enumerate(non_tree)}
 
     def row(signed_edges):
@@ -191,19 +240,7 @@ def homology_classes_of_faces(dimer: DualDimer):
                 out[column[idx]] += sign
         return out
 
-    n = dimer.denominator
-    edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
-    colors = [p.color for p in dimer.polytopes]
-    # a step reaches its edge through the anchor of its end; +1 from a white polytope
-    zig_rows = [
-        row((edge_at[s.end[0] % n, s.end[1] % n], 1 if colors[s.polytope] == WHITE else -1)
-            for s in path.steps)
-        for path in zigzag_paths(dimer)
-    ]
-    diag, v = _smith_normal_form(zig_rows, len(non_tree))
-    rank = len(diag)
-    if len(non_tree) - rank != 2:
-        raise ValueError("zigzag surface is not a torus")
+    _, v = _smith_normal_form([row(chain) for chain in chains], len(non_tree))
     classes = []
     for face in faces(dimer):
         x = row(zip(face.edge_indices, face.orientations))

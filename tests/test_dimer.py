@@ -363,6 +363,39 @@ def test_honeycomb_fan_multiplicities(honeycomb):
     assert check_balancing(fan)
 
 
+def vec2_keyed_fan(d: DualDimer):
+    """The fan keyed and summed on Vec2 rays, as it was built before it
+    worked on int pairs; kept as the oracle."""
+    rays: dict = {}
+    for path in zigzag_paths(d):
+        cls = path.cls
+        if cls.a == 0 and cls.b == 0:
+            raise ValueError("null-homologous zigzag has no ray direction")
+        direction = Vec2(*dimer._primitive(cls.b, -cls.a))
+        rays[direction] = rays.get(direction, 0) + dimer._black_lattice_length(d, path)
+    return make_fan(sorted(rays.items()))
+
+
+def test_fan_agrees_with_the_vec2_keyed_oracle():
+    """On the catalog, its 1x2, 2x1, 2x2 and 3x3 covers, and every face
+    mutation of the embedded entries that mutate_face accepts."""
+    cases = []
+    for name in catalog.NAMES:
+        base = catalog.build(name)
+        cases += [cover(base, kx, ky) for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))]
+    for name in EMBEDDED:
+        base = catalog.build(name)
+        weights = exact_assignment(base)
+        for face in faces(base):
+            try:
+                cases.append(mutate_face(base, face, weights).dimer)
+            except ValueError:
+                pass
+    assert len(cases) == 65
+    for d in cases:
+        assert dimer_to_tropical_fan(d) == vec2_keyed_fan(d), serialize_dimer(d)
+
+
 def test_faces_undefined_for_immersed(pants_min):
     with pytest.raises(ValueError, match="immersed"):
         faces(pants_min)

@@ -43,6 +43,35 @@ def test_primitive():
         Vec2(0, 0).primitive()
 
 
+def rational_primitive(v: Vec2) -> Vec2:
+    """The primitive vector by clearing denominators, the path every vector
+    took before integral ones took one gcd; kept as the oracle."""
+    den = math.lcm(v.x.denominator, v.y.denominator)
+    nx, ny = int(v.x * den), int(v.y * den)
+    g = math.gcd(abs(nx), abs(ny))
+    return Vec2(Fraction(nx, g), Fraction(ny, g))
+
+
+big = st.integers(min_value=-(10**40), max_value=10**40)
+entries = st.one_of(ints, big, st.just(0), rationals, st.fractions(max_denominator=10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries, entries)
+def test_primitive_agrees_with_the_rational_path(x, y):
+    """Negative, axis-parallel, large and non-integral entries alike; the
+    zero vector is still refused."""
+    v = Vec2(x, y)
+    if v.is_zero():
+        with pytest.raises(ValueError, match="^zero vector has no primitive direction$"):
+            v.primitive()
+        return
+    p = v.primitive()
+    assert p == rational_primitive(v)
+    assert p.x.denominator == p.y.denominator == 1
+    assert math.gcd(p.x.numerator, p.y.numerator) == 1
+
+
 def test_convex_hull_collapses_interior_points():
     pts = [(0, 0), (4, 0), (0, 4), (2, 2), (1, 1)]
     assert set(convex_hull(pts)) == {(0, 0), (4, 0), (0, 4)}

@@ -21,8 +21,11 @@ from tropdimer.dimer import (
     zigzag_paths,
 )
 from tropdimer.lattice import convex_hull
+from tropdimer import mutation
 from tropdimer.mutation import (
+    _non_tree_edges,
     _smith_normal_form,
+    _zigzag_chains,
     compare_up_to_unimodular,
     euler_characteristic,
     exact_assignment,
@@ -496,6 +499,47 @@ def test_smith_form_is_a_run_of_edge_contractions():
             assert column in ([], [-1], [1], [-1, 1]), label
         want = general_smith_normal_form(rows, len(non_tree))
         assert _smith_normal_form(rows, len(non_tree)) == want, label
+
+
+def test_union_find_rank_is_the_rank_of_the_zigzag_rows():
+    """The union-find over zigzags gives the free rank that eliminating
+    the zigzag rows on the non-tree edges gives, and its chains are the
+    zigzag walks, on tori and on the surfaces that are no torus alike."""
+    cases = _contraction_cases() + [
+        (f"{name} {kx}x{ky}", cover(catalog.build(name), kx, ky)) for name, kx, ky in HOMOLOGY_CASES
+    ]
+    for label, dimer in cases:
+        graph = build_graph(dimer)
+        non_tree = _non_tree_edges(dimer, graph)
+        chains, rank = _zigzag_chains(dimer, graph)
+        walks = _zigzag_walks(dimer, graph)
+        dense = []
+        for chain in chains:
+            row = [0] * len(graph.edges)
+            for idx, sign in chain:
+                row[idx] += sign
+            dense.append(row)
+        assert dense == walks, label
+        rows = [[w[i] for i in non_tree] for w in walks]
+        diag, _ = _smith_normal_form(rows, len(non_tree))
+        assert len(non_tree) - rank == len(non_tree) - len(diag), label
+
+
+# every proper cover up to 2x2, and the two immersed entries
+NOT_A_TORUS = [(name, kx, ky) for name, kx, ky in HOMOLOGY_CASES if (kx, ky) != (1, 1)] + [
+    ("pants-min", 1, 1),
+    ("immersed-hexagon", 1, 1),
+]
+
+
+@pytest.mark.parametrize("name, kx, ky", NOT_A_TORUS)
+def test_a_surface_that_is_no_torus_is_refused_before_any_elimination(name, kx, ky, monkeypatch):
+    def eliminate(rows, width):
+        raise AssertionError("the zigzag rows were eliminated")
+
+    monkeypatch.setattr(mutation, "_smith_normal_form", eliminate)
+    with pytest.raises(ValueError, match="^zigzag surface is not a torus$"):
+        homology_classes_of_faces(cover(catalog.build(name), kx, ky))
 
 
 # the comparison before it refused classes that do not span the plane, kept
