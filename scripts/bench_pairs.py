@@ -8,7 +8,9 @@ the parent first in even pairs and the change first in odd ones.  The
 change is this checkout's working tree.  The final JSON line of every run
 goes into ``--out`` in the schema of the ``BENCH_<n>.json`` files, and a
 summary of the metrics is printed: each tree's median, the parent's
-quartiles, and in how many pairs the change was better.
+quartiles, and in how many pairs the change was better.  When a run exits
+non-zero, the runs before it are written and summarised all the same, and
+the script exits 1 with that run's error.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json \\
         --workload cover-analysis --workload partition --pairs 5 --seed 91
@@ -110,17 +112,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = extract(args.parent, pathlib.Path(tmp))
         trees = {"parent": pathlib.Path(tmp), "change": ROOT}
-        for workload in args.workload:
-            for k in range(args.pairs):
-                seed = args.seed + k
-                for tree in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    result = run_one(trees[tree], workload, seed, args.seconds, args.trace)
-                    runs.append({"workload": workload, "tree": tree, "seed": seed,
-                                 "seconds": args.seconds, "trace": args.trace, "result": result})
-                    print(f"{workload} {tree} seed {seed}: correct {result['correct']}, "
-                          f"failed {result['failed']}", file=sys.stderr, flush=True)
-    args.out.write_text(json.dumps(bench_record(parent, args.seconds, runs), indent=1) + "\n")
-    print("\n".join(summary(runs)))
+        try:
+            for workload in args.workload:
+                for k in range(args.pairs):
+                    seed = args.seed + k
+                    for tree in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                        result = run_one(trees[tree], workload, seed, args.seconds, args.trace)
+                        runs.append({"workload": workload, "tree": tree, "seed": seed,
+                                     "seconds": args.seconds, "trace": args.trace,
+                                     "result": result})
+                        print(f"{workload} {tree} seed {seed}: correct {result['correct']}, "
+                              f"failed {result['failed']}", file=sys.stderr, flush=True)
+        finally:  # a run that exits non-zero raises SystemExit: keep the runs before it
+            record = bench_record(parent, args.seconds, runs)
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
+            print("\n".join(summary(runs)))
     return 0
 
 

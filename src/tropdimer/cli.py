@@ -304,11 +304,19 @@ def _run(args) -> int:
         return 0
 
     if args.command == "matchings":
-        from .kasteleyn import enumerate_matchings
+        from .kasteleyn import determinant, enumerate_matchings, kasteleyn_matrix
 
         graph = build_graph(dimer)
-        found = enumerate_matchings(graph)
-        return _report(args, found, [len(found)])
+        if args.json or validate(dimer).self_intersecting:
+            found = enumerate_matchings(graph)
+            return _report(args, found, [len(found)])
+        # on an embedded dimer the Kasteleyn signs give all the matchings of one
+        # homology class, one monomial, the same sign, so no two cancel
+        if len(graph.whites) != len(graph.blacks):
+            print(0)
+        else:
+            print(sum(abs(c) for _, c in determinant(kasteleyn_matrix(dimer)).terms))
+        return 0
 
     if args.command == "mutate":
         from .io import serialize_dimer

@@ -7,12 +7,14 @@ exponent is a pair of integer numerators over the graph's denominator D
 determinant (the partition function) is computed in time polynomial in the
 matrix size n and in the size of its Newton box: a tree gauge with exact
 integer potentials makes the exponents integers and erases any input gauge,
-the tropical determinant bounds them, and exact evaluation modulo primes,
-interpolation and the Chinese remainder theorem give the coefficients.
-Only ``enumerate_matchings`` walks the perfect matchings, the whites in
-order with a bitmask of the blacks already used, so its cost grows with
-their number.  ``kasteleyn_signs`` is a stage of the dimer, solved at most
-once per instance like those of ``dimer``.
+an exact elimination of the unit entries +-z^e leaves a small Schur
+complement, the tropical determinant bounds its exponents, and exact
+evaluation modulo primes, interpolation and the Chinese remainder theorem
+give the coefficients.  Only ``enumerate_matchings`` walks the perfect
+matchings, the whites in order with a bitmask of the blacks already used,
+so its cost grows with their number; the `matchings` command counts them
+from the determinant on an embedded dimer.  ``kasteleyn_signs`` is a stage
+of the dimer, solved at most once per instance like those of ``dimer``.
 """
 
 from __future__ import annotations
@@ -245,35 +247,55 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
        on its first term, so every exponent an integer pair (a cycle's sum
        is a homology class), and multiplies the determinant by a monomial
        divided out at the end; any input gauge cancels before the box.
-    2. Four assignment problems (the tropical determinant: least and
+    2. Hadamard's inequality with Cauchy's coefficient estimate bounds
+       every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2) on these
+       n x n rows.
+    3. Every unit entry, a single term +-z^e, is eliminated exactly over
+       Z[z^+-1] (``_unit_reduce``): the determinant is a signed monomial
+       times that of the k x k Schur complement S left, k = 4 for the n = 18
+       of honeycomb 2x3.  The rest runs on S.
+    4. Four assignment problems (the tropical determinant: least and
        greatest total x and y exponent over the transversals), each a
        warm-started Hungarian method on one column of the entries' (least
        x, -greatest x, least y, -greatest y), read once, give a box
        [x0, x1] x [y0, y1] holding every transversal's monomial.
-    3. Hadamard's inequality with Cauchy's coefficient estimate bounds
-       every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2); primes
-       below 2^30, one CPython digit and each tested once per process, are
-       taken from 2^30 - 35 down until their product exceeds twice that.
-    4. For each prime, det mod p at the nodes of a (W1+1) x (W2+1) grid,
-       W = box width, drawn per prime, by one sparse elimination; a prime
-       whose nodes no single pivot order serves is skipped.
-    5. Interpolation along z1 and then z2, one inverse Vandermonde table
-       per axis, and the Chinese remainder theorem to balanced integers.
+    5. Primes below 2^30, one CPython digit and each tested once per
+       process, are taken from 2^30 - 35 down until their product exceeds
+       twice the bound of step 2.  For each, det S mod p at the nodes of a
+       (W1+1) x (W2+1) grid, W = box width, drawn per prime, by one sparse
+       elimination; a prime whose nodes no single pivot order serves is
+       skipped.
+    6. Interpolation along z1 and then z2, one inverse Vandermonde table
+       per axis, and the Chinese remainder theorem to balanced integers,
+       each shifted by the monomial of step 3.
 
-    Entry coefficients must be integers.  The cost is four sparse
-    assignment problems, one Dijkstra search, O(e log n) for e nonzero
-    entries, per row that the greedy start leaves unmatched, plus per prime
-    one elimination, O(n^3) steps on vectors of (W1+1)(W2+1) values at worst
-    and far fewer on the sparse Kasteleyn matrices of torus graphs, and the
-    interpolation, O(W1 W2 (W1 + W2)).  A non-square matrix, or one with no
-    transversal, gives the zero polynomial (no perfect matching), which the
-    `kasteleyn` command prints as `0`.
+    The bound comes from the n x n rows because S's own Hadamard bound is
+    looser (honeycomb 6x6 would take 5 primes on it, not 3); the box comes
+    from S because its assignment problems are k x k, although S's box can
+    be wider than the box of the n x n rows.  Entry coefficients must be
+    integers.  The cost is the unit elimination, a few operations per
+    fill-in term, plus four sparse assignment problems on S, one Dijkstra
+    search, O(e log k) for e nonzero entries, per row that the greedy start
+    leaves unmatched, plus per prime one elimination, O(k^3) steps on
+    vectors of (W1+1)(W2+1) values at worst, and the interpolation,
+    O(W1 W2 (W1 + W2)).  A non-square matrix, or one with no transversal,
+    gives the zero polynomial (no perfect matching), which the `kasteleyn`
+    command prints as `0`.
     """
     n, den = len(m.rows), m.denominator
     zero = LaurentPolynomial((), den)
     if n != len(m.cols):
         return zero
     rows, (sx, sy) = _tree_gauge(m)
+    bound2 = 1
+    for row in rows:
+        bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
+    unit, (ex, ey), rows = _unit_reduce(rows)
+    sx, sy = sx - den * ex, sy - den * ey
+    if not unit:  # a row cancelled to nothing
+        return zero
+    if not rows:
+        return LaurentPolynomial((((-sx, -sy), unit),), den)
     reach = [{} for _ in rows]  # entry -> (least x, -greatest x, least y, -greatest y)
     for i, row in enumerate(rows):
         for j, ts in row.items():
@@ -283,11 +305,8 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     if None in box:  # no transversal
         return zero
     x0, x1, y0, y1 = box[0], -box[1], box[2], -box[3]
-    bound2 = 1
-    for row in rows:
-        bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
-    if rows:  # z^(-x0, -y0) times row 0: a polynomial of degree (W1, W2), W = box width
-        rows[0] = {j: [(x - x0, y - y0, c) for x, y, c in ts] for j, ts in rows[0].items()}
+    # z^(-x0, -y0) times row 0: a polynomial of degree (W1, W2), W = box width
+    rows[0] = {j: [(x - x0, y - y0, c) for x, y, c in ts] for j, ts in rows[0].items()}
     coeffs, modulus = [[0] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)], 1
     for p in _primes():
         a, b = _nodes(p, x1 - x0 + 1, y1 - y0 + 1)
@@ -303,11 +322,84 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
         if modulus * modulus > 4 * bound2:
             break
     terms = [
-        ((den * (x0 + kx) - sx, den * (y0 + ky) - sy), c - modulus if 2 * c > modulus else c)
+        ((den * (x0 + kx) - sx, den * (y0 + ky) - sy),
+         unit * (c - modulus if 2 * c > modulus else c))
         for kx, cs in enumerate(coeffs)
         for ky, c in enumerate(cs)
     ]
     return LaurentPolynomial(tuple(terms), den)
+
+
+def _unit_reduce(rows):
+    """(unit, (ex, ey), rest): the determinant of the gauged rows is
+    unit * z^(ex, ey) times that of the k x k rows ``rest``, re-indexed in
+    order, with unit 0 when a row cancels to nothing (the determinant is 0).
+
+    A sparse elimination, exact over Z[z^+-1], whose pivots are units: single
+    terms +-z^e, whose inverse is a unit.  Each step takes ``_det_mod``'s
+    pivot restricted to units: the remaining row with the fewest entries
+    that holds a unit and, among its units, the column held by the fewest
+    remaining rows; every other row r holding that column j loses
+    (t_rj / pivot) times the pivot row, a polynomial that cancels dropped.
+    It stops when no remaining row holds a unit.  The sign is that of the
+    permutation taking each pivot row to its column and the remaining rows,
+    in order, to the remaining columns in order.
+    """
+    n = len(rows)
+    left = {i: {j: {(x, y): c for x, y, c in ts} for j, ts in row.items()}
+            for i, row in enumerate(rows)}
+    holders = [set() for _ in range(n)]  # column -> remaining rows with an entry there
+    for i, row in left.items():
+        for j in row:
+            holders[j].add(i)
+
+    def units(row):
+        return [j for j, t in row.items() if len(t) == 1 and abs(next(iter(t.values()))) == 1]
+
+    ready = {i for i, row in left.items() if units(row)}
+    perm, unit, ex, ey = [None] * n, 1, 0, 0
+    while ready:
+        i = min(ready, key=lambda r: len(left[r]))
+        ready.remove(i)
+        row = left.pop(i)
+        j = min(units(row), key=lambda c: len(holders[c]))
+        for c in row:
+            holders[c].discard(i)
+        ((px, py), pc), = row.pop(j).items()
+        perm[i], unit, ex, ey = j, unit * pc, ex + px, ey + py
+        for r in holders[j]:
+            target = left[r]
+            # minus t_rj / pivot, the pivot's inverse being pc z^(-px, -py)
+            f = [(x - px, y - py, -c * pc) for (x, y), c in target.pop(j).items()]
+            for col, value in row.items():
+                acc = target.setdefault(col, {})
+                for (x, y), c in value.items():
+                    for fx, fy, fc in f:
+                        key = x + fx, y + fy
+                        if s := acc.get(key, 0) + c * fc:
+                            acc[key] = s
+                        else:
+                            del acc[key]
+                if acc:
+                    holders[col].add(r)
+                else:
+                    del target[col]
+                    holders[col].discard(r)
+            if not target:
+                return 0, (0, 0), []
+            if units(target):
+                ready.add(r)
+            else:
+                ready.discard(r)
+    pivoted = set(perm)
+    cols = [j for j in range(n) if j not in pivoted]
+    for i, j in zip(left, cols):
+        perm[i] = j
+    unit *= (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
+    index = {j: k for k, j in enumerate(cols)}
+    rest = [{index[j]: [(x, y, c) for (x, y), c in t.items()] for j, t in row.items()}
+            for row in left.values()]
+    return unit, (ex, ey), rest
 
 
 def _tree_gauge(m: KasteleynMatrix):
@@ -459,13 +551,16 @@ def _inverses(values: list, p: int) -> list:
 
 
 def _det_mod(rows, a: list, b: list, p: int):
-    """det mod p of the gauged matrix at each node (z1, z2) = (a[k], b[l]),
-    indexed l * len(a) + k, or None when no pivot order serves every node:
-    one elimination on sparse rows of per-node values, an entry zero at every
-    node dropped, an entry 1 * z^e sharing the list of z^e (no list is changed
-    in place).  Each step takes the remaining row with the fewest entries
-    (none: det is zero) and, among its entries nonzero at every node, the
-    column held by the fewest remaining rows, inverted if another row holds it."""
+    """det mod p of the rows, the Schur complement that ``_unit_reduce``
+    leaves, at each node (z1, z2) = (a[k], b[l]), indexed l * len(a) + k, or
+    None when no pivot order serves every node: one elimination on sparse
+    rows of per-node values, an entry zero at every node dropped, an entry
+    1 * z^e sharing the list of z^e (no list is changed in place).  Each step
+    takes the remaining row with the fewest entries (none: det is zero) and,
+    among its entries nonzero at every node, the column held by the fewest
+    remaining rows, inverted if another row holds it.  The rows hold no
+    unit, so every pivot is a polynomial of several terms or c * z^e with
+    |c| > 1, which may vanish at some node."""
     pairs = {(x, y) for row in rows for ts in row.values() for x, y, _ in ts}
     za, zb = ({e: [pow(z, abs(e), p) for z in (nodes if e >= 0 else inverse)]
                for e in {pair[k] for pair in pairs}}

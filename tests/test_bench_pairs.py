@@ -5,6 +5,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -59,4 +61,34 @@ def test_summary_counts_the_pairs_the_change_won():
     assert bench_pairs.summary(canned_runs()) == [
         "cover-analysis ops_per_s: 405 -> 445 (parent quartiles 402.5-407.5; change better in 2/2 pairs)",
         "cover-analysis op_ms_p50: 1.85 -> 1.85 (parent quartiles 1.775-1.925; change better in 1/2 pairs)",
+    ]
+
+
+def test_a_failing_run_keeps_the_runs_before_it(monkeypatch, tmp_path, capsys):
+    """The third run exits non-zero: the first pair is written and
+    summarised, and the script exits 1 with that run's error."""
+    calls = []
+
+    def run_one(tree, workload, seed, seconds, trace):
+        calls.append((tree.name, seed))
+        if len(calls) == 3:
+            raise SystemExit(f"error: {workload} seed {seed} exited 1:\nboom")
+        return bench_pairs.result_of(canned(400 + len(calls), 2.0))
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: "abc1234")
+    monkeypatch.setattr(bench_pairs, "run_one", run_one)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD~1", "--out", str(out), "--workload", "cover-analysis",
+                          "--pairs", "3", "--seed", "7", "--seconds", "20"])
+    assert exc.value.code == "error: cover-analysis seed 8 exited 1:\nboom"
+    assert len(calls) == 3
+    record = json.loads(out.read_text())
+    assert "parent is commit abc1234" in record["about"]
+    assert [(run["tree"], run["seed"], run["result"]["metrics"]["ops_per_s"]["value"])
+            for run in record["runs"]] == [("parent", 7, 401), ("change", 7, 402)]
+    assert capsys.readouterr().out.splitlines() == [
+        "cover-analysis ops_per_s: 401 -> 402 "
+        "(parent quartiles 401-401; change better in 1/1 pairs)",
+        "cover-analysis op_ms_p50: 2 -> 2 (parent quartiles 2-2; change better in 0/1 pairs)",
     ]

@@ -1,10 +1,13 @@
 import json
 import random
+import time
 
 import pytest
 
+from conftest import EMBEDDED, cover
 from tropdimer import catalog
 from tropdimer.cli import run
+from tropdimer.io import serialize_dimer
 
 
 def invoke(capsys, *argv):
@@ -240,6 +243,30 @@ def test_fan_and_zigzags_and_euler(capsys):
 def test_matchings_count(capsys):
     code, out, _ = invoke(capsys, "matchings", "catalog:honeycomb")
     assert code == 0 and out.strip() == "6"
+
+
+@pytest.mark.parametrize("size", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_the_matchings_count_is_the_listing_length(name, size, tmp_path, capsys):
+    """On an embedded dimer `matchings` prints the sum of the determinant's
+    |coefficients|; `--json` still lists the matchings one by one."""
+    path = tmp_path / "cover.json"
+    path.write_text(serialize_dimer(cover(catalog.build(name), *size)))
+    code, count, _ = invoke(capsys, "matchings", str(path))
+    assert code == 0
+    code, listing, _ = invoke(capsys, "matchings", str(path), "--json")
+    assert code == 0
+    assert int(count) == len(json.loads(listing)) > 0
+
+
+def test_matchings_counts_honeycomb_three_by_three_without_listing(tmp_path, capsys):
+    """15,162 matchings, which the listing takes seconds to walk."""
+    path = tmp_path / "cover.json"
+    path.write_text(serialize_dimer(cover(catalog.build("honeycomb"), 3, 3)))
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "matchings", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert code == 0 and out == "15162\n"
 
 
 def test_compare_seed(capsys):

@@ -653,3 +653,145 @@ def test_determinant_refuses_a_cycle_off_the_lattice():
     m = KasteleynMatrix((0, 1), (2, 3), (one, one, one, half), 2)
     with pytest.raises(ValueError, match="entry exponents are not integral up to a gauge"):
         determinant(m)
+
+
+# ---------------------------------------------------------------------------
+# the unit reduction
+
+
+def unreduced_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
+    """``determinant`` as it ran before the unit reduction: the box, the grid
+    and the elimination on all n x n gauged rows."""
+    n, den = len(m.rows), m.denominator
+    zero = LaurentPolynomial((), den)
+    if n != len(m.cols):
+        return zero
+    rows, (sx, sy) = kasteleyn._tree_gauge(m)
+    reach = [{} for _ in rows]  # entry -> (least x, -greatest x, least y, -greatest y)
+    for i, row in enumerate(rows):
+        for j, ts in row.items():
+            xs, ys, _ = zip(*ts)
+            reach[i][j] = min(xs), -max(xs), min(ys), -max(ys)
+    box = [kasteleyn._assignment([{j: r[k] for j, r in row.items()} for row in reach])
+           for k in range(4)]
+    if None in box:  # no transversal
+        return zero
+    x0, x1, y0, y1 = box[0], -box[1], box[2], -box[3]
+    bound2 = 1
+    for row in rows:
+        bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
+    if rows:  # z^(-x0, -y0) times row 0: a polynomial of degree (W1, W2), W = box width
+        rows[0] = {j: [(x - x0, y - y0, c) for x, y, c in ts] for j, ts in rows[0].items()}
+    coeffs, modulus = [[0] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)], 1
+    for p in kasteleyn._primes():
+        a, b = kasteleyn._nodes(p, x1 - x0 + 1, y1 - y0 + 1)
+        values = kasteleyn._det_mod(rows, a, b, p)
+        if values is None:  # no pivot order serves every node: the next prime draws new ones
+            continue
+        in_z1 = kasteleyn._interpolate(
+            [values[k:k + len(a)] for k in range(0, len(values), len(a))], a, p)
+        residues = kasteleyn._interpolate(zip(*in_z1), b, p)  # [kx][ky]
+        step = pow(modulus, -1, p)
+        coeffs = [[c + modulus * ((r - c) * step % p) for c, r in zip(cs, rs)]
+                  for cs, rs in zip(coeffs, residues)]
+        modulus *= p
+        if modulus * modulus > 4 * bound2:
+            break
+    terms = [
+        ((den * (x0 + kx) - sx, den * (y0 + ky) - sy), c - modulus if 2 * c > modulus else c)
+        for kx, cs in enumerate(coeffs)
+        for ky, c in enumerate(cs)
+    ]
+    return LaurentPolynomial(tuple(terms), den)
+
+
+UNIT = st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.sampled_from([1, -1]))
+UNIT_HEAVY_ENTRY = st.one_of(
+    UNIT.map(lambda t: (t,)), UNIT.map(lambda t: (t,)), UNIT.map(lambda t: (t,)),
+    st.just(()), st.lists(TERM, min_size=2, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def unit_heavy_matrices(draw) -> KasteleynMatrix:
+    """A sparse n x n matrix, n <= 7, mostly of units +-z^e, e in [-2, 2]^2,
+    with some entries of several terms and some zero; or a monomial
+    permutation matrix (k = 0); or one of the first kind with a row a unit
+    multiple of another (a row cancels when either is a pivot row)."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["units", "permutation", "copy"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        rows = [[(draw(UNIT),) if j == perm[i] else () for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(UNIT_HEAVY_ENTRY) for _ in range(n)] for _ in range(n)]
+    rows = [[LaurentPolynomial(terms) for terms in row] for row in rows]
+    if kind == "copy" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = LaurentPolynomial((draw(UNIT),))
+        rows[j] = [e * factor for e in rows[i]]
+    return KasteleynMatrix(tuple(range(n)), tuple(range(n)), tuple(sum(rows, [])), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_heavy_matrices())
+def test_the_unit_reduction_keeps_the_determinant(m):
+    det = determinant(m)
+    assert det == unreduced_determinant(m)
+    if len(m.rows) <= 5:
+        assert det == leibniz_determinant(m)
+
+
+def support_permutation(m):
+    """The permutation of a matrix with one nonzero entry per row and per
+    column, as a tuple, or None."""
+    n = len(m.rows)
+    perm = [[j for j in range(n) if not m.entries[i * n + j].is_zero] for i in range(n)]
+    if all(len(js) == 1 for js in perm) and len({js[0] for js in perm}) == n:
+        return tuple(js[0] for js in perm)
+    return None
+
+
+def test_the_unit_heavy_matrices_reach_every_case_of_the_reduction():
+    """The strategy reaches k = 0 with odd and even pivot permutations (on a
+    monomial permutation matrix the pivots are its entries, so the pivot
+    permutation is its own) and a row that cancels to nothing."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(unit_heavy_matrices())
+    def collect(m):
+        unit, _, rest = kasteleyn._unit_reduce(kasteleyn._tree_gauge(m)[0])
+        if unit == 0:
+            seen.add("a row cancels")
+            assert determinant(m).is_zero
+        elif not rest and (perm := support_permutation(m)) is not None:
+            n = len(perm)
+            odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+            seen.add("k = 0, odd" if odd else "k = 0, even")
+            assert len(determinant(m).terms) == 1
+
+    collect()
+    assert seen == {"a row cancels", "k = 0, odd", "k = 0, even"}
+
+
+@pytest.mark.parametrize("name", PARTITION_NAMES + [
+    name + size for size in ("@1x2", "@2x1", "@2x2", "@3x3") for name in catalog.NAMES
+])
+@pytest.mark.parametrize("gauge", ["trivial", "random:3"])
+def test_the_unit_reduction_keeps_every_term(name, gauge):
+    dimer = subject(name)
+    m = kasteleyn_matrix(dimer, make_gauge(build_graph(dimer), gauge))
+    assert determinant(m).terms == unreduced_determinant(m).terms
+
+
+@pytest.mark.parametrize("name, most", [("honeycomb@2x3", 4), ("honeycomb@5x5", 10)])
+def test_the_elimination_runs_on_the_schur_complement(monkeypatch, name, most):
+    """The unit entries leave a k x k matrix: honeycomb 2x3 (n = 18) at most
+    4 x 4, honeycomb 5x5 (n = 75) at most 10 x 10."""
+    sizes, det_mod = [], kasteleyn._det_mod
+    monkeypatch.setattr(kasteleyn, "_det_mod",
+                        lambda rows, *args: sizes.append(len(rows)) or det_mod(rows, *args))
+    m = kasteleyn_matrix(subject(name))
+    assert not determinant(m).is_zero
+    assert sizes and max(sizes) <= most < len(m.rows)
