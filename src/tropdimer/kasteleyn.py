@@ -4,26 +4,23 @@ Matrix entries are holonomy monomials z^delta where delta is the lift
 displacement white-centroid -> shared vertex -> black-centroid.  Every
 exponent is a pair of integer numerators over the graph's denominator D
 (``DimerGraph.denominator``); only ``format_laurent`` divides by D.  The
-determinant (the partition function) is computed in time polynomial in the
-matrix size n and in the size of its Newton box: a tree gauge with exact
-integer potentials makes the exponents integers and erases any input gauge,
-an exact elimination of the unit entries +-z^e leaves a small Schur
-complement, the tropical determinant bounds its exponents, and exact
-evaluation modulo primes, interpolation and the Chinese remainder theorem
-give the coefficients.  Only ``enumerate_matchings`` walks the perfect
-matchings, the whites in order with a bitmask of the blacks already used,
-so its cost grows with their number; the `matchings` command counts them
-from the determinant on an embedded dimer.  ``kasteleyn_signs`` is a stage
+determinant (the partition function) is computed by elimination exact over
+Z[z^+-1], at a cost set by the matrix size n and the numbers of terms of
+the minors it forms, whatever the size of the exponents: a tree gauge with
+exact integer potentials makes the exponents integers and erases any input
+gauge, an elimination of the unit entries +-z^e leaves a small Schur
+complement, and a fraction-free (Bareiss) elimination gives its
+determinant.  Only ``enumerate_matchings`` walks the perfect matchings, the
+whites in order with a bitmask of the blacks already used, so its cost
+grows with their number; the `matchings` command counts them from the
+determinant on an embedded dimer.  ``kasteleyn_signs`` is a stage
 of the dimer, solved at most once per instance like those of ``dimer``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import random
-from operator import mul
 from types import MappingProxyType
 
 from .dimer import DimerGraph, DualDimer, _stage, build_graph, faces, validate
@@ -246,104 +243,46 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     1. A BFS-tree gauge with exact potentials makes every forest entry z^0
        on its first term, so every exponent an integer pair (a cycle's sum
        is a homology class), and multiplies the determinant by a monomial
-       divided out at the end; any input gauge cancels before the box.
-    2. Hadamard's inequality with Cauchy's coefficient estimate bounds
-       every |coefficient| by sqrt(prod_i sum_j (sum |c_ij|)^2) on these
-       n x n rows.
-    3. Every unit entry, a single term +-z^e, is eliminated exactly over
+       divided out at the end; any input gauge cancels here.
+    2. Every unit entry, a single term +-z^e, is eliminated exactly over
        Z[z^+-1] (``_unit_reduce``): the determinant is a signed monomial
        times that of the k x k Schur complement S left, k = 4 for the n = 18
-       of honeycomb 2x3.  The rest runs on S.
-    4. Four assignment problems (the tropical determinant: least and
-       greatest total x and y exponent over the transversals), each a
-       warm-started Hungarian method on one column of the entries' (least
-       x, -greatest x, least y, -greatest y), read once, give a box
-       [x0, x1] x [y0, y1] holding every transversal's monomial.
-    5. Primes below 2^30, one CPython digit and each tested once per
-       process, are taken from 2^30 - 35 down until their product exceeds
-       twice the bound of step 2.  For each, det S mod p at the nodes of a
-       (W1+1) x (W2+1) grid, W = box width, drawn per prime, by one sparse
-       elimination; a prime whose nodes no single pivot order serves is
-       skipped.
-    6. Interpolation along z1 and then z2, one inverse Vandermonde table
-       per axis, and the Chinese remainder theorem to balanced integers,
-       each shifted by the monomial of step 3.
+       of honeycomb 2x3.
+    3. det S by one fraction-free (Bareiss) elimination over Z[z^+-1]
+       (``_bareiss``), shifted by the monomials of steps 1 and 2.
 
-    The bound comes from the n x n rows because S's own Hadamard bound is
-    looser (honeycomb 6x6 would take 5 primes on it, not 3); the box comes
-    from S because its assignment problems are k x k, although S's box can
-    be wider than the box of the n x n rows.  Entry coefficients must be
-    integers.  The cost is the unit elimination, a few operations per
-    fill-in term, plus four sparse assignment problems on S, one Dijkstra
-    search, O(e log k) for e nonzero entries, per row that the greedy start
-    leaves unmatched, plus per prime one elimination, O(k^3) steps on
-    vectors of (W1+1)(W2+1) values at worst, and the interpolation,
-    O(W1 W2 (W1 + W2)).  A non-square matrix, or one with no transversal,
-    gives the zero polynomial (no perfect matching), which the `kasteleyn`
+    Every entry that the elimination holds is a minor of S, so no term set
+    outgrows a minor's Newton polygon: the cost depends on the numbers of
+    terms, not on the size of the exponents, and a change of coordinates
+    that widens the Newton polygon costs nothing.  Entry coefficients must
+    be integers.  A non-square matrix, or one with no transversal, gives
+    the zero polynomial (no perfect matching), which the `kasteleyn`
     command prints as `0`.
     """
-    n, den = len(m.rows), m.denominator
-    zero = LaurentPolynomial((), den)
-    if n != len(m.cols):
-        return zero
+    den = m.denominator
+    if len(m.rows) != len(m.cols):
+        return LaurentPolynomial((), den)
     rows, (sx, sy) = _tree_gauge(m)
-    bound2 = 1
-    for row in rows:
-        bound2 *= sum(sum(abs(c) for _, _, c in ts) ** 2 for ts in row.values())
-    unit, (ex, ey), rows = _unit_reduce(rows)
+    unit, (ex, ey), rows = _unit_reduce(rows)  # unit 0, a row cancelled, zeroes every term
     sx, sy = sx - den * ex, sy - den * ey
-    if not unit:  # a row cancelled to nothing
-        return zero
-    if not rows:
-        return LaurentPolynomial((((-sx, -sy), unit),), den)
-    reach = [{} for _ in rows]  # entry -> (least x, -greatest x, least y, -greatest y)
-    for i, row in enumerate(rows):
-        for j, ts in row.items():
-            xs, ys, _ = zip(*ts)
-            reach[i][j] = min(xs), -max(xs), min(ys), -max(ys)
-    box = [_assignment([{j: r[k] for j, r in row.items()} for row in reach]) for k in range(4)]
-    if None in box:  # no transversal
-        return zero
-    x0, x1, y0, y1 = box[0], -box[1], box[2], -box[3]
-    # z^(-x0, -y0) times row 0: a polynomial of degree (W1, W2), W = box width
-    rows[0] = {j: [(x - x0, y - y0, c) for x, y, c in ts] for j, ts in rows[0].items()}
-    coeffs, modulus = [[0] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)], 1
-    for p in _primes():
-        a, b = _nodes(p, x1 - x0 + 1, y1 - y0 + 1)
-        values = _det_mod(rows, a, b, p)
-        if values is None:  # no pivot order serves every node: the next prime draws new ones
-            continue
-        in_z1 = _interpolate([values[k:k + len(a)] for k in range(0, len(values), len(a))], a, p)
-        residues = _interpolate(zip(*in_z1), b, p)  # [kx][ky]
-        step = pow(modulus, -1, p)
-        coeffs = [[c + modulus * ((r - c) * step % p) for c, r in zip(cs, rs)]
-                  for cs, rs in zip(coeffs, residues)]
-        modulus *= p
-        if modulus * modulus > 4 * bound2:
-            break
-    terms = [
-        ((den * (x0 + kx) - sx, den * (y0 + ky) - sy),
-         unit * (c - modulus if 2 * c > modulus else c))
-        for kx, cs in enumerate(coeffs)
-        for ky, c in enumerate(cs)
-    ]
-    return LaurentPolynomial(tuple(terms), den)
+    terms = (((den * x - sx, den * y - sy), unit * c) for (x, y), c in _bareiss(rows).items())
+    return LaurentPolynomial(terms, den)
 
 
 def _unit_reduce(rows):
     """(unit, (ex, ey), rest): the determinant of the gauged rows is
-    unit * z^(ex, ey) times that of the k x k rows ``rest``, re-indexed in
-    order, with unit 0 when a row cancels to nothing (the determinant is 0).
+    unit * z^(ex, ey) times that of the k x k rows ``rest``, each
+    {column: {(x, y): c}}, re-indexed in order, with unit 0 when a row
+    cancels to nothing (the determinant is 0).
 
     A sparse elimination, exact over Z[z^+-1], whose pivots are units: single
-    terms +-z^e, whose inverse is a unit.  Each step takes ``_det_mod``'s
-    pivot restricted to units: the remaining row with the fewest entries
-    that holds a unit and, among its units, the column held by the fewest
-    remaining rows; every other row r holding that column j loses
-    (t_rj / pivot) times the pivot row, a polynomial that cancels dropped.
-    It stops when no remaining row holds a unit.  The sign is that of the
-    permutation taking each pivot row to its column and the remaining rows,
-    in order, to the remaining columns in order.
+    terms +-z^e, whose inverse is a unit.  Each step takes the remaining row
+    with the fewest entries that holds a unit and, among its units, the
+    column held by the fewest remaining rows; every other row r holding that
+    column j loses (t_rj / pivot) times the pivot row, a polynomial that
+    cancels dropped.  It stops when no remaining row holds a unit.  The sign
+    is that of the permutation taking each pivot row to its column and the
+    remaining rows, in order, to the remaining columns in order.
     """
     n = len(rows)
     left = {i: {j: {(x, y): c for x, y, c in ts} for j, ts in row.items()}
@@ -397,8 +336,7 @@ def _unit_reduce(rows):
         perm[i] = j
     unit *= (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
     index = {j: k for k, j in enumerate(cols)}
-    rest = [{index[j]: [(x, y, c) for (x, y), c in t.items()] for j, t in row.items()}
-            for row in left.values()]
+    rest = [{index[j]: t for j, t in row.items()} for row in left.values()]
     return unit, (ex, ey), rest
 
 
@@ -454,178 +392,95 @@ def _tree_gauge(m: KasteleynMatrix):
     return rows, shift
 
 
-def _assignment(costs):
-    """The least total cost of a transversal, where ``costs[i]`` maps each
-    column row i may take to an integer cost; None when there is none.
+def _bareiss(rows) -> dict:
+    """det of the k x k rows, each {column: {(x, y): c}}, as {(x, y): c}:
+    fraction-free (Bareiss) elimination, exact over Z[z^+-1], which uses
+    the rows up.
 
-    The Hungarian method with potentials u, v, warm-started: u[i] is row i's
-    least cost, v[j] the least c - u[i] over the rows holding column j (0
-    for an empty column), and each row in turn takes the first free column
-    whose entry is tight (c = u[i] + v[j]).  Then one Dijkstra search per
-    row left unmatched, on the reduced costs c - u[i] - v[j] >= 0 of the
-    sparse support, and an augmentation along the shortest alternating path.
+    Step t takes a pivot p_t = M_ij and replaces every other remaining
+    entry by M_rc <- (p_t M_rc - M_rj M_ic) / p_(t-1), p_0 = 1; the result
+    is a (t+1)-minor of the rows, so the division is exact, and the last
+    pivot is the determinant.  Full pivoting: the remaining entry with the
+    fewest terms, the first row and column among equals; moving the pivot
+    row from position a of the remaining rows to the front, and its column
+    from position b, multiplies the sign by (-1)^(a + b).  A row that does
+    not hold the pivot column is only multiplied by p_t / p_(t-1), and those
+    factors telescope: such a row is left alone, ``over[r]`` records the
+    step s its entries are at, and its next update divides by p_s instead;
+    the pivot row is brought up to step t - 1 before it is used.  No
+    remaining entry: the determinant is 0.
     """
-    n = len(costs)
-    u = [min(row.values(), default=0) for row in costs]
-    reduced = [[] for _ in range(n)]  # column -> c - u[i] over the rows holding it
-    for i, row in enumerate(costs):
-        for j, c in row.items():
-            reduced[j].append(c - u[i])
-    v = [min(col, default=0) for col in reduced]
-    match, owner = [None] * n, [None] * n  # row -> column, column -> row
-    for i, row in enumerate(costs):
-        j = next((j for j, c in row.items() if owner[j] is None and c == u[i] + v[j]), None)
-        if j is not None:
-            match[i], owner[j] = j, i
-    for s in [i for i in range(n) if match[i] is None]:
-        row_dist, col_dist, back = {s: 0}, {}, {}
-        heap, done = [], set()
-        i, d = s, 0
-        while True:
-            for j, c in costs[i].items():
-                nd = d + c - u[i] - v[j]
-                if j not in done and nd < col_dist.get(j, nd + 1):
-                    col_dist[j], back[j] = nd, i
-                    heapq.heappush(heap, (nd, j))
-            while heap and heap[0][1] in done:
-                heapq.heappop(heap)
-            if not heap:
-                return None
-            d, j = heapq.heappop(heap)
-            done.add(j)
-            if owner[j] is None:
-                break
-            i = owner[j]
-            row_dist[i] = d
-        for r, dr in row_dist.items():
-            u[r] += d - dr
-        for c in done:
-            v[c] -= d - col_dist[c]
-        while j is not None:
-            i = back[j]
-            owner[j] = i
-            match[i], j = j, match[i]
-    return sum(costs[i][j] for i, j in enumerate(match))
-
-
-_PRIMES = []  # the primes that _primes has found so far, in its order
-
-
-def _primes():
-    """The primes below 2^30, from 2^30 - 35 down: Miller-Rabin on the first
-    twelve prime bases, which is deterministic below 2^64, each number tested
-    once per process (``_PRIMES`` keeps the primes found).  CPython stores
-    an int in 30-bit digits, so every residue mod such a prime is one digit,
-    every product of two at most two, and every ``% p`` divides by one."""
-    for k in itertools.count():
-        p = _PRIMES[-1] if _PRIMES else (1 << 30) + 1
-        while k == len(_PRIMES):  # test on below the last prime found
-            p -= 2
-            d, s = p - 1, 0
-            while d % 2 == 0:
-                d, s = d // 2, s + 1
-            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-                x = pow(a, d, p)
-                if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
-                    break
-            else:
-                _PRIMES.append(p)
-        yield _PRIMES[k]
-
-
-def _nodes(p: int, *counts) -> list:
-    """Per axis, the nodes (z + k) * t mod p for k < count, z < p / 2 and t
-    drawn from random.Random(p): an arithmetic progression of nonzero nodes."""
-    rng = random.Random(p)
-    draws = [(rng.randrange(1, p // 2), rng.randrange(1, p)) for _ in counts]
-    return [[(z + k) * t % p for k in range(count)] for (z, t), count in zip(draws, counts)]
-
-
-def _inverses(values: list, p: int) -> list:
-    """The inverses mod p of nonzero values with one pow: Montgomery's batch inversion."""
-    acc = 1
-    before = [1] + [acc := acc * v % p for v in values[:-1]]
-    acc = pow(acc * values[-1] % p, -1, p)
-    upto = [acc] + [acc := acc * v % p for v in values[:0:-1]]
-    return [u * w % p for u, w in zip(before, reversed(upto))]
-
-
-def _det_mod(rows, a: list, b: list, p: int):
-    """det mod p of the rows, the Schur complement that ``_unit_reduce``
-    leaves, at each node (z1, z2) = (a[k], b[l]), indexed l * len(a) + k, or
-    None when no pivot order serves every node: one elimination on sparse
-    rows of per-node values, an entry zero at every node dropped, an entry
-    1 * z^e sharing the list of z^e (no list is changed in place).  Each step
-    takes the remaining row with the fewest entries (none: det is zero) and,
-    among its entries nonzero at every node, the column held by the fewest
-    remaining rows, inverted if another row holds it.  The rows hold no
-    unit, so every pivot is a polynomial of several terms or c * z^e with
-    |c| > 1, which may vanish at some node."""
-    pairs = {(x, y) for row in rows for ts in row.values() for x, y, _ in ts}
-    za, zb = ({e: [pow(z, abs(e), p) for z in (nodes if e >= 0 else inverse)]
-               for e in {pair[k] for pair in pairs}}
-              for k, nodes, inverse in ((0, a, _inverses(a, p)), (1, b, _inverses(b, p))))
-    powers = {(x, y): [v * u % p for v in zb[y] for u in za[x]] for x, y in pairs}
-    left, holders = {}, [set() for _ in rows]  # column -> remaining rows with an entry there
+    k = len(rows)
+    over, pivots = [0] * k, [{(0, 0): 1}]
+    holders = [set() for _ in range(k)]  # column -> remaining rows with an entry there
     for i, row in enumerate(rows):
-        left[i] = {}
-        for j, ((x, y, c), *more) in row.items():
-            value = powers[x, y] if c == 1 else [c * z % p for z in powers[x, y]]
-            for x, y, c in more:
-                value = [(s + c * z) % p for s, z in zip(value, powers[x, y])]
-            if any(value):
-                left[i][j] = value
-                holders[j].add(i)
-    perm, det, zeros = [0] * len(rows), [1] * len(a) * len(b), [0] * len(a) * len(b)
-    while left:
-        i = min(left, key=lambda r: len(left[r]))
-        row = left.pop(i)
-        if not row:
-            return zeros
-        j = min((c for c, v in row.items() if all(v)), key=lambda c: len(holders[c]), default=None)
-        if j is None:
-            return None
+        for j in row:
+            holders[j].add(i)
+    left_rows, left_cols, sign = list(range(k)), list(range(k)), 1
+    for t in range(1, k + 1):
+        best = min(((len(e), i, j) for i in left_rows for j, e in rows[i].items()), default=None)
+        if best is None:
+            return {}
+        _, i, j = best
+        sign *= (-1) ** (left_rows.index(i) + left_cols.index(j))
+        left_rows.remove(i)
+        left_cols.remove(j)
+        row = rows[i]
         for c in row:
             holders[c].discard(i)
-        perm[i], pivot = j, row.pop(j)
-        det = [d * v % p for d, v in zip(det, pivot)]
-        inverse = _inverses(pivot, p) if holders[j] else None
+        if over[i] != t - 1:  # up to step t - 1
+            row = {c: _divide(_add_product({}, e, pivots[t - 1]), pivots[over[i]])
+                   for c, e in row.items()}
+        pivot = row.pop(j)
         for r in holders[j]:
-            target = left[r]
-            f = [-v * w % p for v, w in zip(target.pop(j), inverse)]  # minus the multiplier
-            for c, value in row.items():
-                w = ([(o + g * v) % p for o, g, v in zip(target[c], f, value)] if c in target
-                     else [g * v % p for g, v in zip(f, value)])
-                if any(w):
-                    target[c] = w
+            target, below = rows[r], pivots[over[r]]
+            f = target.pop(j)
+            for c in row.keys() | target.keys():
+                acc = _add_product({}, pivot, target.get(c, {}))
+                if acc := _divide(_add_product(acc, f, row.get(c, {}), -1), below):
+                    target[c] = acc
                     holders[c].add(r)
                 else:
                     target.pop(c, None)
                     holders[c].discard(r)
-    sign = (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
-    return [sign * d % p for d in det]
+            over[r] = t
+        pivots.append(pivot)
+    return {e: sign * c for e, c in pivots[-1].items()}
 
 
-def _interpolate(rows, nodes: list, p: int) -> list:
-    """For each row of values at the nodes, the coefficients, lowest degree
-    first, of the polynomial of degree below len(nodes) through them, mod p,
-    the nodes x_i = (z + i) * t: one inverse Vandermonde table per call, one
-    reduction per coefficient.  Column i is prod_{j != i} (x - x_j), synthetic
-    divisions of the master prod_j (x - x_j), and the value at x_i is first
-    divided by t^(k-1) i! (k-1-i)! (-1)^(k-1-i)."""
-    k = len(nodes)
-    master = [1]  # highest degree first
-    for r in nodes:
-        master = [(u - r * v) % p for u, v in zip(master + [0], [0] + master)]
-    factorial = list(itertools.accumulate(range(1, k), lambda f, i: f * i % p, initial=1))
-    scale = pow(nodes[1] - nodes[0], k - 1, p) if k > 1 else 1
-    weights = _inverses([(-1) ** (k - 1 - i) * scale * factorial[i] * factorial[k - 1 - i] % p
-                         for i in range(k)], p)
-    table = [quotient := [1] * k]  # degree k - 1 of master / (x - x_i) for each i, then down
-    for u in master[1:k]:
-        table.append(quotient := [(u + r * q) % p for r, q in zip(nodes, quotient)])
-    scaled = ([w * v % p for w, v in zip(weights, values)] for values in rows)
-    return [[sum(map(mul, row, values)) % p for row in reversed(table)] for values in scaled]
+def _add_product(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
+    """acc, with sign * f * g added in place, for sparse Laurent polynomials
+    {(x, y): c}; zero coefficients may stay."""
+    for (x, y), a in f.items():
+        a *= sign
+        for (u, v), b in g.items():
+            key = x + u, y + v
+            acc[key] = acc.get(key, 0) + a * b
+    return acc
+
+
+def _divide(f: dict, g: dict) -> dict:
+    """f / g, zero coefficients of f dropped, for a nonzero g that divides f
+    exactly over Z[z^+-1]: a shift and an integer division by a monomial,
+    and otherwise long division on the lex-greatest term (lex order is kept
+    by multiplication, so the greatest term of f is that of g times that of
+    the quotient)."""
+    if len(g) == 1:
+        ((gx, gy), gc), = g.items()
+        return {(x - gx, y - gy): c // gc for (x, y), c in f.items() if c}
+    (lx, ly), lc = max(g.items())
+    rest, out = {e: c for e, c in f.items() if c}, {}
+    while rest:
+        (x, y), c = max(rest.items())
+        qx, qy, q = x - lx, y - ly, c // lc
+        out[qx, qy] = q
+        for (u, v), b in g.items():
+            key = u + qx, v + qy
+            if s := rest.get(key, 0) - q * b:
+                rest[key] = s
+            else:
+                del rest[key]
+    return out
 
 
 # ---------------------------------------------------------------------------

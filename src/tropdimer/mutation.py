@@ -222,13 +222,16 @@ def homology_classes_of_faces(dimer: DualDimer):
     zigzag step, entered with opposite signs), so H_1 has no torsion.  Its
     free rank is the number of non-tree edges minus the rank of the zigzag
     rows, read from a union-find (`_zigzag_chains`; each row is a cycle, so
-    restricting it to the non-tree edges keeps the rank).  Only on a torus
-    are the rows built and eliminated.
+    restricting it to the non-tree edges keeps the rank).  An immersed
+    dimer's surface is not taken for the torus either, even where its free
+    rank is 2 (pants-min at 1x3), so every immersed dimer gets the same
+    refusal before `faces` runs.  Only on a torus are the rows built and
+    eliminated.
     """
     graph = build_graph(dimer)
     non_tree = _non_tree_edges(dimer, graph)
     chains, rank = _zigzag_chains(dimer, graph)
-    if len(non_tree) - rank != 2:
+    if len(non_tree) - rank != 2 or validate(dimer).self_intersecting:
         raise ValueError("zigzag surface is not a torus")
     column = {idx: c for c, idx in enumerate(non_tree)}
 

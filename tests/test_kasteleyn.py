@@ -1,7 +1,10 @@
+import heapq
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, kasteleyn
-from tropdimer.dimer import build_graph, zigzag_paths
+from tropdimer.dimer import DualDimer, Polytope, build_graph, zigzag_paths
 from tropdimer.kasteleyn import (
     KasteleynMatrix,
     LaurentPolynomial,
@@ -312,7 +315,8 @@ def test_determinant_is_zero_polynomial(m):
 
 
 def test_determinant_lifts_large_coefficients():
-    """Coefficients past 2^30 take several primes and the balanced lift."""
+    """Coefficients past 2^200 come out exact, and so does the oracle's
+    lift over several primes."""
     big = 2**70 + 1
     rows = [
         [[((1, 0), big), ((0, 0), 3)], [((0, 1), -1)], [((0, 0), 1)]],
@@ -322,7 +326,7 @@ def test_determinant_lifts_large_coefficients():
     entries = tuple(LaurentPolynomial(tuple(terms)) for row in rows for terms in row)
     m = KasteleynMatrix((0, 1, 2), (0, 1, 2), entries, 1)
     det = determinant(m)
-    assert det == leibniz_determinant(m)
+    assert det == leibniz_determinant(m) == modular_determinant(m)
     assert max(abs(c) for _, c in det.terms) > 2**200
 
 
@@ -360,145 +364,6 @@ def sparse_matrices(draw) -> KasteleynMatrix:
 @given(sparse_matrices())
 def test_determinant_is_leibniz_sum_on_random_sparse_matrices(m):
     assert determinant(m) == leibniz_determinant(m)
-
-
-def test_a_prime_whose_nodes_share_no_pivot_order_is_skipped(monkeypatch, honeycomb):
-    """On the nodes 1, 2, ... of both axes, the entries that the first pivot
-    of the honeycomb matrix leaves, differences of monomials, vanish at some
-    nodes and not at others, so no pivot order serves them all: that prime
-    gives no residue and the next one draws its own nodes."""
-    primes, draw = [], kasteleyn._nodes
-
-    def nodes(p, *counts):
-        primes.append(p)
-        return [list(range(1, c + 1)) for c in counts] if len(primes) == 1 else draw(p, *counts)
-
-    monkeypatch.setattr(kasteleyn, "_nodes", nodes)
-    assert format_laurent(determinant(kasteleyn_matrix(honeycomb))) == "3 - z1 - z2 - z1^-1*z2^-1"
-    assert len(primes) == 2
-
-
-def test_one_elimination_per_prime(monkeypatch):
-    """honeycomb 2x3 has a 7 x 5 grid of nodes, and one elimination serves
-    all 35 of them."""
-    calls, nodes, det_mod = [], kasteleyn._nodes, kasteleyn._det_mod
-    monkeypatch.setattr(kasteleyn, "_nodes", lambda *args: calls.append("nodes") or nodes(*args))
-    monkeypatch.setattr(kasteleyn, "_det_mod", lambda *args: calls.append("det") or det_mod(*args))
-    assert not determinant(kasteleyn_matrix(subject("honeycomb@2x3"))).is_zero
-    assert calls and calls == ["nodes", "det"] * (len(calls) // 2)
-
-
-def test_primes_are_every_prime_below_two_to_the_thirty_in_descending_order():
-    """The first primes that ``_primes`` yields are, by trial division, all
-    the primes from the last of them up to 2^30, each one CPython digit."""
-    first = list(itertools.islice(kasteleyn._primes(), 20))
-    small = [q for q in range(2, 1 << 15) if all(q % r for r in range(2, math.isqrt(q) + 1))]
-    below = [q for q in range((1 << 30) - 1, first[-1] - 1, -2) if all(q % r for r in small)]
-    assert first == below
-    assert first[0] == (1 << 30) - 35
-
-
-def test_the_partition_ladder_takes_one_prime(monkeypatch):
-    """honeycomb 2x3's coefficients are far below 2^29, so one prime, one
-    grid of nodes, gives its determinant."""
-    calls, nodes = [], kasteleyn._nodes
-    monkeypatch.setattr(kasteleyn, "_nodes", lambda *args: calls.append(args[0]) or nodes(*args))
-    assert not determinant(kasteleyn_matrix(subject("honeycomb@2x3"))).is_zero
-    assert len(calls) == 1
-
-
-def test_coefficients_between_the_digit_and_two_to_the_sixty_one(monkeypatch):
-    """Coefficients near 2^50 fit one prime below 2^61 but need two below
-    2^30, joined by the Chinese remainder theorem."""
-    big = (1 << 30) + 3
-    rows = [
-        [[((1, 0), big), ((0, 0), 1)], [((0, 0), 2)]],
-        [[((0, 1), 3)], [((0, 0), (1 << 20) + 1), ((1, 1), -5)]],
-    ]
-    entries = tuple(LaurentPolynomial(tuple(terms)) for row in rows for terms in row)
-    m = KasteleynMatrix((0, 1), (0, 1), entries, 1)
-    calls, nodes = [], kasteleyn._nodes
-    monkeypatch.setattr(kasteleyn, "_nodes", lambda *args: calls.append(args[0]) or nodes(*args))
-    det = determinant(m)
-    assert det == leibniz_determinant(m)
-    assert 1 << 30 < max(abs(c) for _, c in det.terms) < 1 << 61
-    assert len(calls) > 1
-
-
-def test_primes_are_tested_once_per_process(monkeypatch, honeycomb):
-    """Two generators advanced in turn, then the second ten primes past the
-    first, yield the same primes and leave each one once in the module's
-    list; one determinant leaves 2^30 - 35 there."""
-    monkeypatch.setattr(kasteleyn, "_PRIMES", [])
-    first, second = kasteleyn._primes(), kasteleyn._primes()
-    pairs = [(next(first), next(second)) for _ in range(10)]
-    ahead = list(itertools.islice(second, 10))
-    primes = [a for a, _ in pairs] + list(itertools.islice(first, 10))
-    assert primes == [b for _, b in pairs] + ahead == sorted(set(primes), reverse=True)
-    assert kasteleyn._PRIMES == primes
-    monkeypatch.setattr(kasteleyn, "_PRIMES", [])
-    determinant(kasteleyn_matrix(honeycomb))
-    assert kasteleyn._PRIMES == [(1 << 30) - 35]
-
-
-def newton_interpolate(rows, nodes: list, p: int) -> list:
-    """For each row of values at the nodes, the coefficients, lowest degree
-    first, of the polynomial of degree below len(nodes) through them, mod p,
-    the nodes an arithmetic progression: Newton's divided differences, then
-    the Newton form expanded.  The oracle for ``kasteleyn._interpolate``."""
-    k = len(nodes)
-    inverses = [pow(j * (nodes[1] - nodes[0]), -1, p) for j in range(1, k)]  # 1 / (j node steps)
-    out = []
-    for c in map(list, rows):
-        for j, inverse in enumerate(inverses, 1):
-            c[j:] = [(u - v) * inverse % p for u, v in zip(c[j:], c[j - 1:-1])]
-        poly = []
-        for i in range(k - 1, -1, -1):  # poly = poly * (z - nodes[i]) + c[i]
-            poly = [(u - nodes[i] * v) % p for u, v in zip([c[i]] + poly, poly + [0])]
-        out.append(poly)
-    return out
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 16), st.sampled_from((0, 1)), st.data())
-def test_interpolation_is_the_newton_form_through_every_node(count, axis, data):
-    """On either axis's ``_nodes`` progression mod the first prime, the
-    inverse Vandermonde table gives the Newton form's coefficients, and each
-    polynomial takes the given value at every node."""
-    p = next(kasteleyn._primes())
-    nodes = kasteleyn._nodes(p, count, count)[axis]
-    residues = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
-    rows = data.draw(st.lists(residues, min_size=1, max_size=4))
-    polys = kasteleyn._interpolate(rows, nodes, p)
-    assert polys == newton_interpolate(rows, nodes, p)
-    for poly, values in zip(polys, rows):
-        assert [sum(c * pow(x, d, p) for d, c in enumerate(poly)) % p for x in nodes] == values
-
-
-def least_transversal(costs):
-    """The least total over the permutations that stay on the support of
-    ``costs``, or None when no permutation does: the brute-force oracle."""
-    totals = [
-        sum(costs[i][j] for i, j in enumerate(perm))
-        for perm in itertools.permutations(range(len(costs)))
-        if all(j in costs[i] for i, j in enumerate(perm))
-    ]
-    return min(totals, default=None)
-
-
-@st.composite
-def cost_tables(draw):
-    """n <= 6 sparse rows of small costs, negative and repeated ones among
-    them, with empty rows and columns."""
-    n = draw(st.integers(0, 6))
-    cols = st.lists(st.integers(0, n - 1), unique=True, max_size=n) if n else st.just([])
-    return [{j: draw(st.integers(-3, 3)) for j in draw(cols)} for _ in range(n)]
-
-
-@settings(max_examples=400, deadline=None)
-@given(cost_tables())
-def test_assignment_is_the_least_transversal(costs):
-    assert kasteleyn._assignment(costs) == least_transversal(costs)
 
 
 def sign_twist_product(base: LaurentPolynomial) -> dict:
@@ -656,12 +521,22 @@ def test_determinant_refuses_a_cycle_off_the_lattice():
 
 
 # ---------------------------------------------------------------------------
-# the unit reduction
+# the modular oracle: the determinant as it ran before the Bareiss
+# elimination, on all n x n gauged rows, without the unit elimination
 
 
-def unreduced_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
-    """``determinant`` as it ran before the unit reduction: the box, the grid
-    and the elimination on all n x n gauged rows."""
+def modular_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
+    """The determinant by evaluation modulo primes.  Hadamard's inequality
+    with Cauchy's coefficient estimate bounds every |coefficient| by
+    sqrt(prod_i sum_j (sum |c_ij|)^2); four assignment problems (the
+    tropical determinant) give a box [x0, x1] x [y0, y1] holding every
+    transversal's monomial; for each prime from ``_primes`` until their
+    product exceeds twice the bound, det mod p at the nodes of a
+    (W1+1) x (W2+1) grid, W = box width, by one elimination (``_det_mod``;
+    a prime whose nodes no single pivot order serves is skipped), then
+    interpolation along z1 and z2 and the Chinese remainder theorem to
+    balanced integers.  Its cost grows with the box, so with the size of
+    the exponents."""
     n, den = len(m.rows), m.denominator
     zero = LaurentPolynomial((), den)
     if n != len(m.cols):
@@ -672,8 +547,7 @@ def unreduced_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
         for j, ts in row.items():
             xs, ys, _ = zip(*ts)
             reach[i][j] = min(xs), -max(xs), min(ys), -max(ys)
-    box = [kasteleyn._assignment([{j: r[k] for j, r in row.items()} for row in reach])
-           for k in range(4)]
+    box = [_assignment([{j: r[k] for j, r in row.items()} for row in reach]) for k in range(4)]
     if None in box:  # no transversal
         return zero
     x0, x1, y0, y1 = box[0], -box[1], box[2], -box[3]
@@ -683,14 +557,13 @@ def unreduced_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     if rows:  # z^(-x0, -y0) times row 0: a polynomial of degree (W1, W2), W = box width
         rows[0] = {j: [(x - x0, y - y0, c) for x, y, c in ts] for j, ts in rows[0].items()}
     coeffs, modulus = [[0] * (y1 - y0 + 1) for _ in range(x1 - x0 + 1)], 1
-    for p in kasteleyn._primes():
-        a, b = kasteleyn._nodes(p, x1 - x0 + 1, y1 - y0 + 1)
-        values = kasteleyn._det_mod(rows, a, b, p)
+    for p in _primes():
+        a, b = _nodes(p, x1 - x0 + 1, y1 - y0 + 1)
+        values = _det_mod(rows, a, b, p)
         if values is None:  # no pivot order serves every node: the next prime draws new ones
             continue
-        in_z1 = kasteleyn._interpolate(
-            [values[k:k + len(a)] for k in range(0, len(values), len(a))], a, p)
-        residues = kasteleyn._interpolate(zip(*in_z1), b, p)  # [kx][ky]
+        in_z1 = _interpolate([values[k:k + len(a)] for k in range(0, len(values), len(a))], a, p)
+        residues = _interpolate(zip(*in_z1), b, p)  # [kx][ky]
         step = pow(modulus, -1, p)
         coeffs = [[c + modulus * ((r - c) * step % p) for c, r in zip(cs, rs)]
                   for cs, rs in zip(coeffs, residues)]
@@ -703,6 +576,304 @@ def unreduced_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
         for ky, c in enumerate(cs)
     ]
     return LaurentPolynomial(tuple(terms), den)
+
+
+def _assignment(costs):
+    """The least total cost of a transversal, where ``costs[i]`` maps each
+    column row i may take to an integer cost; None when there is none.
+
+    The Hungarian method with potentials u, v, warm-started: u[i] is row i's
+    least cost, v[j] the least c - u[i] over the rows holding column j (0
+    for an empty column), and each row in turn takes the first free column
+    whose entry is tight (c = u[i] + v[j]).  Then one Dijkstra search per
+    row left unmatched, on the reduced costs c - u[i] - v[j] >= 0 of the
+    sparse support, and an augmentation along the shortest alternating path.
+    """
+    n = len(costs)
+    u = [min(row.values(), default=0) for row in costs]
+    reduced = [[] for _ in range(n)]  # column -> c - u[i] over the rows holding it
+    for i, row in enumerate(costs):
+        for j, c in row.items():
+            reduced[j].append(c - u[i])
+    v = [min(col, default=0) for col in reduced]
+    match, owner = [None] * n, [None] * n  # row -> column, column -> row
+    for i, row in enumerate(costs):
+        j = next((j for j, c in row.items() if owner[j] is None and c == u[i] + v[j]), None)
+        if j is not None:
+            match[i], owner[j] = j, i
+    for s in [i for i in range(n) if match[i] is None]:
+        row_dist, col_dist, back = {s: 0}, {}, {}
+        heap, done = [], set()
+        i, d = s, 0
+        while True:
+            for j, c in costs[i].items():
+                nd = d + c - u[i] - v[j]
+                if j not in done and nd < col_dist.get(j, nd + 1):
+                    col_dist[j], back[j] = nd, i
+                    heapq.heappush(heap, (nd, j))
+            while heap and heap[0][1] in done:
+                heapq.heappop(heap)
+            if not heap:
+                return None
+            d, j = heapq.heappop(heap)
+            done.add(j)
+            if owner[j] is None:
+                break
+            i = owner[j]
+            row_dist[i] = d
+        for r, dr in row_dist.items():
+            u[r] += d - dr
+        for c in done:
+            v[c] -= d - col_dist[c]
+        while j is not None:
+            i = back[j]
+            owner[j] = i
+            match[i], j = j, match[i]
+    return sum(costs[i][j] for i, j in enumerate(match))
+
+
+_PRIMES = []  # the primes that _primes has found so far, in its order
+
+
+def _primes():
+    """The primes below 2^30, from 2^30 - 35 down: Miller-Rabin on the first
+    twelve prime bases, which is deterministic below 2^64, each number tested
+    once per process (``_PRIMES`` keeps the primes found).  CPython stores
+    an int in 30-bit digits, so every residue mod such a prime is one digit,
+    every product of two at most two, and every ``% p`` divides by one."""
+    for k in itertools.count():
+        p = _PRIMES[-1] if _PRIMES else (1 << 30) + 1
+        while k == len(_PRIMES):  # test on below the last prime found
+            p -= 2
+            d, s = p - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                x = pow(a, d, p)
+                if x not in (1, p - 1) and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
+                    break
+            else:
+                _PRIMES.append(p)
+        yield _PRIMES[k]
+
+
+def _nodes(p: int, *counts) -> list:
+    """Per axis, the nodes (z + k) * t mod p for k < count, z < p / 2 and t
+    drawn from random.Random(p): an arithmetic progression of nonzero nodes."""
+    rng = random.Random(p)
+    draws = [(rng.randrange(1, p // 2), rng.randrange(1, p)) for _ in counts]
+    return [[(z + k) * t % p for k in range(count)] for (z, t), count in zip(draws, counts)]
+
+
+def _inverses(values: list, p: int) -> list:
+    """The inverses mod p of nonzero values with one pow: Montgomery's batch inversion."""
+    acc = 1
+    before = [1] + [acc := acc * v % p for v in values[:-1]]
+    acc = pow(acc * values[-1] % p, -1, p)
+    upto = [acc] + [acc := acc * v % p for v in values[:0:-1]]
+    return [u * w % p for u, w in zip(before, reversed(upto))]
+
+
+def _det_mod(rows, a: list, b: list, p: int):
+    """det mod p of the gauged rows at each node (z1, z2) = (a[k], b[l]),
+    indexed l * len(a) + k, or None when no pivot order serves every node:
+    one elimination on sparse rows of per-node values, an entry zero at
+    every node dropped, an entry 1 * z^e sharing the list of z^e (no list is
+    changed in place).  Each step takes the remaining row with the fewest
+    entries (none: det is zero) and, among its entries nonzero at every
+    node, the column held by the fewest remaining rows, inverted if another
+    row holds it."""
+    pairs = {(x, y) for row in rows for ts in row.values() for x, y, _ in ts}
+    za, zb = ({e: [pow(z, abs(e), p) for z in (nodes if e >= 0 else inverse)]
+               for e in {pair[k] for pair in pairs}}
+              for k, nodes, inverse in ((0, a, _inverses(a, p)), (1, b, _inverses(b, p))))
+    powers = {(x, y): [v * u % p for v in zb[y] for u in za[x]] for x, y in pairs}
+    left, holders = {}, [set() for _ in rows]  # column -> remaining rows with an entry there
+    for i, row in enumerate(rows):
+        left[i] = {}
+        for j, ((x, y, c), *more) in row.items():
+            value = powers[x, y] if c == 1 else [c * z % p for z in powers[x, y]]
+            for x, y, c in more:
+                value = [(s + c * z) % p for s, z in zip(value, powers[x, y])]
+            if any(value):
+                left[i][j] = value
+                holders[j].add(i)
+    perm, det, zeros = [0] * len(rows), [1] * len(a) * len(b), [0] * len(a) * len(b)
+    while left:
+        i = min(left, key=lambda r: len(left[r]))
+        row = left.pop(i)
+        if not row:
+            return zeros
+        j = min((c for c, v in row.items() if all(v)), key=lambda c: len(holders[c]), default=None)
+        if j is None:
+            return None
+        for c in row:
+            holders[c].discard(i)
+        perm[i], pivot = j, row.pop(j)
+        det = [d * v % p for d, v in zip(det, pivot)]
+        inverse = _inverses(pivot, p) if holders[j] else None
+        for r in holders[j]:
+            target = left[r]
+            f = [-v * w % p for v, w in zip(target.pop(j), inverse)]  # minus the multiplier
+            for c, value in row.items():
+                w = ([(o + g * v) % p for o, g, v in zip(target[c], f, value)] if c in target
+                     else [g * v % p for g, v in zip(f, value)])
+                if any(w):
+                    target[c] = w
+                    holders[c].add(r)
+                else:
+                    target.pop(c, None)
+                    holders[c].discard(r)
+    sign = (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
+    return [sign * d % p for d in det]
+
+
+def _interpolate(rows, points: list, p: int) -> list:
+    """For each row of values at the points, the coefficients, lowest degree
+    first, of the polynomial of degree below len(points) through them, mod
+    p, the points x_i = (z + i) * t: one inverse Vandermonde table per call,
+    one reduction per coefficient.  Column i is prod_{j != i} (x - x_j),
+    synthetic divisions of the master prod_j (x - x_j), and the value at x_i
+    is first divided by t^(k-1) i! (k-1-i)! (-1)^(k-1-i)."""
+    k = len(points)
+    master = [1]  # highest degree first
+    for r in points:
+        master = [(u - r * v) % p for u, v in zip(master + [0], [0] + master)]
+    factorial = list(itertools.accumulate(range(1, k), lambda f, i: f * i % p, initial=1))
+    scale = pow(points[1] - points[0], k - 1, p) if k > 1 else 1
+    weights = _inverses([(-1) ** (k - 1 - i) * scale * factorial[i] * factorial[k - 1 - i] % p
+                         for i in range(k)], p)
+    table = [quotient := [1] * k]  # degree k - 1 of master / (x - x_i) for each i, then down
+    for u in master[1:k]:
+        table.append(quotient := [(u + r * q) % p for r, q in zip(points, quotient)])
+    scaled = ([w * v % p for w, v in zip(weights, values)] for values in rows)
+    return [[sum(map(mul, row, values)) % p for row in reversed(table)] for values in scaled]
+
+
+def test_a_prime_whose_nodes_share_no_pivot_order_is_skipped(monkeypatch, honeycomb):
+    """On the nodes 1, 2, ... of both axes, entries of the honeycomb matrix
+    vanish at some nodes and not at others, so no pivot order serves them
+    all: that prime gives no residue and the next one draws its own nodes."""
+    primes, draw = [], _nodes
+
+    def nodes(p, *counts):
+        primes.append(p)
+        return [list(range(1, c + 1)) for c in counts] if len(primes) == 1 else draw(p, *counts)
+
+    monkeypatch.setitem(globals(), "_nodes", nodes)
+    m = kasteleyn_matrix(honeycomb)
+    assert format_laurent(modular_determinant(m)) == "3 - z1 - z2 - z1^-1*z2^-1"
+    assert len(primes) == 2
+
+
+def test_one_elimination_per_prime(monkeypatch):
+    """honeycomb 2x3 has a grid of nodes, and one elimination serves them all."""
+    calls, nodes, det_mod = [], _nodes, _det_mod
+    monkeypatch.setitem(globals(), "_nodes", lambda *args: calls.append("nodes") or nodes(*args))
+    monkeypatch.setitem(globals(), "_det_mod", lambda *args: calls.append("det") or det_mod(*args))
+    assert not modular_determinant(kasteleyn_matrix(subject("honeycomb@2x3"))).is_zero
+    assert calls and calls == ["nodes", "det"] * (len(calls) // 2)
+
+
+def test_primes_are_every_prime_below_two_to_the_thirty_in_descending_order():
+    """The first primes that ``_primes`` yields are, by trial division, all
+    the primes from the last of them up to 2^30, each one CPython digit."""
+    first = list(itertools.islice(_primes(), 20))
+    small = [q for q in range(2, 1 << 15) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    below = [q for q in range((1 << 30) - 1, first[-1] - 1, -2) if all(q % r for r in small)]
+    assert first == below
+    assert first[0] == (1 << 30) - 35
+
+
+def test_the_partition_ladder_takes_one_prime(monkeypatch):
+    """honeycomb 2x3's coefficients are far below 2^29, so one prime, one
+    grid of nodes, gives its determinant."""
+    calls, nodes = [], _nodes
+    monkeypatch.setitem(globals(), "_nodes", lambda *args: calls.append(args[0]) or nodes(*args))
+    m = kasteleyn_matrix(subject("honeycomb@2x3"))
+    assert modular_determinant(m) == determinant(m)
+    assert len(calls) == 1
+
+
+def test_coefficients_between_the_digit_and_two_to_the_sixty_one(monkeypatch):
+    """Coefficients near 2^50 fit one prime below 2^61 but need two below
+    2^30, joined by the Chinese remainder theorem."""
+    big = (1 << 30) + 3
+    rows = [
+        [[((1, 0), big), ((0, 0), 1)], [((0, 0), 2)]],
+        [[((0, 1), 3)], [((0, 0), (1 << 20) + 1), ((1, 1), -5)]],
+    ]
+    entries = tuple(LaurentPolynomial(tuple(terms)) for row in rows for terms in row)
+    m = KasteleynMatrix((0, 1), (0, 1), entries, 1)
+    calls, nodes = [], _nodes
+    monkeypatch.setitem(globals(), "_nodes", lambda *args: calls.append(args[0]) or nodes(*args))
+    det = modular_determinant(m)
+    assert det == leibniz_determinant(m) == determinant(m)
+    assert 1 << 30 < max(abs(c) for _, c in det.terms) < 1 << 61
+    assert len(calls) > 1
+
+
+def test_primes_are_tested_once_per_process(monkeypatch, honeycomb):
+    """Two generators advanced in turn, then the second ten primes past the
+    first, yield the same primes and leave each one once in the module's
+    list; one determinant leaves 2^30 - 35 there."""
+    monkeypatch.setitem(globals(), "_PRIMES", [])
+    first, second = _primes(), _primes()
+    pairs = [(next(first), next(second)) for _ in range(10)]
+    ahead = list(itertools.islice(second, 10))
+    primes = [a for a, _ in pairs] + list(itertools.islice(first, 10))
+    assert primes == [b for _, b in pairs] + ahead == sorted(set(primes), reverse=True)
+    assert _PRIMES == primes
+    monkeypatch.setitem(globals(), "_PRIMES", [])
+    modular_determinant(kasteleyn_matrix(honeycomb))
+    assert _PRIMES == [(1 << 30) - 35]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16), st.sampled_from((0, 1)), st.data())
+def test_interpolation_is_the_newton_form_through_every_node(count, axis, data):
+    """On either axis's ``_nodes`` progression mod the first prime, the
+    inverse Vandermonde table gives polynomials of degree below the node
+    count, the one through the values (Newton's form) by uniqueness: each
+    takes the given value at every node."""
+    p = next(_primes())
+    nodes = _nodes(p, count, count)[axis]
+    residues = st.lists(st.integers(0, p - 1), min_size=count, max_size=count)
+    rows = data.draw(st.lists(residues, min_size=1, max_size=4))
+    polys = _interpolate(rows, nodes, p)
+    for poly, values in zip(polys, rows):
+        assert len(poly) == count
+        assert [sum(c * pow(x, d, p) for d, c in enumerate(poly)) % p for x in nodes] == values
+
+
+def least_transversal(costs):
+    """The least total over the permutations that stay on the support of
+    ``costs``, or None when no permutation does: the brute-force oracle."""
+    totals = [
+        sum(costs[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(costs)))
+        if all(j in costs[i] for i, j in enumerate(perm))
+    ]
+    return min(totals, default=None)
+
+
+@st.composite
+def cost_tables(draw):
+    """n <= 6 sparse rows of small costs, negative and repeated ones among
+    them, with empty rows and columns."""
+    n = draw(st.integers(0, 6))
+    cols = st.lists(st.integers(0, n - 1), unique=True, max_size=n) if n else st.just([])
+    return [{j: draw(st.integers(-3, 3)) for j in draw(cols)} for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(cost_tables())
+def test_assignment_is_the_least_transversal(costs):
+    assert _assignment(costs) == least_transversal(costs)
+
+
+# ---------------------------------------------------------------------------
+# the unit reduction
 
 
 UNIT = st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.sampled_from([1, -1]))
@@ -737,7 +908,7 @@ def unit_heavy_matrices(draw) -> KasteleynMatrix:
 @given(unit_heavy_matrices())
 def test_the_unit_reduction_keeps_the_determinant(m):
     det = determinant(m)
-    assert det == unreduced_determinant(m)
+    assert det == modular_determinant(m)
     if len(m.rows) <= 5:
         assert det == leibniz_determinant(m)
 
@@ -782,16 +953,63 @@ def test_the_unit_heavy_matrices_reach_every_case_of_the_reduction():
 def test_the_unit_reduction_keeps_every_term(name, gauge):
     dimer = subject(name)
     m = kasteleyn_matrix(dimer, make_gauge(build_graph(dimer), gauge))
-    assert determinant(m).terms == unreduced_determinant(m).terms
+    assert determinant(m).terms == modular_determinant(m).terms
 
 
 @pytest.mark.parametrize("name, most", [("honeycomb@2x3", 4), ("honeycomb@5x5", 10)])
 def test_the_elimination_runs_on_the_schur_complement(monkeypatch, name, most):
     """The unit entries leave a k x k matrix: honeycomb 2x3 (n = 18) at most
-    4 x 4, honeycomb 5x5 (n = 75) at most 10 x 10."""
-    sizes, det_mod = [], kasteleyn._det_mod
-    monkeypatch.setattr(kasteleyn, "_det_mod",
-                        lambda rows, *args: sizes.append(len(rows)) or det_mod(rows, *args))
+    4 x 4, honeycomb 5x5 (n = 75) at most 10 x 10, and one Bareiss
+    elimination takes its determinant."""
+    sizes, bareiss = [], kasteleyn._bareiss
+    monkeypatch.setattr(kasteleyn, "_bareiss", lambda rows: sizes.append(len(rows)) or bareiss(rows))
     m = kasteleyn_matrix(subject(name))
     assert not determinant(m).is_zero
-    assert sizes and max(sizes) <= most < len(m.rows)
+    assert len(sizes) == 1 and sizes[0] <= most < len(m.rows)
+
+
+# ---------------------------------------------------------------------------
+# the Bareiss elimination
+
+
+POLYNOMIAL = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4).filter(bool), max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYNOMIAL, POLYNOMIAL.filter(bool))
+def test_exact_division_undoes_a_product(f, g):
+    """(f * g) / g is f, by a shift for a monomial g and by long division
+    on the lex-greatest term otherwise."""
+    assert kasteleyn._divide(kasteleyn._add_product({}, f, g), g) == f
+
+
+def sheared(dimer: DualDimer, k: int) -> DualDimer:
+    """The image of the dimer under the shear (x, y) -> (x + k y, y)."""
+    polytopes = tuple(
+        Polytope(p.color, [(x + k * y, y) for x, y in p.vertices]) for p in dimer.polytopes
+    )
+    return DualDimer(dimer.denominator, polytopes)
+
+
+@pytest.mark.parametrize("k", [1, 64, 2**40])
+@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "bl3-seed"])
+def test_a_shear_moves_the_determinant_by_its_exponent_map(name, k):
+    """Under the shear (x, y) -> (x + k y, y) every exponent moves by the
+    same map, up to a monomial, a sign and a twist z_i -> +-z_i (a shear can
+    change the Kasteleyn sign class: bl3-seed's changes at k = 1), and the
+    determinant takes under 50 ms however large k is."""
+    base = determinant(kasteleyn_matrix(catalog.build(name)))
+    m = kasteleyn_matrix(sheared(catalog.build(name), k))
+    start = time.perf_counter()
+    det = determinant(m)
+    assert time.perf_counter() - start < 0.05
+    d = base.denominator
+    moved = LaurentPolynomial(tuple(((x + k * y, y), c) for (x, y), c in base.terms), d)
+    moved = moved.normalized().terms
+    twists = [
+        {(x, y): sign * s1 ** (x // d % 2) * s2 ** (y // d % 2) * c for (x, y), c in moved}
+        for sign, s1, s2 in itertools.product((1, -1), repeat=3)
+    ]
+    assert dict(det.normalized().terms) in twists

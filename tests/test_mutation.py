@@ -525,11 +525,13 @@ def test_union_find_rank_is_the_rank_of_the_zigzag_rows():
         assert len(non_tree) - rank == len(non_tree) - len(diag), label
 
 
-# every proper cover up to 2x2, and the two immersed entries
+# every proper cover up to 2x2, the two immersed entries, and their 1x3, 3x1
+# and 1x4 covers, whose zigzag surface has free rank 2
 NOT_A_TORUS = [(name, kx, ky) for name, kx, ky in HOMOLOGY_CASES if (kx, ky) != (1, 1)] + [
     ("pants-min", 1, 1),
     ("immersed-hexagon", 1, 1),
-]
+] + [(name, kx, ky) for name in ("pants-min", "immersed-hexagon")
+     for kx, ky in ((1, 3), (3, 1), (1, 4))]
 
 
 @pytest.mark.parametrize("name, kx, ky", NOT_A_TORUS)
