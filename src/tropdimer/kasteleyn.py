@@ -10,11 +10,13 @@ the minors it forms, whatever the size of the exponents: a tree gauge with
 exact integer potentials makes the exponents integers and erases any input
 gauge, an elimination of the unit entries +-z^e leaves a small Schur
 complement, and a fraction-free (Bareiss) elimination gives its
-determinant.  Only ``enumerate_matchings`` walks the perfect matchings, the
-whites in order with a bitmask of the blacks already used, so its cost
-grows with their number; the `matchings` command counts them from the
-determinant on an embedded dimer.  ``kasteleyn_signs`` is a stage
-of the dimer, solved at most once per instance like those of ``dimer``.
+determinant; both key each term by one int x*s + y (Kronecker
+substitution), with s wide enough for every exponent they form.  Only
+``enumerate_matchings`` walks the perfect matchings, the whites in order
+with a bitmask of the blacks already used, so its cost grows with their
+number; the `matchings` command counts them from the determinant on an
+embedded dimer.  ``kasteleyn_signs`` is a stage of the dimer, solved at
+most once per instance like those of ``dimer``.
 """
 
 from __future__ import annotations
@@ -254,26 +256,34 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     Every entry that the elimination holds is a minor of S, so no term set
     outgrows a minor's Newton polygon: the cost depends on the numbers of
     terms, not on the size of the exponents, and a change of coordinates
-    that widens the Newton polygon costs nothing.  Entry coefficients must
-    be integers.  A non-square matrix, or one with no transversal, gives
-    the zero polynomial (no perfect matching), which the `kasteleyn`
-    command prints as `0`.
+    that widens the Newton polygon costs nothing.  Steps 2 and 3 key each
+    term by one int, x*s + y (Kronecker substitution), decoded only here.
+    With s = 12Y + 1, Y the sum over the gauged rows of each row's greatest
+    |y|, the key map is additive, injective and keeps lex order on every
+    exponent formed: a minor of the gauged rows has |y| <= Y, an entry or
+    minor of a (partial) Schur complement, a ratio of two of those,
+    |y| <= 2Y, and every product formed (the unit update, the two Bareiss
+    products, a lazy row's catch-up, long division's remainder)
+    |y| <= 6Y < s / 2.  Entry coefficients must be integers.  A non-square
+    matrix, or one with no transversal, gives the zero polynomial (no
+    perfect matching), which the `kasteleyn` command prints as `0`.
     """
     den = m.denominator
     if len(m.rows) != len(m.cols):
         return LaurentPolynomial((), den)
     rows, (sx, sy) = _tree_gauge(m)
-    unit, (ex, ey), rows = _unit_reduce(rows)  # unit 0, a row cancelled, zeroes every term
-    sx, sy = sx - den * ex, sy - den * ey
-    terms = (((den * x - sx, den * y - sy), unit * c) for (x, y), c in _bareiss(rows).items())
+    unit, s, shift, rows = _unit_reduce(rows)  # unit 0, a row cancelled, zeroes every term
+    # key + shift = x*s + y with |y| <= s // 2, so key + shift + s // 2 = x*s + (y + s // 2)
+    pairs = ((divmod(key + shift + s // 2, s), c) for key, c in _bareiss(rows).items())
+    terms = (((den * x - sx, den * (y - s // 2) - sy), unit * c) for (x, y), c in pairs)
     return LaurentPolynomial(terms, den)
 
 
 def _unit_reduce(rows):
-    """(unit, (ex, ey), rest): the determinant of the gauged rows is
-    unit * z^(ex, ey) times that of the k x k rows ``rest``, each
-    {column: {(x, y): c}}, re-indexed in order, with unit 0 when a row
-    cancels to nothing (the determinant is 0).
+    """(unit, s, e, rest): the determinant of the gauged rows is unit * z^e
+    times that of the k x k rows ``rest``, each {column: {key: c}}, re-indexed
+    in order; unit 0 when a row cancels to nothing (the determinant is 0).
+    Keys, e among them, pack (x, y) as x*s + y, s = 12Y + 1 (see ``determinant``).
 
     A sparse elimination, exact over Z[z^+-1], whose pivots are units: single
     terms +-z^e, whose inverse is a unit.  Each step takes the remaining row
@@ -285,7 +295,9 @@ def _unit_reduce(rows):
     remaining rows, in order, to the remaining columns in order.
     """
     n = len(rows)
-    left = {i: {j: {(x, y): c for x, y, c in ts} for j, ts in row.items()}
+    s = 12 * sum(max((abs(y) for ts in row.values() for _, y, _ in ts), default=0)
+                 for row in rows) + 1
+    left = {i: {j: {x * s + y: c for x, y, c in ts} for j, ts in row.items()}
             for i, row in enumerate(rows)}
     holders = [set() for _ in range(n)]  # column -> remaining rows with an entry there
     for i, row in left.items():
@@ -296,7 +308,7 @@ def _unit_reduce(rows):
         return [j for j, t in row.items() if len(t) == 1 and abs(next(iter(t.values()))) == 1]
 
     ready = {i for i, row in left.items() if units(row)}
-    perm, unit, ex, ey = [None] * n, 1, 0, 0
+    perm, unit, shift = [None] * n, 1, 0
     while ready:
         i = min(ready, key=lambda r: len(left[r]))
         ready.remove(i)
@@ -304,19 +316,19 @@ def _unit_reduce(rows):
         j = min(units(row), key=lambda c: len(holders[c]))
         for c in row:
             holders[c].discard(i)
-        ((px, py), pc), = row.pop(j).items()
-        perm[i], unit, ex, ey = j, unit * pc, ex + px, ey + py
+        (p, pc), = row.pop(j).items()
+        perm[i], unit, shift = j, unit * pc, shift + p
         for r in holders[j]:
             target = left[r]
-            # minus t_rj / pivot, the pivot's inverse being pc z^(-px, -py)
-            f = [(x - px, y - py, -c * pc) for (x, y), c in target.pop(j).items()]
+            # minus t_rj / pivot, the pivot's inverse being pc z^-p
+            f = [(e - p, -c * pc) for e, c in target.pop(j).items()]
             for col, value in row.items():
                 acc = target.setdefault(col, {})
-                for (x, y), c in value.items():
-                    for fx, fy, fc in f:
-                        key = x + fx, y + fy
-                        if s := acc.get(key, 0) + c * fc:
-                            acc[key] = s
+                for e, c in value.items():
+                    for fe, fc in f:
+                        key = e + fe
+                        if v := acc.get(key, 0) + c * fc:
+                            acc[key] = v
                         else:
                             del acc[key]
                 if acc:
@@ -325,7 +337,7 @@ def _unit_reduce(rows):
                     del target[col]
                     holders[col].discard(r)
             if not target:
-                return 0, (0, 0), []
+                return 0, s, 0, []
             if units(target):
                 ready.add(r)
             else:
@@ -337,7 +349,7 @@ def _unit_reduce(rows):
     unit *= (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
     index = {j: k for k, j in enumerate(cols)}
     rest = [{index[j]: t for j, t in row.items()} for row in left.values()]
-    return unit, (ex, ey), rest
+    return unit, s, shift, rest
 
 
 def _tree_gauge(m: KasteleynMatrix):
@@ -393,9 +405,9 @@ def _tree_gauge(m: KasteleynMatrix):
 
 
 def _bareiss(rows) -> dict:
-    """det of the k x k rows, each {column: {(x, y): c}}, as {(x, y): c}:
-    fraction-free (Bareiss) elimination, exact over Z[z^+-1], which uses
-    the rows up.
+    """det of the k x k rows, each {column: {key: c}}, as {key: c}, the
+    exponents packed as in ``_unit_reduce``: fraction-free (Bareiss)
+    elimination, exact over Z[z^+-1], which uses the rows up.
 
     Step t takes a pivot p_t = M_ij and replaces every other remaining
     entry by M_rc <- (p_t M_rc - M_rj M_ic) / p_(t-1), p_0 = 1; the result
@@ -406,12 +418,12 @@ def _bareiss(rows) -> dict:
     from position b, multiplies the sign by (-1)^(a + b).  A row that does
     not hold the pivot column is only multiplied by p_t / p_(t-1), and those
     factors telescope: such a row is left alone, ``over[r]`` records the
-    step s its entries are at, and its next update divides by p_s instead;
+    step q its entries are at, and its next update divides by p_q instead;
     the pivot row is brought up to step t - 1 before it is used.  No
     remaining entry: the determinant is 0.
     """
     k = len(rows)
-    over, pivots = [0] * k, [{(0, 0): 1}]
+    over, pivots = [0] * k, [{0: 1}]
     holders = [set() for _ in range(k)]  # column -> remaining rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
@@ -450,34 +462,34 @@ def _bareiss(rows) -> dict:
 
 def _add_product(acc: dict, f: dict, g: dict, sign: int = 1) -> dict:
     """acc, with sign * f * g added in place, for sparse Laurent polynomials
-    {(x, y): c}; zero coefficients may stay."""
-    for (x, y), a in f.items():
+    {key: c} with packed exponents; zero coefficients may stay."""
+    for e, a in f.items():
         a *= sign
-        for (u, v), b in g.items():
-            key = x + u, y + v
+        for u, b in g.items():
+            key = e + u
             acc[key] = acc.get(key, 0) + a * b
     return acc
 
 
 def _divide(f: dict, g: dict) -> dict:
     """f / g, zero coefficients of f dropped, for a nonzero g that divides f
-    exactly over Z[z^+-1]: a shift and an integer division by a monomial,
-    and otherwise long division on the lex-greatest term (lex order is kept
-    by multiplication, so the greatest term of f is that of g times that of
-    the quotient)."""
+    exactly over Z[z^+-1], both {key: c}: a shift and an integer division by
+    a monomial, and otherwise long division on the greatest key, the
+    lex-greatest exponent (lex order is kept by multiplication, so the
+    greatest term of f is that of g times that of the quotient)."""
     if len(g) == 1:
-        ((gx, gy), gc), = g.items()
-        return {(x - gx, y - gy): c // gc for (x, y), c in f.items() if c}
-    (lx, ly), lc = max(g.items())
+        (ge, gc), = g.items()
+        return {e - ge: c // gc for e, c in f.items() if c}
+    le, lc = max(g.items())
     rest, out = {e: c for e, c in f.items() if c}, {}
     while rest:
-        (x, y), c = max(rest.items())
-        qx, qy, q = x - lx, y - ly, c // lc
-        out[qx, qy] = q
-        for (u, v), b in g.items():
-            key = u + qx, v + qy
-            if s := rest.get(key, 0) - q * b:
-                rest[key] = s
+        e = max(rest)
+        qe, q = e - le, rest[e] // lc
+        out[qe] = q
+        for u, b in g.items():
+            key = u + qe
+            if v := rest.get(key, 0) - q * b:
+                rest[key] = v
             else:
                 del rest[key]
     return out

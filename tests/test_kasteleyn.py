@@ -932,7 +932,7 @@ def test_the_unit_heavy_matrices_reach_every_case_of_the_reduction():
     @settings(max_examples=300, deadline=None, database=None)
     @given(unit_heavy_matrices())
     def collect(m):
-        unit, _, rest = kasteleyn._unit_reduce(kasteleyn._tree_gauge(m)[0])
+        unit, _, _, rest = kasteleyn._unit_reduce(kasteleyn._tree_gauge(m)[0])
         if unit == 0:
             seen.add("a row cancels")
             assert determinant(m).is_zero
@@ -948,7 +948,7 @@ def test_the_unit_heavy_matrices_reach_every_case_of_the_reduction():
 
 @pytest.mark.parametrize("name", PARTITION_NAMES + [
     name + size for size in ("@1x2", "@2x1", "@2x2", "@3x3") for name in catalog.NAMES
-])
+] + ["bl3-seed@4x4", "honeycomb@4x4"])  # the last two leave dense complements
 @pytest.mark.parametrize("gauge", ["trivial", "random:3"])
 def test_the_unit_reduction_keeps_every_term(name, gauge):
     dimer = subject(name)
@@ -972,8 +972,10 @@ def test_the_elimination_runs_on_the_schur_complement(monkeypatch, name, most):
 # the Bareiss elimination
 
 
+# exponents in [-3, 3]^2, packed as x*s + y with s = 13: a product's |y| <= 6 < s / 2
 POLYNOMIAL = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4).filter(bool), max_size=6
+    st.builds(lambda x, y: 13 * x + y, st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(-4, 4).filter(bool), max_size=6
 )
 
 
@@ -981,35 +983,72 @@ POLYNOMIAL = st.dictionaries(
 @given(POLYNOMIAL, POLYNOMIAL.filter(bool))
 def test_exact_division_undoes_a_product(f, g):
     """(f * g) / g is f, by a shift for a monomial g and by long division
-    on the lex-greatest term otherwise."""
+    on the greatest key, the lex-greatest exponent, otherwise."""
     assert kasteleyn._divide(kasteleyn._add_product({}, f, g), g) == f
 
 
-def sheared(dimer: DualDimer, k: int) -> DualDimer:
-    """The image of the dimer under the shear (x, y) -> (x + k y, y)."""
+def sheared(dimer: DualDimer, shear) -> DualDimer:
+    """The image of the dimer under ``shear``, a linear map on (x, y)."""
     polytopes = tuple(
-        Polytope(p.color, [(x + k * y, y) for x, y in p.vertices]) for p in dimer.polytopes
+        Polytope(p.color, [shear(x, y) for x, y in p.vertices]) for p in dimer.polytopes
     )
     return DualDimer(dimer.denominator, polytopes)
 
 
-@pytest.mark.parametrize("k", [1, 64, 2**40])
-@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "bl3-seed"])
-def test_a_shear_moves_the_determinant_by_its_exponent_map(name, k):
-    """Under the shear (x, y) -> (x + k y, y) every exponent moves by the
-    same map, up to a monomial, a sign and a twist z_i -> +-z_i (a shear can
-    change the Kasteleyn sign class: bl3-seed's changes at k = 1), and the
-    determinant takes under 50 ms however large k is."""
+def assert_the_shear_moves_the_determinant(name, shear):
+    """Every exponent of the determinant moves by ``shear``, up to a
+    monomial, a sign and a twist z_i -> +-z_i (a shear can change the
+    Kasteleyn sign class: bl3-seed's changes at k = 1), and the determinant
+    takes under 50 ms however large the shear is."""
     base = determinant(kasteleyn_matrix(catalog.build(name)))
-    m = kasteleyn_matrix(sheared(catalog.build(name), k))
+    m = kasteleyn_matrix(sheared(catalog.build(name), shear))
     start = time.perf_counter()
     det = determinant(m)
     assert time.perf_counter() - start < 0.05
     d = base.denominator
-    moved = LaurentPolynomial(tuple(((x + k * y, y), c) for (x, y), c in base.terms), d)
+    moved = LaurentPolynomial(tuple((shear(x, y), c) for (x, y), c in base.terms), d)
     moved = moved.normalized().terms
     twists = [
         {(x, y): sign * s1 ** (x // d % 2) * s2 ** (y // d % 2) * c for (x, y), c in moved}
         for sign, s1, s2 in itertools.product((1, -1), repeat=3)
     ]
     assert dict(det.normalized().terms) in twists
+
+
+@pytest.mark.parametrize("k", [1, 64, 2**40])
+@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "bl3-seed"])
+def test_a_shear_moves_the_determinant_by_its_exponent_map(name, k):
+    """The shear (x, y) -> (x + k y, y)."""
+    assert_the_shear_moves_the_determinant(name, lambda x, y: (x + k * y, y))
+
+
+@pytest.mark.parametrize("k", [1, 64, 2**40])
+@pytest.mark.parametrize("name", ["honeycomb", "cp2-seed", "bl3-seed"])
+def test_a_vertical_shear_moves_the_determinant_by_its_exponent_map(name, k):
+    """The shear (x, y) -> (x, y + k x), which widens the y exponents that
+    the elimination packs into x*s + y, so s must grow with them."""
+    assert_the_shear_moves_the_determinant(name, lambda x, y: (x, y + k * x))
+
+
+WIDE = st.integers(-2**40, 2**40)
+WIDE_ENTRY = st.one_of(
+    st.just(()), st.lists(st.tuples(st.tuples(WIDE, WIDE), st.sampled_from([1, -1, 3])),
+                          min_size=1, max_size=3).map(tuple)
+)
+
+
+@st.composite
+def wide_sparse_matrices(draw) -> KasteleynMatrix:
+    """A random sparse n x n matrix, n <= 5, whose exponents are of mixed
+    sign with |x| and |y| up to 2^40."""
+    n = draw(st.integers(1, 5))
+    entries = tuple(LaurentPolynomial(draw(WIDE_ENTRY)) for _ in range(n * n))
+    return KasteleynMatrix(tuple(range(n)), tuple(range(n)), entries, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_matrices())
+def test_determinant_is_leibniz_sum_on_wide_exponents(m):
+    """The packed keys x*s + y take s from the exponents' extent, so no
+    width makes two exponents share a key."""
+    assert determinant(m) == leibniz_determinant(m)
