@@ -143,6 +143,10 @@ def nodal_trade(diagram: BaseDiagram, corner_index: int) -> BaseDiagram:
 
 
 def trade_all_corners(diagram: BaseDiagram) -> BaseDiagram:
+    """Every corner of the boundary traded in turn; a diagram with no
+    boundary has no corner to trade."""
+    if diagram.boundary is None:
+        raise ValueError("diagram has no boundary")
     for i in range(len(diagram.boundary.vertices)):
         diagram = nodal_trade(diagram, i)
     return diagram

@@ -6,12 +6,11 @@ exponent is a pair of integer numerators over the graph's denominator D
 (``DimerGraph.denominator``); only ``format_laurent`` divides by D.  The
 determinant (the partition function) is computed by elimination exact over
 Z[z^+-1], at a cost set by the matrix size n and the numbers of terms of
-the minors it forms, whatever the size of the exponents: a tree gauge with
-exact integer potentials makes the exponents integers and erases any input
-gauge, an elimination of the unit entries +-z^e leaves a small Schur
-complement, and a fraction-free (Bareiss) elimination gives its
-determinant; both key each term by one int x*s + y (Kronecker
-substitution), with s wide enough for every exponent they form.  Only
+the minors it forms, whatever the size of the exponents: an elimination of
+the unit entries +-z^e leaves a small Schur complement, and a fraction-free
+(Bareiss) elimination gives its determinant; both run on the entries' own
+numerators, each term keyed by one int x*s + y (Kronecker substitution),
+with s wide enough for every exponent they form.  Only
 ``enumerate_matchings`` walks the perfect matchings, the whites in order
 with a bitmask of the blacks already used, so its cost grows with their
 number; the `matchings` command counts them from the determinant on an
@@ -242,48 +241,54 @@ def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
 def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     """Exact determinant: the partition function of the dimer.
 
-    1. A BFS-tree gauge with exact potentials makes every forest entry z^0
-       on its first term, so every exponent an integer pair (a cycle's sum
-       is a homology class), and multiplies the determinant by a monomial
-       divided out at the end; any input gauge cancels here.
-    2. Every unit entry, a single term +-z^e, is eliminated exactly over
+    1. Every unit entry, a single term +-z^e, is eliminated exactly over
        Z[z^+-1] (``_unit_reduce``): the determinant is a signed monomial
        times that of the k x k Schur complement S left, k = 4 for the n = 18
        of honeycomb 2x3.
-    3. det S by one fraction-free (Bareiss) elimination over Z[z^+-1]
-       (``_bareiss``), shifted by the monomials of steps 1 and 2.
+    2. det S by one fraction-free (Bareiss) elimination over Z[z^+-1]
+       (``_bareiss``), shifted by the monomial of step 1.
 
     Every entry that the elimination holds is a minor of S, so no term set
     outgrows a minor's Newton polygon: the cost depends on the numbers of
     terms, not on the size of the exponents, and a change of coordinates
-    that widens the Newton polygon costs nothing.  Steps 2 and 3 key each
-    term by one int, x*s + y (Kronecker substitution), decoded only here.
-    With s = 12Y + 1, Y the sum over the gauged rows of each row's greatest
-    |y|, the key map is additive, injective and keeps lex order on every
-    exponent formed: a minor of the gauged rows has |y| <= Y, an entry or
-    minor of a (partial) Schur complement, a ratio of two of those,
+    that widens the Newton polygon costs nothing.  Both steps run on the
+    entries' own exponent numerators over D, each term keyed by one int,
+    x*s + y (Kronecker substitution), packed by ``_pack`` and decoded only
+    here.  With s = 12Y + 1, Y the sum over the matrix's rows of each row's
+    greatest |y|, the key map is additive, injective and keeps lex order on
+    every exponent formed: a minor of the matrix's rows has |y| <= Y, an
+    entry or minor of a (partial) Schur complement, a ratio of two of those,
     |y| <= 2Y, and every product formed (the unit update, the two Bareiss
     products, a lazy row's catch-up, long division's remainder)
     |y| <= 6Y < s / 2.  Entry coefficients must be integers.  A non-square
     matrix, or one with no transversal, gives the zero polynomial (no
     perfect matching), which the `kasteleyn` command prints as `0`.
     """
-    den = m.denominator
     if len(m.rows) != len(m.cols):
-        return LaurentPolynomial((), den)
-    rows, (sx, sy) = _tree_gauge(m)
-    unit, s, shift, rows = _unit_reduce(rows)  # unit 0, a row cancelled, zeroes every term
+        return LaurentPolynomial((), m.denominator)
+    s, rows = _pack(m)
+    unit, shift, rows = _unit_reduce(rows)  # unit 0, a row cancelled, zeroes every term
     # key + shift = x*s + y with |y| <= s // 2, so key + shift + s // 2 = x*s + (y + s // 2)
     pairs = ((divmod(key + shift + s // 2, s), c) for key, c in _bareiss(rows).items())
-    terms = (((den * x - sx, den * (y - s // 2) - sy), unit * c) for (x, y), c in pairs)
-    return LaurentPolynomial(terms, den)
+    return LaurentPolynomial((((x, y - s // 2), unit * c) for (x, y), c in pairs), m.denominator)
+
+
+def _pack(m: KasteleynMatrix):
+    """(s, rows): s = 12Y + 1 (see ``determinant``) and row i of the square
+    matrix as {column: {x*s + y: c}}, one key per term of a nonzero entry."""
+    n = len(m.rows)
+    support = [[(j, e.terms) for j in range(n) if (e := m.entries[i * n + j]).terms]
+               for i in range(n)]
+    s = 12 * sum(max((abs(y) for _, ts in row for (_, y), _ in ts), default=0)
+                 for row in support) + 1
+    return s, [{j: {x * s + y: c for (x, y), c in ts} for j, ts in row} for row in support]
 
 
 def _unit_reduce(rows):
-    """(unit, s, e, rest): the determinant of the gauged rows is unit * z^e
-    times that of the k x k rows ``rest``, each {column: {key: c}}, re-indexed
-    in order; unit 0 when a row cancels to nothing (the determinant is 0).
-    Keys, e among them, pack (x, y) as x*s + y, s = 12Y + 1 (see ``determinant``).
+    """(unit, e, rest): the determinant of the n x n rows, each {column: {key: c}}
+    with keys packed by ``_pack``, is unit * z^e times that of the k x k rows
+    ``rest``, re-indexed in order, e a packed key too; unit 0 when a row
+    cancels to nothing (the determinant is 0).
 
     A sparse elimination, exact over Z[z^+-1], whose pivots are units: single
     terms +-z^e, whose inverse is a unit.  Each step takes the remaining row
@@ -292,13 +297,11 @@ def _unit_reduce(rows):
     column j loses (t_rj / pivot) times the pivot row, a polynomial that
     cancels dropped.  It stops when no remaining row holds a unit.  The sign
     is that of the permutation taking each pivot row to its column and the
-    remaining rows, in order, to the remaining columns in order.
+    remaining rows, in order, to the remaining columns in order.  It uses
+    the rows up.
     """
     n = len(rows)
-    s = 12 * sum(max((abs(y) for ts in row.values() for _, y, _ in ts), default=0)
-                 for row in rows) + 1
-    left = {i: {j: {x * s + y: c for x, y, c in ts} for j, ts in row.items()}
-            for i, row in enumerate(rows)}
+    left = dict(enumerate(rows))
     holders = [set() for _ in range(n)]  # column -> remaining rows with an entry there
     for i, row in left.items():
         for j in row:
@@ -337,7 +340,7 @@ def _unit_reduce(rows):
                     del target[col]
                     holders[col].discard(r)
             if not target:
-                return 0, s, 0, []
+                return 0, 0, []
             if units(target):
                 ready.add(r)
             else:
@@ -349,64 +352,12 @@ def _unit_reduce(rows):
     unit *= (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
     index = {j: k for k, j in enumerate(cols)}
     rest = [{index[j]: t for j, t in row.items()} for row in left.values()]
-    return unit, s, shift, rest
-
-
-def _tree_gauge(m: KasteleynMatrix):
-    """(rows, shift): row i of the gauged matrix as {column: ((x, y, c), ...)}
-    with integer exponents, and the numerator pair over D that the gauge adds
-    to every monomial of the determinant.
-
-    Row and column potentials come from a BFS spanning forest of the
-    support, exact so that the forest's entries, on their first term, get
-    exponent (0, 0); then every term's is divisible by D.  Exact potentials
-    absorb any row and column gauge, so the rows do not depend on one.
-    """
-    n, den = len(m.rows), m.denominator
-    support = [{j: e.terms for j in range(n) if (e := m.entries[i * n + j]).terms}
-               for i in range(n)]
-    holders = [[] for _ in range(n)]
-    for i, row in enumerate(support):
-        for j in row:
-            holders[j].append(i)
-    row_pot, col_pot = [None] * n, [None] * n
-    for root in range(n):
-        if row_pot[root] is not None:
-            continue
-        row_pot[root] = (0, 0)
-        queue = [root]
-        for i in queue:
-            rx, ry = row_pot[i]
-            for j, terms in support[i].items():
-                if col_pot[j] is not None:
-                    continue
-                (ex, ey), _ = terms[0]
-                cx, cy = col_pot[j] = (-ex - rx, -ey - ry)
-                for k in holders[j]:
-                    if row_pot[k] is None:
-                        (ex, ey), _ = support[k][j][0]
-                        row_pot[k] = (-ex - cx, -ey - cy)
-                        queue.append(k)
-    col_pot = [pot or (0, 0) for pot in col_pot]  # a column with no entries
-    rows = []
-    for i, row in enumerate(support):
-        gauged = {}
-        for j, terms in row.items():
-            shift_x, shift_y = row_pot[i][0] + col_pot[j][0], row_pot[i][1] + col_pot[j][1]
-            gauged[j] = []
-            for (ex, ey), c in terms:
-                (x, rx), (y, ry) = divmod(ex + shift_x, den), divmod(ey + shift_y, den)
-                if rx or ry:
-                    raise ValueError("entry exponents are not integral up to a gauge")
-                gauged[j].append((x, y, c))
-        rows.append(gauged)
-    shift = tuple(sum(pot[k] for pot in row_pot + col_pot) for k in (0, 1))
-    return rows, shift
+    return unit, shift, rest
 
 
 def _bareiss(rows) -> dict:
     """det of the k x k rows, each {column: {key: c}}, as {key: c}, the
-    exponents packed as in ``_unit_reduce``: fraction-free (Bareiss)
+    exponents packed as by ``_pack``: fraction-free (Bareiss)
     elimination, exact over Z[z^+-1], which uses the rows up.
 
     Step t takes a pivot p_t = M_ij and replaces every other remaining

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import Rat, RatPolygon, Record, Vec2, interior_lattice_count
+from .lattice import RatPolygon, Record, Vec2, interior_lattice_count
 
 
 class TropicalPolynomial(Record):
@@ -35,11 +35,6 @@ class TropicalPolynomial(Record):
         if len({a for a, _ in items}) != len(items):
             raise ValueError("exponents must be pairwise distinct")
         self.terms, self.concave = items, concave
-
-
-def evaluate(phi: TropicalPolynomial, q: Vec2) -> Rat:
-    m = max(c + a.dot(q) for a, c in phi.terms)
-    return -m if phi.concave else m
 
 
 def dual_function(delta: RatPolygon, color: str) -> TropicalPolynomial:

@@ -36,12 +36,17 @@ from tropdimer.tropical import (
     TropicalCurve,
     TropicalPolynomial,
     check_balancing,
-    evaluate,
     nonlinearity_locus,
 )
 
 V = Vec2
 F = Fraction
+
+
+def evaluate(phi: TropicalPolynomial, q: Vec2):
+    """phi(q): the greatest term at q, negated for a concave dual."""
+    m = max(c + a.dot(q) for a, c in phi.terms)
+    return -m if phi.concave else m
 
 
 def square(lo_x, hi_x, lo_y, hi_y):
@@ -254,6 +259,13 @@ def _horizontal_ray_through_the_local_node():
 def test_base_diagram_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_trading_every_corner_of_the_boundaryless_local_model_is_refused():
+    diagram, _ = local_model()
+    assert diagram.boundary is None
+    with pytest.raises(ValueError, match="diagram has no boundary"):
+        trade_all_corners(diagram)
 
 
 def test_moving_an_edge_end_keeps_the_other_fields():

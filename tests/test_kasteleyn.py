@@ -222,11 +222,11 @@ def test_the_tree_gauge_erases_the_input_gauge(name):
     dimer = subject(name)
     graph = build_graph(dimer)
     d = graph.denominator
-    rows, (sx, sy) = kasteleyn._tree_gauge(kasteleyn_matrix(dimer))
+    rows, (sx, sy) = _tree_gauge(kasteleyn_matrix(dimer))
     for seed in range(5):
         gauge = make_gauge(graph, f"random:{seed}")
         gx, gy = gauge_sum(gauge)
-        gauged = kasteleyn._tree_gauge(kasteleyn_matrix(dimer, gauge))
+        gauged = _tree_gauge(kasteleyn_matrix(dimer, gauge))
         assert gauged == (rows, (sx - d * gx, sy - d * gy)), (name, seed)
 
 
@@ -511,18 +511,73 @@ def test_matrix_after_the_signs_traces_no_face_again(honeycomb, monkeypatch):
     assert calls == []
 
 
-def test_determinant_refuses_a_cycle_off_the_lattice():
+def test_determinant_takes_a_cycle_off_the_lattice():
     """Over D = 2, the one cycle of this 2x2 matrix has exponent sum (1, 0):
-    no gauge makes every entry exponent an integer pair."""
+    no gauge makes every entry exponent an integer pair, and the elimination
+    needs none, since it runs on the numerators over D."""
     one, half = monomial((0, 0), 1, 2), monomial((1, 0), 1, 2)
     m = KasteleynMatrix((0, 1), (2, 3), (one, one, one, half), 2)
-    with pytest.raises(ValueError, match="entry exponents are not integral up to a gauge"):
-        determinant(m)
+    det = determinant(m)
+    assert format_laurent(det) == "-1 + z1^1/2"
+    assert det == leibniz_determinant(m)
 
 
 # ---------------------------------------------------------------------------
 # the modular oracle: the determinant as it ran before the Bareiss
-# elimination, on all n x n gauged rows, without the unit elimination
+# elimination, on all n x n rows made integral by the tree gauge, without
+# the unit elimination
+
+
+def _tree_gauge(m: KasteleynMatrix):
+    """(rows, shift): row i of the gauged matrix as {column: ((x, y, c), ...)}
+    with integer exponents, and the numerator pair over D that the gauge adds
+    to every monomial of the determinant.
+
+    Row and column potentials come from a BFS spanning forest of the
+    support, exact so that the forest's entries, on their first term, get
+    exponent (0, 0); then every term's is divisible by D.  Exact potentials
+    absorb any row and column gauge, so the rows do not depend on one.
+    """
+    n, den = len(m.rows), m.denominator
+    support = [{j: e.terms for j in range(n) if (e := m.entries[i * n + j]).terms}
+               for i in range(n)]
+    holders = [[] for _ in range(n)]
+    for i, row in enumerate(support):
+        for j in row:
+            holders[j].append(i)
+    row_pot, col_pot = [None] * n, [None] * n
+    for root in range(n):
+        if row_pot[root] is not None:
+            continue
+        row_pot[root] = (0, 0)
+        queue = [root]
+        for i in queue:
+            rx, ry = row_pot[i]
+            for j, terms in support[i].items():
+                if col_pot[j] is not None:
+                    continue
+                (ex, ey), _ = terms[0]
+                cx, cy = col_pot[j] = (-ex - rx, -ey - ry)
+                for k in holders[j]:
+                    if row_pot[k] is None:
+                        (ex, ey), _ = support[k][j][0]
+                        row_pot[k] = (-ex - cx, -ey - cy)
+                        queue.append(k)
+    col_pot = [pot or (0, 0) for pot in col_pot]  # a column with no entries
+    rows = []
+    for i, row in enumerate(support):
+        gauged = {}
+        for j, terms in row.items():
+            shift_x, shift_y = row_pot[i][0] + col_pot[j][0], row_pot[i][1] + col_pot[j][1]
+            gauged[j] = []
+            for (ex, ey), c in terms:
+                (x, rx), (y, ry) = divmod(ex + shift_x, den), divmod(ey + shift_y, den)
+                if rx or ry:
+                    raise ValueError("entry exponents are not integral up to a gauge")
+                gauged[j].append((x, y, c))
+        rows.append(gauged)
+    shift = tuple(sum(pot[k] for pot in row_pot + col_pot) for k in (0, 1))
+    return rows, shift
 
 
 def modular_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
@@ -541,7 +596,7 @@ def modular_determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     zero = LaurentPolynomial((), den)
     if n != len(m.cols):
         return zero
-    rows, (sx, sy) = kasteleyn._tree_gauge(m)
+    rows, (sx, sy) = _tree_gauge(m)
     reach = [{} for _ in rows]  # entry -> (least x, -greatest x, least y, -greatest y)
     for i, row in enumerate(rows):
         for j, ts in row.items():
@@ -932,7 +987,7 @@ def test_the_unit_heavy_matrices_reach_every_case_of_the_reduction():
     @settings(max_examples=300, deadline=None, database=None)
     @given(unit_heavy_matrices())
     def collect(m):
-        unit, _, _, rest = kasteleyn._unit_reduce(kasteleyn._tree_gauge(m)[0])
+        unit, _, rest = kasteleyn._unit_reduce(kasteleyn._pack(m)[1])
         if unit == 0:
             seen.add("a row cancels")
             assert determinant(m).is_zero
@@ -1039,11 +1094,13 @@ WIDE_ENTRY = st.one_of(
 
 @st.composite
 def wide_sparse_matrices(draw) -> KasteleynMatrix:
-    """A random sparse n x n matrix, n <= 5, whose exponents are of mixed
-    sign with |x| and |y| up to 2^40."""
-    n = draw(st.integers(1, 5))
-    entries = tuple(LaurentPolynomial(draw(WIDE_ENTRY)) for _ in range(n * n))
-    return KasteleynMatrix(tuple(range(n)), tuple(range(n)), entries, 1)
+    """A random sparse n x n matrix, n <= 5, whose exponent numerators are
+    of mixed sign with |x| and |y| up to 2^40, over a denominator D in
+    {1, 2, 3, 6}: for D > 1 its cycles are mostly off the lattice, where
+    no gauge makes every exponent an integer pair."""
+    n, den = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 3, 6]))
+    entries = tuple(LaurentPolynomial(draw(WIDE_ENTRY), den) for _ in range(n * n))
+    return KasteleynMatrix(tuple(range(n)), tuple(range(n)), entries, den)
 
 
 @settings(max_examples=150, deadline=None)
