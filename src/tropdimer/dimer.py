@@ -19,19 +19,22 @@ direction.  The edge displacements (hence the Kasteleyn exponents) are
 integer pairs over the graph's denominator D = N * lcm of the polygons'
 vertex counts, that of every vertex centroid; only the fan is rational.
 
-Zigzags and faces are the `orbits` of step maps on darts that index
-polygon vertices.  A zigzag dart (polytope, start index, end index) is
-keyed by its torus point and its direction, read from each dimer's one
-table of edge directions, which validation's germ test reads too; a face
-walk turns at each polytope to its next vertex and sorts no rotation ring.
+Each polygon's corners are read once, into the dimer's one corner table
+(`_corners`): per color, torus point -> (polytope, vertex index) and the
+points met twice; each edge's primitive direction; each polygon's box.
+Validation, the graph, the zigzags and the faces read that table.  Zigzags
+and faces are the `orbits` of step maps on darts that index polygon
+vertices: a zigzag dart (polytope, start index, end index) is keyed by its
+torus point and its direction; a face walk turns at each polytope to its
+next vertex and sorts no rotation ring.
 
 Validation also asks whether two polygon interiors meet on T^2, which
 separates embedded dimers from immersed ones.  A broad phase sweeps the
-polygons' x-extents around the circle R / N Z and tests the y-extents of
-each pair the sweep finds, O(P log P) plus those pairs; the narrow phase
-counts points of N Z^2 inside the Minkowski difference of a candidate pair
-with the floor sums of `lattice.interior_lattice_count`, O(n log extent)
-for n vertices, after one merge of the two polygons' edges in the order of
+boxes' x-extents around the circle R / N Z and tests the y-extents of each
+pair the sweep finds, O(P log P) plus those pairs; the narrow phase counts
+points of N Z^2 inside the Minkowski difference of a candidate pair with
+the floor sums of `lattice.interior_lattice_count`, O(n log extent) for n
+vertices, after one merge of the two polygons' edges in the order of
 `lattice.angle_cmp`.  No step loops over translates, so the cost does not
 grow with the size of the coordinates.
 """
@@ -57,13 +60,17 @@ class Polytope(Record):
     def __init__(self, color: str, vertices: tuple):
         if color not in (WHITE, BLACK):
             raise ValueError("color must be 'white' or 'black'")
-        if not isinstance(vertices, (list, tuple)) or not all(
-            isinstance(v, (list, tuple)) and len(v) == 2 and all(type(c) is int for c in v)
-            for v in vertices
-        ):
-            raise ValueError("vertices must be pairs of integer numerators")
+        refusal = "vertices must be pairs of integer numerators"
+        if not isinstance(vertices, (list, tuple)):
+            raise ValueError(refusal)
+        pairs = []
+        for v in vertices:
+            if not (isinstance(v, (list, tuple)) and len(v) == 2
+                    and type(v[0]) is int and type(v[1]) is int):
+                raise ValueError(refusal)
+            pairs.append(tuple(v))
         self.color = color
-        self.vertices = tuple(map(tuple, vertices))
+        self.vertices = tuple(pairs)
 
 
 class DualDimer:
@@ -187,38 +194,39 @@ class ValidationReport(Record):
 
 
 @_stage
-def _vertex_maps(dimer: DualDimer):
-    """Per color, (torus point -> (polytope index, vertex index), the torus
-    points met twice)."""
+def _corners(dimer: DualDimer):
+    """The corner table, one pass over each polygon's vertices: for white,
+    then black, (torus point -> (polytope, vertex index), the points met
+    twice); per polygon, the primitive direction of each edge k -> k + 1,
+    and its box (x-min, width, y-min, height)."""
     n = dimer.denominator
-    maps = {}
-    for color in (WHITE, BLACK):
-        out: dict = {}
-        clashes = []
-        for i in dimer.indices(color):
-            for k, (x, y) in enumerate(dimer.polytopes[i].vertices):
-                t = (x % n, y % n)
-                if t in out:
-                    clashes.append(t)
-                out[t] = (i, k)
-        maps[color] = (out, clashes)
-    return maps
-
-
-@_stage
-def _directions(dimer: DualDimer):
-    """Per polygon, the primitive direction of each edge k -> k + 1."""
-    return tuple(
-        tuple(_primitive(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]))
-        for vs in (p.vertices for p in dimer.polytopes)
-    )
-
-
-def _germs(directions, k: int):
-    """Primitive directions of the two polygon edges leaving vertex k, read
-    from the polygon's row of `_directions`."""
-    (ax, ay), (bx, by) = directions[k], directions[k - 1]
-    return frozenset(((ax, ay), (-bx, -by)))
+    maps = {WHITE: ({}, []), BLACK: ({}, [])}
+    directions, boxes = [], []
+    for i, p in enumerate(dimer.polytopes):
+        seen, clashes = maps[p.color]
+        vs, row = p.vertices, []
+        (xmin, ymin), m = vs[0], len(vs)
+        xmax, ymax = xmin, ymin
+        for k, (x, y) in enumerate(vs):
+            t = (x % n, y % n)
+            if t in seen:
+                clashes.append(t)
+            seen[t] = (i, k)
+            bx, by = vs[k + 1 - m]
+            dx, dy = bx - x, by - y
+            g = math.gcd(dx, dy)
+            row.append((dx // g, dy // g))
+            if x < xmin:
+                xmin = x
+            elif x > xmax:
+                xmax = x
+            if y < ymin:
+                ymin = y
+            elif y > ymax:
+                ymax = y
+        directions.append(row)
+        boxes.append((xmin, xmax - xmin, ymin, ymax - ymin))
+    return maps[WHITE], maps[BLACK], directions, boxes
 
 
 def _minkowski_difference(p, q):
@@ -285,9 +293,9 @@ def _arc_pairs(arcs, n: int):
     return pairs
 
 
-def _self_intersecting(points, n: int) -> bool:
+def _self_intersecting(points, boxes, n: int) -> bool:
     """Whether the interiors of two polygons, or of a polygon and a translate
-    of itself, meet on T^2.
+    of itself, meet on T^2, from their boxes as `_corners` gives them.
 
     Broad phase: the open x-extents of two polygons must meet on R / n Z,
     which one sweep finds, and so must their y-extents, tested on each pair
@@ -296,11 +304,6 @@ def _self_intersecting(points, n: int) -> bool:
     n.  Narrow phase: the exact lattice count of `_torus_interiors_intersect`
     on the candidate pairs alone.
     """
-    boxes = []
-    for pts in points:
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        boxes.append((min(xs), max(xs) - min(xs), min(ys), max(ys) - min(ys)))
     candidates = [(i, i) for i, (_, w, _, h) in enumerate(boxes) if w > n or h > n]
     for i, j in _arc_pairs([(x % n, w) for x, w, _, _ in boxes], n):
         (_, _, yi, hi), (_, _, yj, hj) = boxes[i], boxes[j]
@@ -314,25 +317,24 @@ def _self_intersecting(points, n: int) -> bool:
 
 @_stage
 def validate(dimer: DualDimer) -> ValidationReport:
-    """The three axioms, checked on the vertex maps, and whether the dimer
-    is immersed: `_self_intersecting` keeps the polygon pairs whose extents
+    """The three axioms, checked on the corner table, and whether the dimer
+    is immersed: `_self_intersecting` keeps the polygon pairs whose boxes
     meet on both circles of the torus (broad phase) and runs the exact
     lattice count of `_torus_interiors_intersect` on those alone (narrow
     phase).  Near-linear in the number of polygons P on the dimers the
-    toolkit makes, whose extents are short against N."""
-    white_map, white_clash = _vertex_maps(dimer)[WHITE]
-    black_map, black_clash = _vertex_maps(dimer)[BLACK]
-    mismatch = set(white_map) ^ set(black_map)
+    toolkit makes, whose extents are short against N.  The germs at vertex
+    k are the edge directions d_k and -d_(k-1); a black corner is opposite
+    a white one exactly when its d_k and d_(k-1) are the white ones negated,
+    in order (the other pairing of the germs would make one corner reflex)."""
+    (white_map, white_clash), (black_map, black_clash), directions, boxes = _corners(dimer)
+    mismatch = white_map.keys() ^ black_map.keys()
 
-    directions = _directions(dimer)
     germ_offenders = []
     if not white_clash and not black_clash and not mismatch:
-        for t in white_map:
-            wi, wk = white_map[t]
+        for t, (wi, wk) in white_map.items():
             bi, bk = black_map[t]
-            wg = _germs(directions[wi], wk)
-            bg = _germs(directions[bi], bk)
-            if frozenset((-gx, -gy) for gx, gy in wg) != bg:
+            (ax, ay), (bx, by) = directions[wi][wk], directions[wi][wk - 1]
+            if directions[bi][bk] != (-ax, -ay) or directions[bi][bk - 1] != (-bx, -by):
                 germ_offenders.append(t)
 
     n = dimer.denominator
@@ -340,7 +342,7 @@ def validate(dimer: DualDimer) -> ValidationReport:
         tuple(sorted(set(white_clash + black_clash))),
         tuple(sorted(mismatch)),
         tuple(sorted(germ_offenders)),
-        _self_intersecting([p.vertices for p in dimer.polytopes], n),
+        _self_intersecting([p.vertices for p in dimer.polytopes], boxes, n),
         n,
     )
 
@@ -404,8 +406,7 @@ class DimerGraph(Record):
 def build_graph(dimer: DualDimer) -> DimerGraph:
     if not validate(dimer).ok:
         raise ValueError("dimer fails validation; cannot build graph")
-    white_map, _ = _vertex_maps(dimer)[WHITE]
-    black_map, _ = _vertex_maps(dimer)[BLACK]
+    (white_map, _), (black_map, _) = _corners(dimer)[:2]
     points = [p.vertices for p in dimer.polytopes]
     scale = math.lcm(*map(len, points))  # D / N
     arms = []  # per polygon, each vertex minus the polygon's vertex centroid, over D
@@ -479,8 +480,8 @@ def zigzag_paths(dimer: DualDimer):
     n = dimer.denominator
     points = [p.vertices for p in dimer.polytopes]
     keys = {}  # dart -> (torus point, direction) of its start and of its end
-    for i, p in enumerate(dimer.polytopes):
-        for k, (dx, dy) in enumerate(_directions(dimer)[i]):
+    for i, (p, directions) in enumerate(zip(dimer.polytopes, _corners(dimer)[2])):
+        for k, (dx, dy) in enumerate(directions):
             s, e = k, (k + 1) % len(p.vertices)
             if p.color == WHITE:
                 s, e, dx, dy = e, s, -dx, -dy
@@ -562,8 +563,7 @@ def faces(dimer: DualDimer):
     if validate(dimer).self_intersecting:
         raise ValueError("faces undefined for immersed dimer")
     n = dimer.denominator
-    white_map, _ = _vertex_maps(dimer)[WHITE]
-    black_map, _ = _vertex_maps(dimer)[BLACK]
+    (white_map, _), (black_map, _) = _corners(dimer)[:2]
     ends = [(white_map[e.anchor], black_map[e.anchor]) for e in graph.edges]
     edge_at = {end: idx for idx, pair in enumerate(ends) for end in pair}
 

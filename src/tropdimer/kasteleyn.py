@@ -186,29 +186,40 @@ def kasteleyn_signs(dimer: DualDimer):
         for idx in face.edge_indices:
             row ^= 1 << idx
         rows.append(row)
+    return [(-1) ** b for b in _solve_gf2(rows, n)]
 
-    # Gaussian elimination over GF(2); free variables are set to zero, so
-    # the assignment is deterministic and is all-positive whenever that
-    # satisfies every face.
-    pivots = []
-    r = 0
-    for c in range(n):
-        bit = 1 << c
-        sel = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if sel is None:
+
+def _solve_gf2(rows, n: int) -> list:
+    """The solution x in GF(2)^n, free variables 0, of the system whose
+    equations are ``rows``, ints with bit c the coefficient of x_c and bit n
+    the right-hand side; ValueError when it has none.
+
+    The rows are brought to reduced echelon form on their lowest set bit,
+    one at a time: a row is reduced by the pivots it holds, then its lowest
+    set bit becomes a pivot and is cleared from the older pivot rows (which
+    leaves their own lowest bits, all lower, in place).  That form depends
+    only on the row space and the column order, so x, read from the pivot
+    rows, is the one a column-by-column elimination gives, and it is
+    all-zero whenever that satisfies every row.
+    """
+    pivots = {}  # lowest set bit -> its row, the one row holding that bit
+    for row in rows:
+        for bit, pivot in pivots.items():
+            if row & bit:
+                row ^= pivot
+        if not row:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append((r, c))
-        r += 1
-    if any(row >> n for row in rows[r:]):
-        raise ValueError("no consistent sign assignment exists")
+        low = row & -row
+        if low >> n:
+            raise ValueError("no consistent sign assignment exists")
+        for bit, pivot in pivots.items():
+            if pivot & low:
+                pivots[bit] = pivot ^ row
+        pivots[low] = row
     x = [0] * n
-    for i, c in pivots:
-        x[c] = rows[i] >> n
-    return [(-1) ** b for b in x]
+    for bit, row in pivots.items():
+        x[bit.bit_length() - 1] = row >> n
+    return x
 
 
 class KasteleynMatrix(Record):
@@ -307,16 +318,16 @@ def _unit_reduce(rows):
         for j in row:
             holders[j].add(i)
 
-    def units(row):
-        return [j for j, t in row.items() if len(t) == 1 and abs(next(iter(t.values()))) == 1]
+    def is_unit(t):
+        return len(t) == 1 and abs(next(iter(t.values()))) == 1
 
-    ready = {i for i, row in left.items() if units(row)}
+    ready = {i for i, row in left.items() if any(map(is_unit, row.values()))}
     perm, unit, shift = [None] * n, 1, 0
     while ready:
         i = min(ready, key=lambda r: len(left[r]))
         ready.remove(i)
         row = left.pop(i)
-        j = min(units(row), key=lambda c: len(holders[c]))
+        j = min((c for c, t in row.items() if is_unit(t)), key=lambda c: len(holders[c]))
         for c in row:
             holders[c].discard(i)
         (p, pc), = row.pop(j).items()
@@ -341,7 +352,7 @@ def _unit_reduce(rows):
                     holders[col].discard(r)
             if not target:
                 return 0, 0, []
-            if units(target):
+            if any(map(is_unit, target.values())):
                 ready.add(r)
             else:
                 ready.discard(r)

@@ -223,18 +223,23 @@ def strictly_convex(points) -> bool:
 
     One pass: every turn is a strict left turn, and the edge directions
     wrap once around the circle in `angle_cmp` order (a star polygon, from
-    5 vertices on, turns left throughout but wraps more than once)."""
+    5 vertices on, turns left throughout but wraps more than once).  After
+    a left turn the angle falls only where an edge in the lower half-plane
+    [pi, 2 pi) is followed by one in the upper [0, pi), so the wraps are
+    counted from each edge's half-plane flag alone."""
     if len(points) < 3:
         return True
     (px, py), (ax, ay) = points[-2], points[-1]
     ux, uy = ax - px, ay - py
+    lower = uy < 0 or (uy == 0 and ux < 0)
     wraps = 0
     for bx, by in points:
         vx, vy = bx - ax, by - ay
         if ux * vy - uy * vx <= 0:
             return False
-        wraps += angle_cmp((ux, uy), (vx, vy)) > 0
-        ax, ay, ux, uy = bx, by, vx, vy
+        below = vy < 0 or (vy == 0 and vx < 0)
+        wraps += lower and not below
+        ax, ay, ux, uy, lower = bx, by, vx, vy, below
     return wraps == 1
 
 

@@ -32,7 +32,7 @@ def _xy(x: int, y: int, den: int):
         sx, sy = (MARGIN * den + x * SCALE) / den, ((MARGIN + SCALE) * den - y * SCALE) / den
     except OverflowError:  # past the float range: no SVG number can hold it
         raise ValueError("coordinates too large to draw") from None
-    return _fmt(sx), _fmt(sy)
+    return f"{sx:.3f}", f"{sy:.3f}"
 
 
 def render_dimer(dimer: DualDimer, show=()) -> str:

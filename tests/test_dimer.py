@@ -15,6 +15,7 @@ from tropdimer.dimer import (
     DimerGraph,
     DualDimer,
     Polytope,
+    ValidationReport,
     ZigzagStep,
     build_graph,
     dimer_to_tropical_fan,
@@ -639,6 +640,118 @@ def test_zigzags_match_the_boundary_walk_oracle(d):
         return
     assume(expected is not None)
     assert [(p.steps, p.cls) for p in zigzag_paths(d)] == expected
+
+
+def vertex_maps_validation(d: DualDimer) -> ValidationReport:
+    """The earlier `validate`, kept as its oracle: per-color vertex maps,
+    a table of edge directions, the germs at each vertex as frozensets, and
+    the polygons' boxes taken afresh for the broad phase, all in their own
+    passes over the vertices."""
+    n = d.denominator
+    maps = {}
+    for color in ("white", "black"):
+        out, clashes = {}, []
+        for i in d.indices(color):
+            for k, (x, y) in enumerate(d.polytopes[i].vertices):
+                t = (x % n, y % n)
+                if t in out:
+                    clashes.append(t)
+                out[t] = (i, k)
+        maps[color] = (out, clashes)
+    directions = tuple(
+        tuple(dimer._primitive(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]))
+        for vs in (p.vertices for p in d.polytopes)
+    )
+
+    def germs(row, k):
+        (ax, ay), (bx, by) = row[k], row[k - 1]
+        return frozenset(((ax, ay), (-bx, -by)))
+
+    (white_map, white_clash), (black_map, black_clash) = maps["white"], maps["black"]
+    mismatch = set(white_map) ^ set(black_map)
+    germ_offenders = []
+    if not white_clash and not black_clash and not mismatch:
+        for t in white_map:
+            (wi, wk), (bi, bk) = white_map[t], black_map[t]
+            wg, bg = germs(directions[wi], wk), germs(directions[bi], bk)
+            if frozenset((-gx, -gy) for gx, gy in wg) != bg:
+                germ_offenders.append(t)
+
+    points = [p.vertices for p in d.polytopes]
+    boxes = []
+    for pts in points:
+        xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
+        boxes.append((min(xs), max(xs) - min(xs), min(ys), max(ys) - min(ys)))
+    candidates = [(i, i) for i, (_, w, _, h) in enumerate(boxes) if w > n or h > n]
+    for i, j in dimer._arc_pairs([(x % n, w) for x, w, _, _ in boxes], n):
+        (_, _, yi, hi), (_, _, yj, hj) = boxes[i], boxes[j]
+        if (yj - yi) % n < hi or (yi - yj) % n < hj:
+            candidates.append((i, j))
+    overlap = any(
+        dimer._torus_interiors_intersect(points[i], points[j], n, exclude_zero=(i == j))
+        for i, j in candidates
+    )
+    return ValidationReport(
+        tuple(sorted(set(white_clash + black_clash))),
+        tuple(sorted(mismatch)),
+        tuple(sorted(germ_offenders)),
+        overlap,
+        n,
+    )
+
+
+def broken_dimer(rng: random.Random) -> DualDimer:
+    """A catalog entry or a cover of one, with up to three edits that may
+    break an axiom or make polygons overlap: a polygon's vertices moved to
+    other lifts of the same torus points (germ offenders, overlaps), a
+    polygon translated by N, dropped (unmatched vertices), copied
+    (clashes, overlaps) or recolored."""
+    base = catalog.build(rng.choice(catalog.NAMES))
+    d = cover(base, rng.randint(1, 2), rng.randint(1, 2)) if rng.random() < 0.3 else base
+    n, polytopes = d.denominator, list(d.polytopes)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(polytopes))
+        p = polytopes[i]
+        edit = rng.choice(("relift", "translate", "drop", "copy", "recolor"))
+        if edit == "relift":
+            moved = [(x + n * rng.randint(-1, 1), y + n * rng.randint(-1, 1)) for x, y in p.vertices]
+            hull = convex_hull(moved)
+            if len(hull) == len(moved):
+                k = rng.randrange(len(hull))
+                polytopes[i] = Polytope(p.color, hull[k:] + hull[:k])
+        elif edit == "translate":
+            tx, ty = n * rng.randint(-2, 2), n * rng.randint(-2, 2)
+            polytopes[i] = Polytope(p.color, [(x + tx, y + ty) for x, y in p.vertices])
+        elif edit == "drop" and len(polytopes) > 1:
+            del polytopes[i]
+        elif edit == "copy":
+            polytopes.append(Polytope(rng.choice(("white", "black")), p.vertices))
+        elif edit == "recolor":
+            polytopes[i] = Polytope("black" if p.color == "white" else "white", p.vertices)
+    return DualDimer(n, tuple(polytopes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**6).map(lambda seed: broken_dimer(random.Random(seed))),
+    polygon_sets(),
+    small_dimers(),
+))
+def test_validation_agrees_with_the_vertex_maps_oracle(d):
+    assert validate(d) == vertex_maps_validation(d), serialize_dimer(d)
+
+
+def test_the_broken_dimers_reach_every_verdict():
+    dimers = [broken_dimer(random.Random(seed)) for seed in range(200)]
+    reports = [vertex_maps_validation(d) for d in dimers]
+    assert any(r.distinct_offenders for r in reports)
+    assert any(r.matching_offenders for r in reports)
+    assert any(r.germ_offenders for r in reports)
+    assert any(r.self_intersecting for r in reports)
+    assert any(not r.self_intersecting for r in reports)
+    assert any(r.ok for r in reports)
+    assert [validate(d) for d in dimers] == reports
 
 
 @pytest.mark.parametrize("name", catalog.NAMES)
