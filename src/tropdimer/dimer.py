@@ -21,7 +21,8 @@ vertex counts, that of every vertex centroid; only the fan is rational.
 
 Each polygon's corners are read once, into the dimer's one corner table
 (`_corners`): per color, torus point -> (polytope, vertex index) and the
-points met twice; each edge's primitive direction; each polygon's box.
+points met twice; each edge's primitive direction; each polygon's box
+and vertex sum.
 Validation, the graph, the zigzags and the faces read that table.  Zigzags
 and faces are the `orbits` of step maps on darts that index polygon
 vertices: a zigzag dart (polytope, start index, end index) is keyed by its
@@ -198,16 +199,18 @@ def _corners(dimer: DualDimer):
     """The corner table, one pass over each polygon's vertices: for white,
     then black, (torus point -> (polytope, vertex index), the points met
     twice); per polygon, the primitive direction of each edge k -> k + 1,
-    and its box (x-min, width, y-min, height)."""
+    its box (x-min, width, y-min, height) and its vertex sum."""
     n = dimer.denominator
     maps = {WHITE: ({}, []), BLACK: ({}, [])}
-    directions, boxes = [], []
+    directions, boxes, sums = [], [], []
     for i, p in enumerate(dimer.polytopes):
         seen, clashes = maps[p.color]
         vs, row = p.vertices, []
         (xmin, ymin), m = vs[0], len(vs)
-        xmax, ymax = xmin, ymin
+        xmax, ymax, sx, sy = xmin, ymin, 0, 0
         for k, (x, y) in enumerate(vs):
+            sx += x
+            sy += y
             t = (x % n, y % n)
             if t in seen:
                 clashes.append(t)
@@ -226,7 +229,8 @@ def _corners(dimer: DualDimer):
                 ymax = y
         directions.append(row)
         boxes.append((xmin, xmax - xmin, ymin, ymax - ymin))
-    return maps[WHITE], maps[BLACK], directions, boxes
+        sums.append((sx, sy))
+    return maps[WHITE], maps[BLACK], directions, boxes, sums
 
 
 def _minkowski_difference(p, q):
@@ -326,7 +330,7 @@ def validate(dimer: DualDimer) -> ValidationReport:
     k are the edge directions d_k and -d_(k-1); a black corner is opposite
     a white one exactly when its d_k and d_(k-1) are the white ones negated,
     in order (the other pairing of the germs would make one corner reflex)."""
-    (white_map, white_clash), (black_map, black_clash), directions, boxes = _corners(dimer)
+    (white_map, white_clash), (black_map, black_clash), directions, boxes, _ = _corners(dimer)
     mismatch = white_map.keys() ^ black_map.keys()
 
     germ_offenders = []
@@ -406,21 +410,21 @@ class DimerGraph(Record):
 def build_graph(dimer: DualDimer) -> DimerGraph:
     if not validate(dimer).ok:
         raise ValueError("dimer fails validation; cannot build graph")
-    (white_map, _), (black_map, _) = _corners(dimer)[:2]
+    (white_map, _), (black_map, _), _, _, sums = _corners(dimer)
     points = [p.vertices for p in dimer.polytopes]
     scale = math.lcm(*map(len, points))  # D / N
-    arms = []  # per polygon, each vertex minus the polygon's vertex centroid, over D
-    for pts in points:
-        k = scale // len(pts)
-        cx, cy = k * sum(x for x, _ in pts), k * sum(y for _, y in pts)
-        arms.append([(scale * x - cx, scale * y - cy) for x, y in pts])
+    # each polygon's vertex centroid over D
+    centroids = [(scale // len(pts) * sx, scale // len(pts) * sy)
+                 for pts, (sx, sy) in zip(points, sums)]
     edges = []
     for t in sorted(white_map):
         wi, wk = white_map[t]
         bi, bk = black_map[t]
+        w, b = points[wi][wk], points[bi][bk]
+        (cwx, cwy), (cbx, cby) = centroids[wi], centroids[bi]
         # (white lift - white centroid) - (black lift - black centroid)
-        (wx, wy), (bx, by) = arms[wi][wk], arms[bi][bk]
-        edges.append(DimerEdge(wi, bi, t, points[wi][wk], points[bi][bk], (wx - bx, wy - by)))
+        displacement = scale * (w[0] - b[0]) - cwx + cbx, scale * (w[1] - b[1]) - cwy + cby
+        edges.append(DimerEdge(wi, bi, t, w, b, displacement))
     return DimerGraph(
         tuple(dimer.indices(WHITE)),
         tuple(dimer.indices(BLACK)),

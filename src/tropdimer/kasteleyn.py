@@ -8,7 +8,8 @@ determinant (the partition function) is computed by elimination exact over
 Z[z^+-1], at a cost set by the matrix size n and the numbers of terms of
 the minors it forms, whatever the size of the exponents: an elimination of
 the unit entries +-z^e leaves a small Schur complement, and a fraction-free
-(Bareiss) elimination gives its determinant; both run on the entries' own
+(Bareiss) elimination gives its determinant.  Both use up one sparse state
+in place, with one sign rule for their pivots, on the entries' own
 numerators, each term keyed by one int x*s + y (Kronecker substitution),
 with s wide enough for every exponent they form.  Only
 ``enumerate_matchings`` walks the perfect matchings, the whites in order
@@ -252,6 +253,10 @@ def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
 def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     """Exact determinant: the partition function of the dimer.
 
+    One sparse elimination state (``_pack``): the rows left, the rows that
+    hold each column and the columns left, in order.  Two passes use it up
+    in place, each pivot taken by ``_take`` with the one sign rule.
+
     1. Every unit entry, a single term +-z^e, is eliminated exactly over
        Z[z^+-1] (``_unit_reduce``): the determinant is a signed monomial
        times that of the k x k Schur complement S left, k = 4 for the n = 18
@@ -264,76 +269,87 @@ def determinant(m: KasteleynMatrix) -> LaurentPolynomial:
     terms, not on the size of the exponents, and a change of coordinates
     that widens the Newton polygon costs nothing.  Both steps run on the
     entries' own exponent numerators over D, each term keyed by one int,
-    x*s + y (Kronecker substitution), packed by ``_pack`` and decoded only
-    here.  With s = 12Y + 1, Y the sum over the matrix's rows of each row's
-    greatest |y|, the key map is additive, injective and keeps lex order on
-    every exponent formed: a minor of the matrix's rows has |y| <= Y, an
-    entry or minor of a (partial) Schur complement, a ratio of two of those,
-    |y| <= 2Y, and every product formed (the unit update, the two Bareiss
-    products, a lazy row's catch-up, long division's remainder)
-    |y| <= 6Y < s / 2.  Entry coefficients must be integers.  A non-square
-    matrix, or one with no transversal, gives the zero polynomial (no
-    perfect matching), which the `kasteleyn` command prints as `0`.
+    x*s + y (Kronecker substitution), decoded only here.  With s = 12Y + 1,
+    Y the sum over the matrix's rows of each row's greatest |y|, the key map
+    is additive, injective and keeps lex order on every exponent formed: a
+    minor of the matrix's rows has |y| <= Y, an entry or minor of a
+    (partial) Schur complement, a ratio of two of those, |y| <= 2Y, and
+    every product formed (the unit update, the two Bareiss products, a lazy
+    row's catch-up, long division's remainder) |y| <= 6Y < s / 2.  Entry
+    coefficients must be integers.  A non-square matrix, or one with no
+    transversal, gives the zero polynomial (no perfect matching), which the
+    `kasteleyn` command prints as `0`.
     """
     if len(m.rows) != len(m.cols):
         return LaurentPolynomial((), m.denominator)
-    s, rows = _pack(m)
-    unit, shift, rows = _unit_reduce(rows)  # unit 0, a row cancelled, zeroes every term
+    s, rows, holders = _pack(m)
+    cols = list(range(len(rows)))
+    unit, shift = _unit_reduce(rows, holders, cols)
+    det = _bareiss(rows, holders, cols) if unit else {}  # unit 0: a row cancelled
     # key + shift = x*s + y with |y| <= s // 2, so key + shift + s // 2 = x*s + (y + s // 2)
-    pairs = ((divmod(key + shift + s // 2, s), c) for key, c in _bareiss(rows).items())
+    pairs = ((divmod(key + shift + s // 2, s), c) for key, c in det.items())
     return LaurentPolynomial((((x, y - s // 2), unit * c) for (x, y), c in pairs), m.denominator)
 
 
 def _pack(m: KasteleynMatrix):
-    """(s, rows): s = 12Y + 1 (see ``determinant``) and row i of the square
-    matrix as {column: {x*s + y: c}}, one key per term of a nonzero entry."""
+    """(s, rows, holders) of the square matrix: s = 12Y + 1 (see
+    ``determinant``), rows[i] = {column: {x*s + y: c}}, one key per term of
+    a nonzero entry of row i, and holders[j] the set of rows with an entry
+    in column j."""
     n = len(m.rows)
     support = [[(j, e.terms) for j in range(n) if (e := m.entries[i * n + j]).terms]
                for i in range(n)]
     s = 12 * sum(max((abs(y) for _, ts in row for (_, y), _ in ts), default=0)
                  for row in support) + 1
-    return s, [{j: {x * s + y: c for (x, y), c in ts} for j, ts in row} for row in support]
+    rows, holders = {}, [set() for _ in range(n)]
+    for i, row in enumerate(support):
+        rows[i] = {j: {x * s + y: c for (x, y), c in ts} for j, ts in row}
+        for j, _ in row:
+            holders[j].add(i)
+    return s, rows, holders
 
 
-def _unit_reduce(rows):
-    """(unit, e, rest): the determinant of the n x n rows, each {column: {key: c}}
-    with keys packed by ``_pack``, is unit * z^e times that of the k x k rows
-    ``rest``, re-indexed in order, e a packed key too; unit 0 when a row
-    cancels to nothing (the determinant is 0).
+def _take(rows, holders, cols, i, j):
+    """(sign, row): pivot row i popped from ``rows`` and ``holders``, and
+    column j from ``cols``; sign = (-1)^(a + b), a and b the positions of i
+    and j among the rows and columns left, so that det M = sign * M_ij *
+    det S, S the Schur complement on the rows and columns left, in order."""
+    sign = (-1) ** (list(rows).index(i) + cols.index(j))
+    row = rows.pop(i)
+    for c in row:
+        holders[c].discard(i)
+    cols.remove(j)
+    return sign, row
+
+
+def _unit_reduce(rows, holders, cols):
+    """(unit, e): the determinant of the state (see ``determinant``) is
+    unit * z^e, e a packed key, times that of the state it leaves; unit 0
+    when a row cancels to nothing (the determinant is 0).
 
     A sparse elimination, exact over Z[z^+-1], whose pivots are units: single
     terms +-z^e, whose inverse is a unit.  Each step takes the remaining row
     with the fewest entries that holds a unit and, among its units, the
     column held by the fewest remaining rows; every other row r holding that
-    column j loses (t_rj / pivot) times the pivot row, a polynomial that
-    cancels dropped.  It stops when no remaining row holds a unit.  The sign
-    is that of the permutation taking each pivot row to its column and the
-    remaining rows, in order, to the remaining columns in order.  It uses
-    the rows up.
+    column j loses (t_rj / pivot) times the pivot row, in place, a
+    polynomial that cancels dropped.  It stops when no remaining row holds a
+    unit.
     """
-    n = len(rows)
-    left = dict(enumerate(rows))
-    holders = [set() for _ in range(n)]  # column -> remaining rows with an entry there
-    for i, row in left.items():
-        for j in row:
-            holders[j].add(i)
 
     def is_unit(t):
         return len(t) == 1 and abs(next(iter(t.values()))) == 1
 
-    ready = {i for i, row in left.items() if any(map(is_unit, row.values()))}
-    perm, unit, shift = [None] * n, 1, 0
+    ready = {i for i, row in rows.items() if any(map(is_unit, row.values()))}
+    unit, shift = 1, 0
     while ready:
-        i = min(ready, key=lambda r: len(left[r]))
+        i = min(ready, key=lambda r: len(rows[r]))
         ready.remove(i)
-        row = left.pop(i)
-        j = min((c for c, t in row.items() if is_unit(t)), key=lambda c: len(holders[c]))
-        for c in row:
-            holders[c].discard(i)
+        j = min((c for c, t in rows[i].items() if is_unit(t)), key=lambda c: len(holders[c]))
+        sign, row = _take(rows, holders, cols, i, j)
         (p, pc), = row.pop(j).items()
-        perm[i], unit, shift = j, unit * pc, shift + p
+        unit, shift = sign * unit * pc, shift + p
         for r in holders[j]:
-            target = left[r]
+            target = rows[r]
             # minus t_rj / pivot, the pivot's inverse being pc z^-p
             f = [(e - p, -c * pc) for e, c in target.pop(j).items()]
             for col, value in row.items():
@@ -351,57 +367,38 @@ def _unit_reduce(rows):
                     del target[col]
                     holders[col].discard(r)
             if not target:
-                return 0, 0, []
+                return 0, 0
             if any(map(is_unit, target.values())):
                 ready.add(r)
             else:
                 ready.discard(r)
-    pivoted = set(perm)
-    cols = [j for j in range(n) if j not in pivoted]
-    for i, j in zip(left, cols):
-        perm[i] = j
-    unit *= (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])  # inversions
-    index = {j: k for k, j in enumerate(cols)}
-    rest = [{index[j]: t for j, t in row.items()} for row in left.values()]
-    return unit, shift, rest
+    return unit, shift
 
 
-def _bareiss(rows) -> dict:
-    """det of the k x k rows, each {column: {key: c}}, as {key: c}, the
-    exponents packed as by ``_pack``: fraction-free (Bareiss)
-    elimination, exact over Z[z^+-1], which uses the rows up.
+def _bareiss(rows, holders, cols) -> dict:
+    """det of the state (see ``determinant``) as {key: c}, the exponents
+    packed as by ``_pack``: fraction-free (Bareiss) elimination, exact over
+    Z[z^+-1], on the rows' and columns' own labels, which uses it up.
 
     Step t takes a pivot p_t = M_ij and replaces every other remaining
     entry by M_rc <- (p_t M_rc - M_rj M_ic) / p_(t-1), p_0 = 1; the result
     is a (t+1)-minor of the rows, so the division is exact, and the last
-    pivot is the determinant.  Full pivoting: the remaining entry with the
-    fewest terms, the first row and column among equals; moving the pivot
-    row from position a of the remaining rows to the front, and its column
-    from position b, multiplies the sign by (-1)^(a + b).  A row that does
-    not hold the pivot column is only multiplied by p_t / p_(t-1), and those
-    factors telescope: such a row is left alone, ``over[r]`` records the
-    step q its entries are at, and its next update divides by p_q instead;
-    the pivot row is brought up to step t - 1 before it is used.  No
-    remaining entry: the determinant is 0.
+    pivot, times the signs of ``_take``, is the determinant.  Full
+    pivoting: the remaining entry with the fewest terms, the first row and
+    column among equals.  A row that does not hold the pivot column is only
+    multiplied by p_t / p_(t-1), and those factors telescope: such a row is
+    left alone, ``over[r]`` records the step q its entries are at, and its
+    next update divides by p_q instead; the pivot row is brought up to step
+    t - 1 before it is used.  No remaining entry: the determinant is 0.
     """
-    k = len(rows)
-    over, pivots = [0] * k, [{0: 1}]
-    holders = [set() for _ in range(k)]  # column -> remaining rows with an entry there
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
-    left_rows, left_cols, sign = list(range(k)), list(range(k)), 1
-    for t in range(1, k + 1):
-        best = min(((len(e), i, j) for i in left_rows for j, e in rows[i].items()), default=None)
+    over, pivots, sign = dict.fromkeys(rows, 0), [{0: 1}], 1
+    for t in range(1, len(rows) + 1):
+        best = min(((len(e), i, j) for i, es in rows.items() for j, e in es.items()), default=None)
         if best is None:
             return {}
         _, i, j = best
-        sign *= (-1) ** (left_rows.index(i) + left_cols.index(j))
-        left_rows.remove(i)
-        left_cols.remove(j)
-        row = rows[i]
-        for c in row:
-            holders[c].discard(i)
+        flip, row = _take(rows, holders, cols, i, j)
+        sign *= flip
         if over[i] != t - 1:  # up to step t - 1
             row = {c: _divide(_add_product({}, e, pivots[t - 1]), pivots[over[i]])
                    for c, e in row.items()}

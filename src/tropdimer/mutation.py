@@ -118,20 +118,19 @@ def _smith_normal_form(rows, width):
     """Smith normal form of the incidence matrix of a graph, given as a list
     of rows with at most one +1 and one -1 in each column.
 
-    Returns (diagonal entries, V) with U*A*V = D; only the right transform
-    V (an integer matrix with |det| = 1, as columns) is tracked, since we
-    need coordinates on the quotient lattice Z^width / rowspace(A).  Each
-    step contracts one edge: its pivot is the first nonzero entry, by rows
-    and then columns, and adding the pivot row into the other row, if any,
-    that holds the pivot column leaves the incidence matrix of the contracted
-    graph.  So every pivot is +-1, every quotient is exact, and the diagonal
-    is all 1; its length is the rank, which `_zigzag_chains` already reads
-    from a union-find.  `homology_classes_of_faces` runs it only on a torus,
-    for the basis its V fixes.
+    Returns V with U*A*V = D; only the right transform V (an integer
+    matrix with |det| = 1, as columns) is tracked, since we need coordinates
+    on the quotient lattice Z^width / rowspace(A).  Each step contracts one
+    edge: its pivot is the first nonzero entry, by rows and then columns,
+    and adding the pivot row into the other row, if any, that holds the
+    pivot column leaves the incidence matrix of the contracted graph.  So
+    every pivot is +-1, every quotient is exact, and the diagonal D is all 1
+    up to the rank, which `_zigzag_chains` already reads from a union-find.
+    `homology_classes_of_faces` runs it only on a torus, for the basis its
+    V fixes.
     """
     a = [list(r) for r in rows]
     v = [[1 if i == j else 0 for j in range(width)] for i in range(width)]
-    diag = []
     for t in range(min(len(a), width)):
         pivot = next(((i, j) for i in range(t, len(a)) for j in range(t, width) if a[i][j]), None)
         if pivot is None:
@@ -154,8 +153,7 @@ def _smith_normal_form(rows, width):
         if p < 0:
             for r in v:
                 r[t] = -r[t]
-        diag.append(1)
-    return diag, v
+    return v
 
 
 def _find(parent, x):
@@ -243,7 +241,7 @@ def homology_classes_of_faces(dimer: DualDimer):
                 out[column[idx]] += sign
         return out
 
-    _, v = _smith_normal_form([row(chain) for chain in chains], len(non_tree))
+    v = _smith_normal_form([row(chain) for chain in chains], len(non_tree))
     classes = []
     for face in faces(dimer):
         x = row(zip(face.edge_indices, face.orientations))

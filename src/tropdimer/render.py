@@ -67,13 +67,13 @@ def render_dimer(dimer: DualDimer, show=()) -> str:
         if "edges" in show:
             graph = build_graph(dimer)
             d = graph.denominator
+            centroids = {}  # white polytope -> its lift's centroid over D
+            for i in graph.whites:
+                k = d // (n * len(lifts[i]))
+                centroids[i] = k * sum(x for x, _ in lifts[i]), k * sum(y for _, y in lifts[i])
             for e in graph.edges:
-                # the white lift's centroid over D, and the black centroid
-                # the edge's displacement away from it
-                white = lifts[e.white]
-                k = d // (n * len(white))
-                cx, cy = k * sum(x for x, _ in white), k * sum(y for _, y in white)
-                dx, dy = e.displacement
+                # the black centroid is the edge's displacement away
+                (cx, cy), (dx, dy) = centroids[e.white], e.displacement
                 x1, y1 = _xy(cx, cy, d)
                 x2, y2 = _xy(cx + dx, cy + dy, d)
                 out.append(

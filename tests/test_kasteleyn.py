@@ -1047,24 +1047,32 @@ def support_permutation(m):
 def test_the_unit_heavy_matrices_reach_every_case_of_the_reduction():
     """The strategy reaches k = 0 with odd and even pivot permutations (on a
     monomial permutation matrix the pivots are its entries, so the pivot
-    permutation is its own) and a row that cancels to nothing."""
+    permutation is its own), a row that cancels to nothing, and k >= 2 rows
+    left on columns that are not a prefix of the original order, where
+    Bareiss runs on the columns' own labels and its signs must still read
+    their positions among the columns left."""
     seen = set()
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(unit_heavy_matrices())
     def collect(m):
-        unit, _, rest = kasteleyn._unit_reduce(kasteleyn._pack(m)[1])
+        _, rows, holders = kasteleyn._pack(m)
+        cols = list(range(len(rows)))
+        unit, _ = kasteleyn._unit_reduce(rows, holders, cols)
         if unit == 0:
             seen.add("a row cancels")
             assert determinant(m).is_zero
-        elif not rest and (perm := support_permutation(m)) is not None:
+        elif not rows and (perm := support_permutation(m)) is not None:
             n = len(perm)
             odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
             seen.add("k = 0, odd" if odd else "k = 0, even")
             assert len(determinant(m).terms) == 1
+        elif len(rows) >= 2 and cols != list(range(len(cols))):
+            seen.add("k >= 2, columns not a prefix")
+            assert determinant(m) == leibniz_determinant(m)
 
     collect()
-    assert seen == {"a row cancels", "k = 0, odd", "k = 0, even"}
+    assert seen == {"a row cancels", "k = 0, odd", "k = 0, even", "k >= 2, columns not a prefix"}
 
 
 @pytest.mark.parametrize("name", PARTITION_NAMES + [
@@ -1083,7 +1091,8 @@ def test_the_elimination_runs_on_the_schur_complement(monkeypatch, name, most):
     4 x 4, honeycomb 5x5 (n = 75) at most 10 x 10, and one Bareiss
     elimination takes its determinant."""
     sizes, bareiss = [], kasteleyn._bareiss
-    monkeypatch.setattr(kasteleyn, "_bareiss", lambda rows: sizes.append(len(rows)) or bareiss(rows))
+    monkeypatch.setattr(kasteleyn, "_bareiss",
+                        lambda rows, *state: sizes.append(len(rows)) or bareiss(rows, *state))
     m = kasteleyn_matrix(subject(name))
     assert not determinant(m).is_zero
     assert len(sizes) == 1 and sizes[0] <= most < len(m.rows)
