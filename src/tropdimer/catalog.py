@@ -8,7 +8,7 @@ Every named dimer has a frozen JSON document under ``tropdimer/catalog/``
 from __future__ import annotations
 
 import functools
-import importlib.resources
+import os
 from fractions import Fraction
 
 from .lattice import RatPolygon, Vec2
@@ -146,8 +146,9 @@ def build(name: str) -> DualDimer:
 def catalog_text(name: str) -> str:
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog name {name!r}")
-    path = importlib.resources.files("tropdimer").joinpath("catalog", f"{name}.json")
-    return path.read_text()
+    path = os.path.join(os.path.dirname(__file__), "catalog", f"{name}.json")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def load(name: str) -> DualDimer:

@@ -312,10 +312,7 @@ def _run(args) -> int:
             return _report(args, found, [len(found)])
         # on an embedded dimer the Kasteleyn signs give all the matchings of one
         # homology class, one monomial, the same sign, so no two cancel
-        if len(graph.whites) != len(graph.blacks):
-            print(0)
-        else:
-            print(sum(abs(c) for _, c in determinant(kasteleyn_matrix(dimer)).terms))
+        print(sum(abs(c) for _, c in determinant(kasteleyn_matrix(dimer)).terms))
         return 0
 
     if args.command == "mutate":

@@ -474,6 +474,20 @@ def orbits(darts, step):
     return out
 
 
+def join(parent, a, b) -> bool:
+    """Merge the classes of ``a`` and ``b`` in the union-find forest
+    ``parent``, halving the paths to their roots; False when they were one
+    class already.  Taken over a graph's edges in order, the edges that
+    join are the one spanning forest that the greedy pick in that order
+    gives."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    parent[a] = b
+    return a != b
+
+
 @_stage
 def zigzag_paths(dimer: DualDimer):
     """The zigzag cycles, in a fixed order; needs no validation.

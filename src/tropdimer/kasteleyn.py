@@ -25,7 +25,7 @@ import math
 import random
 from types import MappingProxyType
 
-from .dimer import DimerGraph, DualDimer, _stage, build_graph, faces, validate
+from .dimer import DimerGraph, DualDimer, _stage, build_graph, faces, join, validate
 from .lattice import Record
 
 
@@ -173,54 +173,48 @@ def kasteleyn_signs(dimer: DualDimer):
     the exponent, so each |coefficient| counts the perfect matchings with
     that Boltzmann monomial.  All-positive when faces are undefined
     (immersed dimer) -- the hexagonal-lattice case needs no flips either.
+
+    Each edge lies on two face sides, so the columns of the face system
+    are the edges of the dual graph, and an edge that one face meets twice
+    is a loop, a zero column.  The dual spanning forest, taken by one
+    union-find over the edges in index order, is the greedy column basis
+    in that order.  Every edge off it keeps sign +1; peeling leaf faces
+    fixes the forest's flips, each leaf passing its parity (k + 1) % 2 to
+    the face across.  That is the solution a column-by-column elimination
+    gives, with its free columns 0.  A parity left over means the face
+    system has no solution.
     """
     graph = build_graph(dimer)
     n = len(graph.edges)
     if validate(dimer).self_intersecting:
         return [1] * n
 
-    # one int per face: bit c is edge c, bit n the right-hand side
-    rows = []
-    for face in faces(dimer):
-        k = len(face.edge_indices) // 2
-        row = (k + 1) % 2 << n
+    all_faces = faces(dimer)
+    sides = [[] for _ in range(n)]  # edge -> the two faces it lies on
+    for f, face in enumerate(all_faces):
         for idx in face.edge_indices:
-            row ^= 1 << idx
-        rows.append(row)
-    return [(-1) ** b for b in _solve_gf2(rows, n)]
-
-
-def _solve_gf2(rows, n: int) -> list:
-    """The solution x in GF(2)^n, free variables 0, of the system whose
-    equations are ``rows``, ints with bit c the coefficient of x_c and bit n
-    the right-hand side; ValueError when it has none.
-
-    The rows are brought to reduced echelon form on their lowest set bit,
-    one at a time: a row is reduced by the pivots it holds, then its lowest
-    set bit becomes a pivot and is cleared from the older pivot rows (which
-    leaves their own lowest bits, all lower, in place).  That form depends
-    only on the row space and the column order, so x, read from the pivot
-    rows, is the one a column-by-column elimination gives, and it is
-    all-zero whenever that satisfies every row.
-    """
-    pivots = {}  # lowest set bit -> its row, the one row holding that bit
-    for row in rows:
-        for bit, pivot in pivots.items():
-            if row & bit:
-                row ^= pivot
-        if not row:
+            sides[idx].append(f)
+    parity = [(len(face.edge_indices) // 2 + 1) % 2 for face in all_faces]
+    parent = list(range(len(all_faces)))
+    left = [set() for _ in all_faces]  # face -> its forest edges not yet fixed
+    for idx, (f, g) in enumerate(sides):
+        if join(parent, f, g):
+            left[f].add(idx)
+            left[g].add(idx)
+    flips = [0] * n
+    leaves = [f for f, edges in enumerate(left) if len(edges) == 1]
+    for f in leaves:  # grows as faces become leaves
+        if len(left[f]) != 1:
             continue
-        low = row & -row
-        if low >> n:
-            raise ValueError("no consistent sign assignment exists")
-        for bit, pivot in pivots.items():
-            if pivot & low:
-                pivots[bit] = pivot ^ row
-        pivots[low] = row
-    x = [0] * n
-    for bit, row in pivots.items():
-        x[bit.bit_length() - 1] = row >> n
-    return x
+        idx = left[f].pop()
+        g = sum(sides[idx]) - f
+        left[g].remove(idx)
+        flips[idx], parity[g], parity[f] = parity[f], parity[g] ^ parity[f], 0
+        if len(left[g]) == 1:
+            leaves.append(g)
+    if any(parity):
+        raise ValueError("no consistent sign assignment exists")
+    return [(-1) ** b for b in flips]
 
 
 class KasteleynMatrix(Record):

@@ -17,8 +17,9 @@ Every chain is written on the non-tree edges of one spanning forest of
 the graph, which fix a cycle.  Every dart lies on one zigzag, and each
 edge is the end of one white step and one black step, entered with
 opposite signs; so the zigzag rows are the incidence matrix of a graph
-with a vertex per zigzag.  Their rank is read from one union-find over
-the zigzags, so a surface that is no torus is refused before any row is
+with a vertex per zigzag, the surface's dual graph, which has as many
+components as the dimer graph.  Their rank is the number of zigzags minus
+that count, so a surface that is no torus is refused before any chain is
 built; on a torus their Smith form is a run of edge contractions, every
 pivot +-1.
 """
@@ -36,6 +37,7 @@ from .dimer import (
     build_graph,
     edge_weight,
     faces,
+    join,
     unknown_weight_keys,
     validate,
     zigzag_paths,
@@ -125,7 +127,7 @@ def _smith_normal_form(rows, width):
     and adding the pivot row into the other row, if any, that holds the
     pivot column leaves the incidence matrix of the contracted graph.  So
     every pivot is +-1, every quotient is exact, and the diagonal D is all 1
-    up to the rank, which `_zigzag_chains` already reads from a union-find.
+    up to the rank, which `homology_classes_of_faces` has already counted.
     `homology_classes_of_faces` runs it only on a torus, for the basis its
     V fixes.
     """
@@ -156,59 +158,24 @@ def _smith_normal_form(rows, width):
     return v
 
 
-def _find(parent, x):
-    """The root of ``x`` in the union-find forest ``parent``, halving its path."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 def _non_tree_edges(dimer: DualDimer, graph) -> list:
-    """The edges off the spanning forest that takes each edge, in order, if
-    it joins two of its components (union-find on polytope indices); a
-    closed chain is fixed by its entries on them."""
+    """The edges off the spanning forest of the graph that `join` takes
+    over the edges in order; a closed chain is fixed by its entries on
+    them."""
     parent = list(range(len(dimer.polytopes)))
-    non_tree = []
-    for idx, e in enumerate(graph.edges):
-        a, b = _find(parent, e.white), _find(parent, e.black)
-        if a == b:
-            non_tree.append(idx)
-        else:
-            parent[a] = b
-    return non_tree
+    return [idx for idx, e in enumerate(graph.edges) if not join(parent, e.white, e.black)]
 
 
 def _zigzag_chains(dimer: DualDimer, graph):
     """Each zigzag as its (edge index, +1 from a white polytope or -1)
-    pairs, one per step, and the rank of the zigzag rows.
-
-    Each edge ends one white and one black step, so the rows are the
-    incidence matrix of the graph with a vertex per zigzag, and their rank
-    is Z minus its components: one union-find over the zigzags, joining
-    the two of each edge, counts the joins.  An edge whose two steps lie on
-    one zigzag is a zero column and joins nothing."""
+    pairs, one per step."""
     n = dimer.denominator
     edge_at = {e.anchor: idx for idx, e in enumerate(graph.edges)}
     colors = [p.color for p in dimer.polytopes]
-    paths = zigzag_paths(dimer)
-    parent = list(range(len(paths)))
-    first = {}  # edge index -> the zigzag of its first step
-    chains = []
-    rank = 0
-    for z, path in enumerate(paths):
-        chain = []
-        for s in path.steps:
-            # a step reaches its edge through the anchor of its end
-            idx = edge_at[s.end[0] % n, s.end[1] % n]
-            chain.append((idx, 1 if colors[s.polytope] == WHITE else -1))
-            other = first.setdefault(idx, z)
-            if other != z:
-                a, b = _find(parent, other), _find(parent, z)
-                if a != b:
-                    parent[a] = b
-                    rank += 1
-        chains.append(chain)
-    return chains, rank
+    # a step reaches its edge through the anchor of its end
+    return [[(edge_at[s.end[0] % n, s.end[1] % n], 1 if colors[s.polytope] == WHITE else -1)
+             for s in path.steps]
+            for path in zigzag_paths(dimer)]
 
 
 def homology_classes_of_faces(dimer: DualDimer):
@@ -219,16 +186,20 @@ def homology_classes_of_faces(dimer: DualDimer):
     orientable (each edge lies on one white-polytope and one black-polytope
     zigzag step, entered with opposite signs), so H_1 has no torsion.  Its
     free rank is the number of non-tree edges minus the rank of the zigzag
-    rows, read from a union-find (`_zigzag_chains`; each row is a cycle, so
-    restricting it to the non-tree edges keeps the rank).  An immersed
-    dimer's surface is not taken for the torus either, even where its free
-    rank is 2 (pants-min at 1x3), so every immersed dimer gets the same
-    refusal before `faces` runs.  Only on a torus are the rows built and
-    eliminated.
+    rows (each row is a cycle, so restricting it to the non-tree edges
+    keeps the rank).  The rows are the incidence matrix of the surface's
+    dual graph, a vertex per zigzag and an edge per graph edge, which has
+    as many components c as the graph; so their rank is Z - c, counted
+    from the zigzags and the spanning forest before any row is built.  An
+    immersed dimer's surface is not taken for the torus either, even where
+    its free rank is 2 (pants-min at 1x3), so every immersed dimer gets the
+    same refusal before `faces` runs.  Only on a torus are the chains built
+    and the rows eliminated.
     """
     graph = build_graph(dimer)
     non_tree = _non_tree_edges(dimer, graph)
-    chains, rank = _zigzag_chains(dimer, graph)
+    components = len(dimer.polytopes) - len(graph.edges) + len(non_tree)
+    rank = len(zigzag_paths(dimer)) - components
     if len(non_tree) - rank != 2 or validate(dimer).self_intersecting:
         raise ValueError("zigzag surface is not a torus")
     column = {idx: c for c, idx in enumerate(non_tree)}
@@ -241,7 +212,7 @@ def homology_classes_of_faces(dimer: DualDimer):
                 out[column[idx]] += sign
         return out
 
-    v = _smith_normal_form([row(chain) for chain in chains], len(non_tree))
+    v = _smith_normal_form([row(chain) for chain in _zigzag_chains(dimer, graph)], len(non_tree))
     classes = []
     for face in faces(dimer):
         x = row(zip(face.edge_indices, face.orientations))

@@ -237,6 +237,30 @@ def test_graph_refuses_invalid_dimer():
         build_graph(bad)
 
 
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_every_valid_dimer_has_as_many_whites_as_blacks(name):
+    """Matched corners are opposite, so equal in angle, and every corner is
+    matched: the sums of (m - 2) pi over the white and over the black
+    polygons agree, as do the sums of m, so the counts agree.  Checked on
+    the covers, their unimodular images and the accepted face mutations."""
+    rng = random.Random(name)
+    dimers = []
+    for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        base = cover(catalog.build(name), kx, ky)
+        dimers += [base, unimodular_image(base, rng)]
+        if not validate(base).self_intersecting and kx * ky <= 2:
+            weights = exact_assignment(base)
+            for face in faces(base):
+                try:
+                    dimers.append(mutate_face(base, face, weights).dimer)
+                except ValueError:
+                    pass
+    for d in dimers:
+        assert validate(d).ok
+        graph = build_graph(d)
+        assert len(graph.whites) == len(graph.blacks)
+
+
 def test_each_stage_is_computed_once_per_dimer(honeycomb):
     for stage in (validate, build_graph, zigzag_paths, faces):
         assert stage(honeycomb) is stage(honeycomb)

@@ -112,6 +112,25 @@ def test_child_imports_no_dataclasses_or_inspect(argv):
     assert not names & {"dataclasses", "inspect"}
 
 
+def test_the_catalog_imports_no_importlib_resources():
+    """Without `site` (`-S`), whose start-up hooks may load it anyway, the
+    catalog reads its documents with `open` and loads no `importlib.resources`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c",
+         "import tropdimer.catalog as c; print(len(c.catalog_text('honeycomb')))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "tropdimer.catalog" in names
+    assert not {n for n in names if n.startswith("importlib.resources")}
+
+
 def test_no_package_module_imports_dataclasses_or_typing():
     for path in sorted((SRC / "tropdimer").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import EMBEDDED, cover, unimodular_image
 from tropdimer import catalog, kasteleyn
-from tropdimer.dimer import DualDimer, Polytope, build_graph, faces, zigzag_paths
+from tropdimer.dimer import DualDimer, Polytope, build_graph, faces, validate, zigzag_paths
 from tropdimer.kasteleyn import (
     KasteleynMatrix,
     LaurentPolynomial,
@@ -502,8 +502,8 @@ def test_signs_are_one_list_kept_on_the_dimer(honeycomb):
 
 def column_order_solution(rows, n: int) -> list:
     """The earlier GF(2) solve of the sign system, kept as the oracle of
-    `kasteleyn._solve_gf2`: Gaussian elimination column by column, each
-    pivot row swapped up and its column cleared from every other row, free
+    `kasteleyn_signs`: Gaussian elimination column by column, each pivot
+    row swapped up and its column cleared from every other row, free
     variables 0."""
     rows = list(rows)
     pivots = []
@@ -527,43 +527,43 @@ def column_order_solution(rows, n: int) -> list:
     return x
 
 
-@st.composite
-def gf2_systems(draw):
-    """(rows, n): up to 14 equations in n <= 12 unknowns, each an int with
-    bit c the coefficient of x_c and bit n the right-hand side; half of
-    them made consistent by a drawn solution, the others arbitrary."""
-    n = draw(st.integers(1, 12))
-    coefficients = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=14))
-    if draw(st.booleans()):
-        x = draw(st.integers(0, (1 << n) - 1))
-        return [row | (bin(row & x).count("1") % 2) << n for row in coefficients], n
-    return [row | draw(st.integers(0, 1)) << n for row in coefficients], n
-
-
-@settings(max_examples=400, deadline=None)
-@given(gf2_systems())
-def test_sign_solve_agrees_with_the_column_order_oracle(system):
-    rows, n = system
-    try:
-        expected = column_order_solution(rows, n)
-    except ValueError as refusal:
-        with pytest.raises(ValueError, match=str(refusal)):
-            kasteleyn._solve_gf2(rows, n)
-        return
-    assert kasteleyn._solve_gf2(rows, n) == expected
-
-
-@pytest.mark.parametrize("name", PARTITION_NAMES)
-def test_signs_of_the_partition_rungs_are_the_column_order_ones(name):
-    dimer = subject(name)
+def column_order_signs(dimer) -> list:
+    """The oracle's signs: one int per face, bit c edge c and bit n the
+    parity (k + 1) % 2; all-positive on an immersed dimer."""
     n = len(build_graph(dimer).edges)
+    if validate(dimer).self_intersecting:
+        return [1] * n
     rows = []
     for face in faces(dimer):
         row = (len(face.edge_indices) // 2 + 1) % 2 << n
         for idx in face.edge_indices:
             row ^= 1 << idx
         rows.append(row)
-    assert kasteleyn_signs(dimer) == [(-1) ** b for b in column_order_solution(rows, n)]
+    return [(-1) ** b for b in column_order_solution(rows, n)]
+
+
+@pytest.mark.parametrize("name", PARTITION_NAMES)
+def test_signs_of_the_partition_rungs_are_the_column_order_ones(name):
+    dimer = subject(name)
+    assert kasteleyn_signs(dimer) == column_order_signs(dimer)
+
+
+SIGN_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 3), (2, 3))
+
+
+@pytest.mark.parametrize("name", catalog.NAMES)
+def test_signs_of_the_catalog_covers_are_the_column_order_ones(name):
+    """The dual-forest peel gives the oracle's signs on every cover shape,
+    plain and as a seeded unimodular image; immersed inputs stay
+    all-positive."""
+    rng = random.Random(name)
+    for kx, ky in SIGN_SHAPES:
+        base = cover(catalog.build(name), kx, ky)
+        for dimer in (base, unimodular_image(base, rng)):
+            signs = kasteleyn_signs(dimer)
+            assert signs == column_order_signs(dimer), (name, kx, ky)
+            if validate(dimer).self_intersecting:
+                assert set(signs) == {1}
 
 
 def test_matrix_after_the_signs_traces_no_face_again(honeycomb, monkeypatch):

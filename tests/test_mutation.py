@@ -502,17 +502,18 @@ def test_smith_form_is_a_run_of_edge_contractions():
         assert _smith_normal_form(rows, len(non_tree)) == want, label
 
 
-def test_union_find_rank_is_the_rank_of_the_zigzag_rows():
-    """The union-find over zigzags gives the free rank that eliminating
-    the zigzag rows on the non-tree edges gives, and its chains are the
-    zigzag walks, on tori and on the surfaces that are no torus alike."""
+def test_counted_rank_is_the_rank_of_the_zigzag_rows():
+    """The zigzags less the graph's components give the rank that
+    eliminating the zigzag rows on the non-tree edges gives, and the chains
+    are the zigzag walks, on tori and on the surfaces that are no torus
+    alike."""
     cases = _contraction_cases() + [
         (f"{name} {kx}x{ky}", cover(catalog.build(name), kx, ky)) for name, kx, ky in HOMOLOGY_CASES
     ]
     for label, dimer in cases:
         graph = build_graph(dimer)
         non_tree = _non_tree_edges(dimer, graph)
-        chains, rank = _zigzag_chains(dimer, graph)
+        chains = _zigzag_chains(dimer, graph)
         walks = _zigzag_walks(dimer, graph)
         dense = []
         for chain in chains:
@@ -521,9 +522,10 @@ def test_union_find_rank_is_the_rank_of_the_zigzag_rows():
                 row[idx] += sign
             dense.append(row)
         assert dense == walks, label
+        components = len(dimer.polytopes) - len(graph.edges) + len(non_tree)
         rows = [[w[i] for i in non_tree] for w in walks]
         diag, _ = general_smith_normal_form(rows, len(non_tree))
-        assert len(non_tree) - rank == len(non_tree) - len(diag), label
+        assert len(chains) - components == len(diag), label
 
 
 # every proper cover up to 2x2, the two immersed entries, and their 1x3, 3x1
@@ -540,7 +542,11 @@ def test_a_surface_that_is_no_torus_is_refused_before_any_elimination(name, kx, 
     def eliminate(rows, width):
         raise AssertionError("the zigzag rows were eliminated")
 
+    def chains(dimer, graph):
+        raise AssertionError("the zigzag chains were built")
+
     monkeypatch.setattr(mutation, "_smith_normal_form", eliminate)
+    monkeypatch.setattr(mutation, "_zigzag_chains", chains)
     with pytest.raises(ValueError, match="^zigzag surface is not a torus$"):
         homology_classes_of_faces(cover(catalog.build(name), kx, ky))
 
