@@ -49,11 +49,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+LAYERS = ("edges", "zigzags")  # the overlays `render_dimer` can draw
+
+
 def _layers(text: str) -> tuple:
     """A `--show` value: comma-separated layers, each refused at parse time
-    unless `render_dimer` draws it."""
-    from .render import LAYERS
-
+    unless it is one of ``LAYERS``."""
     layers = tuple(s for s in text.split(",") if s)
     for layer in layers:
         if layer not in LAYERS:
@@ -89,24 +90,6 @@ def _gauge_name(name: str) -> str:
     return name
 
 
-class _Show(argparse.Action):
-    """`render --show`.  Its help lists `render.LAYERS` and is read only when
-    it is printed, so that building the parser does not import `render`."""
-
-    @property
-    def help(self) -> str:
-        from .render import LAYERS
-
-        return "comma-separated layers: " + ",".join(LAYERS)
-
-    @help.setter
-    def help(self, value):
-        pass  # `Action.__init__` assigns `help=None`; the getter above answers
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-
-
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tropdimer")
@@ -135,7 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render")
     p.add_argument("input", type=_source)
-    p.add_argument("--show", default=(), type=_layers, action=_Show)
+    p.add_argument(
+        "--show", default=(), type=_layers, help="comma-separated layers: " + ",".join(LAYERS)
+    )
     p.add_argument("--out")
 
     p = sub.add_parser("catalog")

@@ -357,25 +357,16 @@ def validate(dimer: DualDimer) -> ValidationReport:
 
 class DimerEdge(Record):
     """One edge, a shared vertex of a white and a black polytope:
-    ``anchor`` is that vertex as a torus point (x % N, y % N),
-    ``white_vertex`` and ``black_vertex`` are each polygon's stored
-    numerators of it, and ``displacement`` runs white centroid -> anchor ->
+    ``anchor`` is that vertex as a torus point (x % N, y % N), ``shift``
+    is the white polygon's stored numerators of it minus the black one's,
+    a multiple of N, and ``displacement`` runs white centroid -> anchor ->
     black centroid, lifted, over D."""
 
-    __slots__ = ("white", "black", "anchor", "white_vertex", "black_vertex", "displacement")
+    __slots__ = ("white", "black", "anchor", "shift", "displacement")
 
-    def __init__(
-        self,
-        white: int,
-        black: int,
-        anchor: tuple,
-        white_vertex: tuple,
-        black_vertex: tuple,
-        displacement: tuple,
-    ):
+    def __init__(self, white: int, black: int, anchor: tuple, shift: tuple, displacement: tuple):
         self.white, self.black, self.anchor = white, black, anchor
-        self.white_vertex, self.black_vertex = white_vertex, black_vertex
-        self.displacement = displacement
+        self.shift, self.displacement = shift, displacement
 
     @property
     def edge_id(self) -> str:
@@ -420,11 +411,12 @@ def build_graph(dimer: DualDimer) -> DimerGraph:
     for t in sorted(white_map):
         wi, wk = white_map[t]
         bi, bk = black_map[t]
-        w, b = points[wi][wk], points[bi][bk]
+        (wx, wy), (bx, by) = points[wi][wk], points[bi][bk]
+        sx, sy = wx - bx, wy - by
         (cwx, cwy), (cbx, cby) = centroids[wi], centroids[bi]
         # (white lift - white centroid) - (black lift - black centroid)
-        displacement = scale * (w[0] - b[0]) - cwx + cbx, scale * (w[1] - b[1]) - cwy + cby
-        edges.append(DimerEdge(wi, bi, t, w, b, displacement))
+        displacement = scale * sx - cwx + cbx, scale * sy - cwy + cby
+        edges.append(DimerEdge(wi, bi, t, (sx, sy), displacement))
     return DimerGraph(
         tuple(dimer.indices(WHITE)),
         tuple(dimer.indices(BLACK)),
@@ -593,15 +585,14 @@ def faces(dimer: DualDimer):
     out = []
     for walk in orbits(all_darts, step):
         # the sum of the walk's displacements: the centroids cancel, which
-        # leaves sign * (white vertex - black vertex) per edge, two lifts of
-        # one anchor, so a multiple of N
+        # leaves sign * shift per edge, a multiple of N
         boundary = []
         tx = ty = 0
         for idx, sign in walk:
             e = graph.edges[idx]
             boundary.append((e.white, WHITE) if sign > 0 else (e.black, BLACK))
-            tx += sign * (e.white_vertex[0] - e.black_vertex[0])
-            ty += sign * (e.white_vertex[1] - e.black_vertex[1])
+            tx += sign * e.shift[0]
+            ty += sign * e.shift[1]
         edge_indices, orientations = zip(*walk)
         cls = H1Class(tx // n, ty // n)
         out.append(DimerFace(tuple(boundary), edge_indices, orientations, cls))

@@ -153,13 +153,6 @@ def make_gauge(graph: DimerGraph, name: str):
     return {i: (rng.randint(-3, 3), rng.randint(-3, 3)) for i in graph.whites + graph.blacks}
 
 
-def _exponent(graph: DimerGraph, edge, gauge) -> tuple:
-    """The numerator pair over D of displacement + row exponent + column exponent."""
-    (x, y), d = edge.displacement, graph.denominator
-    (wx, wy), (bx, by) = gauge.get(edge.white, (0, 0)), gauge.get(edge.black, (0, 0))
-    return x + d * (wx + bx), y + d * (wy + by)
-
-
 # ---------------------------------------------------------------------------
 # the matrix
 
@@ -229,15 +222,21 @@ class KasteleynMatrix(Record):
 
 def kasteleyn_matrix(dimer: DualDimer, gauge=IDENTITY_GAUGE) -> KasteleynMatrix:
     """The signed, gauged matrix: one LaurentPolynomial per nonzero cell, built
-    from the ((x, y), sign) terms of its edges, and one zero shared by the rest."""
+    from the ((x, y), sign) terms of its edges, and one zero shared by the rest.
+    An edge's exponent numerators over D are its displacement plus D times
+    the gauge exponents of its row and its column."""
     graph = build_graph(dimer)
+    d = graph.denominator
     cells: dict = {}
     for e, sign in zip(graph.edges, kasteleyn_signs(dimer)):
-        cells.setdefault((e.white, e.black), []).append((_exponent(graph, e, gauge), sign))
-    grid = {key: LaurentPolynomial(terms, graph.denominator) for key, terms in cells.items()}
-    zero = LaurentPolynomial((), graph.denominator)
+        x, y = e.displacement
+        (wx, wy), (bx, by) = gauge.get(e.white, (0, 0)), gauge.get(e.black, (0, 0))
+        exponent = x + d * (wx + bx), y + d * (wy + by)
+        cells.setdefault((e.white, e.black), []).append((exponent, sign))
+    grid = {key: LaurentPolynomial(terms, d) for key, terms in cells.items()}
+    zero = LaurentPolynomial((), d)
     entries = tuple(grid.get((w, b), zero) for w in graph.whites for b in graph.blacks)
-    return KasteleynMatrix(graph.whites, graph.blacks, entries, graph.denominator)
+    return KasteleynMatrix(graph.whites, graph.blacks, entries, d)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +479,8 @@ def enumerate_matchings(graph: DimerGraph):
     return sorted(found)
 
 
-def boltzmann_monomial(graph: DimerGraph, matching, gauge=IDENTITY_GAUGE) -> LaurentPolynomial:
-    """z^(the sum of ``_exponent`` over the matching's edges)."""
-    exponents = [_exponent(graph, graph.edges[idx], gauge) for idx in matching]
+def boltzmann_monomial(graph: DimerGraph, matching) -> LaurentPolynomial:
+    """z^(the sum of the matching's edge displacements), over D."""
+    exponents = [graph.edges[idx].displacement for idx in matching]
     total = (sum(x for x, _ in exponents), sum(y for _, y in exponents))
     return monomial(total, 1, graph.denominator)

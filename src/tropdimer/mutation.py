@@ -60,10 +60,12 @@ def exact_assignment(dimer: DualDimer) -> dict:
 
 
 class MutationResult(Record):
-    __slots__ = ("dimer", "immersed", "replaced_face")
+    """The mutated dimer, and whether it is immersed."""
 
-    def __init__(self, dimer: DualDimer, immersed: bool, replaced_face: DimerFace):
-        self.dimer, self.immersed, self.replaced_face = dimer, immersed, replaced_face
+    __slots__ = ("dimer", "immersed")
+
+    def __init__(self, dimer: DualDimer, immersed: bool):
+        self.dimer, self.immersed = dimer, immersed
 
 
 def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
@@ -71,7 +73,7 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
 
     One walk around the face sums the signed weight (-w on a white-to-black
     edge, +w back) and moves each boundary polytope by the running
-    translation, the sum of sign * (white vertex - black vertex) so far,
+    translation, the sum of sign * ``shift`` over the edges so far,
     which makes consecutive polytopes share their anchor in the plane.
     """
     if face not in faces(dimer):
@@ -90,8 +92,8 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
         i, color = (e.white, WHITE) if sign > 0 else (e.black, BLACK)
         boundary_indices.add(i)
         points[color].update((x + tx, y + ty) for x, y in dimer.polytopes[i].vertices)
-        tx += sign * (e.white_vertex[0] - e.black_vertex[0])
-        ty += sign * (e.white_vertex[1] - e.black_vertex[1])
+        tx += sign * e.shift[0]
+        ty += sign * e.shift[1]
     if total != 0:
         raise ValueError("face not mutable")
 
@@ -104,7 +106,7 @@ def mutate_face(dimer: DualDimer, face: DimerFace, weights) -> MutationResult:
     report = validate(result)
     if not report.ok:
         raise ValueError("mutation produced an invalid dimer")
-    return MutationResult(result, report.self_intersecting, face)
+    return MutationResult(result, report.self_intersecting)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from .lattice import Vec2
 SCALE = 240
 MARGIN = 24
 
-LAYERS = ("edges", "zigzags")  # the overlays ``render_dimer`` can draw
-
 ZIGZAG_COLORS = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
 
 

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tropdimer.cli import run
-from tropdimer.render import LAYERS
+from tropdimer.cli import LAYERS, run
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -74,7 +73,7 @@ def test_render_help_lists_every_layer():
     code, out, _, modules = child("render", "--help")
     assert code == 0
     assert all(layer in out for layer in LAYERS)
-    assert modules == {"catalog", "lattice", "render"}
+    assert modules == {"catalog", "lattice"}
 
 
 @pytest.mark.parametrize("argv, message", [

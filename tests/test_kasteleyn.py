@@ -392,6 +392,35 @@ def test_two_by_two_cover_determinant_is_product_over_sign_twists(name):
     assert got in (want, {a: -c for a, c in want.items()})
 
 
+def cube_root_norm(base: LaurentPolynomial, axis: int) -> LaurentPolynomial:
+    """prod P(xi t) over xi^3 = 1, t the variable of ``axis`` and P the
+    normalized ``base`` with its exponents divided by D: the determinant of
+    multiplication by P on Z[z^+-1][t]/(t^3 - Z), in which c z^e t^j lands
+    in row r at Z^q for e_axis + j = 3q + r, with Z in place of t."""
+    base = base.normalized()
+    d = base.denominator
+    assert all(x % d == 0 and y % d == 0 for (x, y), _ in base.terms)
+    cells: dict = {}
+    for j in range(3):
+        for (x, y), c in base.terms:
+            e = [x // d, y // d]
+            e[axis], r = divmod(e[axis] + j, 3)
+            cells.setdefault((r, j), []).append((tuple(e), c))
+    entries = tuple(LaurentPolynomial(cells.get((r, j), ()), 1) for r in range(3) for j in range(3))
+    return leibniz_determinant(KasteleynMatrix((0, 1, 2), (0, 1, 2), entries, 1))
+
+
+@pytest.mark.parametrize("kx, ky", [(3, 1), (1, 3)])
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_three_fold_cover_determinant_is_the_norm_over_cube_roots(name, kx, ky):
+    """Kenyon-Okounkov-Sheffield at an odd cover: the normalized determinant
+    of the 3x1 or 1x3 cover is prod P(xi t) over the cube roots of unity xi,
+    t the variable of the tripled axis, with no sign or substitution."""
+    norm = cube_root_norm(determinant(kasteleyn_matrix(catalog.build(name))), int(ky == 3))
+    got = determinant(kasteleyn_matrix(cover(catalog.build(name), kx, ky)))
+    assert rational_terms(got.normalized()) == rational_terms(norm.normalized())
+
+
 @pytest.mark.parametrize("name", ["honeycomb", "bl3-seed"])
 def test_four_by_four_cover_determinant_is_product_over_sign_twists(name):
     """The 2x2 cover oracle applied to the 2x2 cover (n = 48): the 2x2 cover

@@ -23,12 +23,13 @@ from test_dimer import all_pairs_overlap, arrangement_by_rotation_rings
 from test_kasteleyn import newton_matches_zigzags
 from tropdimer import catalog
 from tropdimer.arrangement import TorusLine, arrangement_dimer
+from tropdimer.cli import LAYERS
 from tropdimer.dimer import build_graph, dimer_to_tropical_fan, faces, validate, zigzag_paths
 from tropdimer.io import canonicalize, parse_dimer, serialize_dimer
 from tropdimer.kasteleyn import kasteleyn_matrix
 from tropdimer.lattice import Vec2
 from tropdimer.mutation import exact_assignment, mutate_face, mutation_directions
-from tropdimer.render import LAYERS, render_dimer
+from tropdimer.render import render_dimer
 
 
 def _subjects():
